@@ -8,54 +8,50 @@ noise; link (i, k) fades as CN(0, P**(gamma[i,k]-1)).  TX j observes
 
 independent across transmitters and entries, so the estimation error sits
 ``alpha`` exponent levels below the link itself.
+
+Every draw is made from one row of ``NORMALS_PER_DRAW`` standard normals:
+columns 0-3 and 4-7 are the real and imaginary parts of the channel,
+columns 8-15 and 16-23 those of the estimation errors.  A generator that
+fills the rows in order yields the same draws as one that makes the
+channel and then the estimates of each draw in turn.  Arrays carry a
+leading draw axis; a single draw is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import CsitQuality, Topology
 
-__all__ = ["ChannelRealization", "CsitEstimate", "sample_channel", "sample_csit"]
+__all__ = ["NORMALS_PER_DRAW", "sample_channel", "sample_csit"]
+
+NORMALS_PER_DRAW = 24
 
 
-@dataclass
-class ChannelRealization:
-    """One fading draw; ``h[i, k]`` is the TX k -> RX i coefficient."""
-
-    h: np.ndarray
-    p: float
-
-
-@dataclass
-class CsitEstimate:
-    """Per-transmitter estimates; ``h_hat[j]`` is what TX j sees."""
-
-    h_hat: np.ndarray
-    p: float
-
-
-def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
+def _crandn(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussians."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
-def sample_channel(topology: Topology, p: float, rng: np.random.Generator) -> ChannelRealization:
+def sample_channel(topology: Topology, p: float, z: np.ndarray) -> np.ndarray:
+    """Channels ``h[d, i, k]`` (TX k -> RX i) from the normals ``z`` (draws, 24)."""
     scale = np.sqrt(p ** (topology.gamma - 1.0))
-    return ChannelRealization(scale * _crandn(rng, (2, 2)), float(p))
+    return scale * _crandn(z[:, 0:4], z[:, 4:8]).reshape(-1, 2, 2)
 
 
 def sample_csit(
-    channel: ChannelRealization,
+    h: np.ndarray,
     topology: Topology,
     csit: CsitQuality,
-    rng: np.random.Generator,
-) -> CsitEstimate:
-    """Draw both transmitters' estimates of one channel realization."""
-    p = channel.p
+    p: float,
+    z: np.ndarray,
+) -> np.ndarray:
+    """Both transmitters' estimates ``h_hat[d, j]`` of the channels ``h``.
+
+    ``z`` is the same (draws, 24) array the channels were made from.
+    """
     err_scale = np.sqrt(p ** (-csit.alpha)) * np.sqrt(p ** (topology.gamma - 1.0))
-    h_hat = channel.h[np.newaxis, :, :] + err_scale * _crandn(rng, (2, 2, 2))
-    return CsitEstimate(h_hat, p)
+    err = _crandn(z[:, 8:16], z[:, 16:24]).reshape(-1, 2, 2, 2)
+    return h[:, np.newaxis, :, :] + err_scale * err

@@ -20,21 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import sample_channel, sample_csit
+from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
 from .gdof import distributed_gdof, genie_outer_bound, scheme_layout
 from .harness import (
     ConfigError,
     closed_forms,
-    estimate_slope,
     fit_exponent,
     load_config,
-    simulate_point,
+    simulate_snr,
     sweep,
     write_csv,
     write_summary,
 )
 from .precoders import apzf
-from .scheme import plan_layout
 from .topology import CsitQuality, Topology, ValidationError, canonicalize, validate
 
 EXIT_OK = 0
@@ -85,7 +83,14 @@ def _apply_overrides(config, args):
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     if getattr(args, "scheme", None):
-        config.schemes = tuple(s.strip() for s in args.scheme.split(","))
+        chosen = tuple(s.strip() for s in args.scheme.split(","))
+        extra = [s for s in chosen if s not in config.schemes]
+        if extra:
+            raise ConfigError(
+                f"--scheme {','.join(extra)} is not among the config's schemes "
+                f"({','.join(config.schemes)})"
+            )
+        config.schemes = chosen
     if getattr(args, "window", None):
         try:
             lo, hi = (float(v) for v in args.window.split(":"))
@@ -121,9 +126,9 @@ def _cmd_gdof(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    results = simulate_snr(config, args.snr_db)
     print(f"snr_db = {args.snr_db:g}, draws = {config.draws}, seed = {config.seed}")
-    for scheme in config.schemes:
-        mean, stderr = simulate_point(config, scheme, args.snr_db)
+    for scheme, (mean, stderr, _) in results.items():
         print(f"{scheme:15s} sum_rate = {mean:.6f} +/- {stderr:.6f}")
     return EXIT_OK
 
@@ -176,11 +181,11 @@ def _check_cancellation(rng, n=1000):
     p = 1e6
     for _ in range(n):
         topo, _ = _dyadic_instance(rng)
-        ch = sample_channel(topo, p, rng)
-        v = apzf(ch.h, 0, 1.0, topo, p, regularize=False)
-        resid = abs(ch.h[1] @ v.t)
-        rel = resid / (np.linalg.norm(ch.h[1]) * np.linalg.norm(v.t) + 1e-300)
-        worst = max(worst, rel)
+        h = sample_channel(topo, p, rng.standard_normal((1, 8)))
+        t = apzf(h, 0, 1.0, topo, p, regularize=False)
+        resid = np.abs((h @ t[..., None])[:, 1, 0])
+        rel = resid / (np.linalg.norm(h[:, 1], axis=-1) * np.linalg.norm(t, axis=-1) + 1e-300)
+        worst = max(worst, float(rel.max()))
     ok = worst < 1e-10
     return ok, f"{n} draws, worst relative residual = {worst:.3g}"
 
@@ -195,13 +200,12 @@ def _check_coefficient_exponents(rng, n_topologies=3, draws=1500):
         tau = 0.5 + 0.5 * rng.random()
         acc = np.zeros((len(grid), 2, 2))  # mean log power, [P, target, tx]
         for ip, p in enumerate(grid):
-            for _ in range(draws):
-                ch = sample_channel(topo, p, rng)
-                est = sample_csit(ch, topo, csit, rng)
-                for tgt in (0, 1):
-                    v = apzf(est.h_hat[0], tgt, tau, topo, p)
-                    acc[ip, tgt] += np.log(np.abs(v.t) ** 2)
-        acc /= draws
+            z = rng.standard_normal((draws, NORMALS_PER_DRAW))
+            h = sample_channel(topo, p, z)
+            h_hat = sample_csit(h, topo, csit, p, z)
+            for tgt in (0, 1):
+                t = apzf(h_hat[:, 0], tgt, tau, topo, p)
+                acc[ip, tgt] = np.log(np.abs(t) ** 2).mean(axis=0)
         for tgt in (0, 1):
             itf = 1 - tgt
             for k in (0, 1):
@@ -213,9 +217,9 @@ def _check_coefficient_exponents(rng, n_topologies=3, draws=1500):
 
 
 def _check_determinism(config):
-    a = simulate_point(config, config.schemes[0], config.snr_db[0])
-    b = simulate_point(config, config.schemes[0], config.snr_db[0])
-    return a == b, f"repeated point identical: {a == b}"
+    a = simulate_snr(config, config.snr_db[0])
+    b = simulate_snr(config, config.snr_db[0])
+    return a == b, f"{len(a)} schemes, repeated point identical: {a == b}"
 
 
 def _cmd_validate(args) -> int:

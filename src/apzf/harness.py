@@ -1,23 +1,28 @@
 """Monte Carlo sum-rate sweeps, slope fitting, and result serialization.
 
-Each (scheme, SNR point, draw index) triple gets its own RNG substream
-derived from the config seed, so results are independent of evaluation
-order and of how points are distributed across worker processes, and
-all schemes see the same fading draws (common random numbers).
+Each (SNR point, draw index) pair gets its own RNG substream derived
+from the config seed, so results are independent of evaluation order and
+of how points are distributed across worker processes.  One kernel call
+per SNR point draws every substream once and evaluates all schemes on
+those draws as array operations, so all schemes see the same fading
+draws (common random numbers).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import sample_channel, sample_csit
+from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
 from .gdof import centralized_gdof, distributed_gdof, genie_outer_bound
-from .scheme import SchemeKind, achievable_rates, build_plan, plan_layout
+from .scheme import SchemeKind, achievable_rates, build_layers, plan_layout
 from .topology import CsitQuality, Topology, canonicalize
 
 __all__ = [
@@ -26,6 +31,7 @@ __all__ = [
     "ConfigError",
     "InsufficientPoints",
     "simulate_point",
+    "simulate_snr",
     "sweep",
     "estimate_slope",
     "fit_exponent",
@@ -39,6 +45,11 @@ __all__ = [
 
 DEFAULT_WINDOW_DB = (40.0, 60.0)
 
+# Draws per block of the per-point kernel: large enough that numpy's
+# per-call overhead is spread thin, small enough that a block's arrays
+# stay at a few MB whatever the configured draw count.
+_BLOCK_DRAWS = 4096
+
 # log2(P) advances by this much per dB of SNR.
 _LOG2P_PER_DB = math.log2(10.0) / 10.0
 
@@ -49,6 +60,32 @@ class ConfigError(ValueError):
 
 class InsufficientPoints(ValueError):
     """Not enough points to fit a slope."""
+
+
+def _snr_key(snr_db: float) -> int:
+    """The SNR's part of a substream key: the SNR in milli-dB."""
+    return int(round(snr_db * 1000.0)) % (2**31)
+
+
+def _snr_power(snr_db: float) -> float:
+    """P = 10**(snr_db / 10); ConfigError unless it is a finite normal float."""
+    try:
+        p = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        p = math.inf
+    if not sys.float_info.min <= p < math.inf:
+        raise ConfigError(f"snr_db {snr_db!r} does not give a finite normal P = 10**(snr_db/10)")
+    return p
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ConfigError for a bool or a non-integral value."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -70,10 +107,17 @@ class SweepConfig:
         self.snr_db = tuple(float(s) for s in self.snr_db)
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
+        for snr in self.snr_db:
+            _snr_power(snr)
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr_db grid must be strictly increasing")
         if not self.snr_db:
             raise ConfigError("snr_db grid must be non-empty")
+        if len({_snr_key(s) for s in self.snr_db}) < len(self.snr_db):
+            raise ConfigError("snr_db points closer than 0.5 milli-dB would share draws")
+        self.draws = _integer("draws", self.draws)
+        self.seed = _integer("seed", self.seed)
+        self.workers = _integer("workers", self.workers)
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
         if self.seed < 0:
@@ -95,38 +139,58 @@ class SweepCurve:
     slopes: dict
     window_db: tuple
     gdof: dict = field(default_factory=dict)
+    backoff_frac: dict = field(default_factory=dict)
 
 
 def _substream(seed: int, snr_db: float, draw: int) -> np.random.Generator:
-    snr_key = int(round(snr_db * 1000.0)) % (2**31)
-    return np.random.default_rng([seed, snr_key, draw])
+    return np.random.default_rng([seed, _snr_key(snr_db), draw])
+
+
+def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
+    """Every config scheme at one SNR point, all on the same draws.
+
+    Draw d at this point always uses the substream (seed, snr, d),
+    whichever draws and schemes run with it.  Draws are evaluated in
+    blocks of at most ``_BLOCK_DRAWS``, which bounds the memory a point
+    needs.  Returns, per scheme, ``(mean, stderr, backoff_frac)``: the
+    mean sum rate, its standard error, and the fraction of draws the
+    power back-off scaled down.
+    """
+    p = _snr_power(snr_db)
+    canon = canonicalize(config.topology, config.csit)
+    layouts = {s: plan_layout(canon, s) for s in config.schemes}
+    sums = {s: np.empty(config.draws) for s in config.schemes}
+    backed_off = dict.fromkeys(config.schemes, 0)
+    for start in range(0, config.draws, _BLOCK_DRAWS):
+        block = range(start, min(start + _BLOCK_DRAWS, config.draws))
+        z = np.empty((len(block), NORMALS_PER_DRAW))
+        for i, d in enumerate(block):
+            _substream(config.seed, snr_db, d).standard_normal(out=z[i])
+        h = sample_channel(canon.topology, p, z)
+        h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
+        for s in config.schemes:
+            layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
+            r0, r1, r2, rz = achievable_rates(h, layers)
+            sums[s][block.start : block.stop] = r0 + r1 + r2 + rz
+            backed_off[s] += int(mask.sum())
+    out = {}
+    for s in config.schemes:
+        mean = float(sums[s].mean())
+        stderr = float(sums[s].std(ddof=1) / math.sqrt(config.draws)) if config.draws > 1 else 0.0
+        out[s] = (mean, stderr, backed_off[s] / config.draws)
+    return out
 
 
 def simulate_point(config: SweepConfig, scheme_kind, snr_db: float):
-    """Mean sum rate and its standard error at one SNR point.
-
-    Draw d at this point always uses the substream (seed, snr, d)
-    regardless of which draws ran before it.
-    """
-    kind = SchemeKind(scheme_kind)
-    canon = canonicalize(config.topology, config.csit)
-    layout = plan_layout(canon, kind)
-    p = 10.0 ** (snr_db / 10.0)
-    sums = np.empty(config.draws)
-    for d in range(config.draws):
-        rng = _substream(config.seed, snr_db, d)
-        ch = sample_channel(canon.topology, p, rng)
-        est = sample_csit(ch, canon.topology, canon.csit, rng)
-        plan = build_plan(canon, est, layout, kind, p)
-        sums[d] = achievable_rates(ch, plan).sum
-    mean = float(sums.mean())
-    stderr = float(sums.std(ddof=1) / math.sqrt(config.draws)) if config.draws > 1 else 0.0
+    """Mean sum rate and its standard error of one scheme at one SNR point."""
+    scheme = SchemeKind(scheme_kind).value
+    mean, stderr, _ = simulate_snr(dataclasses.replace(config, schemes=(scheme,)), snr_db)[scheme]
     return mean, stderr
 
 
 def _point_task(args):
-    config, scheme, snr = args
-    return scheme, snr, simulate_point(config, scheme, snr)
+    config, snr = args
+    return snr, simulate_snr(config, snr)
 
 
 def closed_forms(config: SweepConfig) -> dict:
@@ -141,22 +205,24 @@ def closed_forms(config: SweepConfig) -> dict:
 def sweep(config: SweepConfig) -> SweepCurve:
     """Simulate every (scheme, SNR) point and fit per-scheme slopes.
 
-    With ``config.workers > 1`` points are farmed out to processes; the
-    per-draw substreams make the result identical for any worker count.
-    Schemes whose window holds fewer than two grid points get slope None.
+    With ``config.workers > 1`` SNR points are farmed out to processes,
+    one task per point covering all schemes; the per-draw substreams make
+    the result identical for any worker count.  Schemes whose window
+    holds fewer than two grid points get slope None.
     """
-    tasks = [(config, s, snr) for s in config.schemes for snr in config.snr_db]
+    tasks = [(config, snr) for snr in config.snr_db]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_point_task, tasks))
     else:
         results = [_point_task(t) for t in tasks]
 
-    table = {(s, snr): val for s, snr, val in results}
-    mean, stderr, slopes = {}, {}, {}
+    table = dict(results)
+    mean, stderr, backoff, slopes = {}, {}, {}, {}
     for s in config.schemes:
-        mean[s] = np.array([table[(s, snr)][0] for snr in config.snr_db])
-        stderr[s] = np.array([table[(s, snr)][1] for snr in config.snr_db])
+        mean[s] = np.array([table[snr][s][0] for snr in config.snr_db])
+        stderr[s] = np.array([table[snr][s][1] for snr in config.snr_db])
+        backoff[s] = np.array([table[snr][s][2] for snr in config.snr_db])
         try:
             slopes[s] = estimate_slope(list(zip(config.snr_db, mean[s])), config.window_db)
         except InsufficientPoints:
@@ -169,6 +235,7 @@ def sweep(config: SweepConfig) -> SweepCurve:
         slopes,
         config.window_db,
         closed_forms(config),
+        backoff,
     )
 
 
@@ -223,6 +290,7 @@ def summary_dict(config: SweepConfig, curve: SweepCurve) -> dict:
         "config": config_to_dict(config),
         "slopes": dict(curve.slopes),
         "gdof_closed_form": dict(curve.gdof),
+        "backoff_frac": {s: [float(v) for v in f] for s, f in curve.backoff_frac.items()},
     }
 
 
@@ -258,10 +326,10 @@ def config_from_dict(raw: dict) -> SweepConfig:
             csit=CsitQuality(raw["alpha"]),
             schemes=tuple(raw["schemes"]),
             snr_db=tuple(raw["snr_db"]),
-            draws=int(raw["draws"]),
-            seed=int(raw["seed"]),
+            draws=raw["draws"],
+            seed=raw["seed"],
             window_db=tuple(raw.get("window_db", DEFAULT_WINDOW_DB)),
-            workers=int(raw.get("workers", 1)),
+            workers=raw.get("workers", 1),
         )
     except ConfigError:
         raise

@@ -17,12 +17,17 @@ regularized full-matrix ZF computed from one shared estimate, and the
 same computation done independently at each TX from its own local
 estimate (each TX then transmits only its own entry, so the two entries
 come from inconsistent matrix inverses).
+
+Every function works on a batch of draws: estimates carry a leading draw
+axis and a vector ``t[d, k]`` is applied at TX ``k`` on draw ``d``.  The
+arithmetic repeats, operation for operation, what one draw computed with
+numpy scalars, so a draw's vector does not depend on the batch it is in.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .gdof import SchemeLayout
 from .topology import Topology
 
 __all__ = [
-    "PrecodingVector",
     "apzf",
     "multicast",
     "matched",
@@ -41,17 +45,30 @@ __all__ = [
 _EYE2 = np.eye(2)
 
 
-@dataclass
-class PrecodingVector:
-    """Entry ``t[k]`` is applied at TX ``k``.  ``target_rx`` is None for
-    layers meant for both receivers."""
+def _libm_square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` through the C library's ``pow``, as a numpy float64 scalar
+    computes it; ``x * x`` and ``np.power`` round differently on some values."""
+    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), float, len(x))
 
-    t: np.ndarray
-    target_rx: int | None
-    layer: str
 
-    def power(self) -> float:
-        return float(np.sum(np.abs(self.t) ** 2))
+def _norm(w: np.ndarray) -> np.ndarray:
+    """Norms of the rows of ``w`` (draws, 2), equal to ``np.linalg.norm`` of each.
+
+    ``np.linalg.norm`` adds the BLAS dots of the real and of the imaginary
+    parts, and BLAS may fuse a dot's multiply-adds, so the same dot is run
+    on every row through ``matmul``.
+    """
+    re, im = w.real, w.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _scaled(w: np.ndarray, tau: float, p: float) -> np.ndarray:
+    """Rows of ``w`` rescaled to norm sqrt(P**tau); all-zero rows stay zero."""
+    n = _norm(w)
+    with np.errstate(divide="ignore"):
+        s = np.where(n == 0.0, 0.0, math.sqrt(p**tau) / n)
+    return w * s[:, None]
 
 
 def apzf(
@@ -62,34 +79,42 @@ def apzf(
     p: float,
     active_tx: int = 0,
     regularize: bool = True,
-) -> PrecodingVector:
-    """AP-ZF vector for ``target_rx``, cancelling at the other receiver.
+) -> np.ndarray:
+    """AP-ZF vectors (draws, 2) for ``target_rx``, cancelling at the other receiver.
 
-    ``estimate_active`` is the active transmitter's full 2x2 estimate.
-    With ``regularize=False`` the 1/P term is dropped; combined with a
-    perfect estimate this cancels the unintended receiver exactly.
+    ``estimate_active`` (draws, 2, 2) is the active transmitter's full
+    estimate.  With ``regularize=False`` the 1/P term is dropped; combined
+    with a perfect estimate this cancels the unintended receiver exactly.
     """
     itf = 1 - target_rx
     passive_tx = 1 - active_tx
     g = topology.gamma
     x = tau - max(float(g[itf, passive_tx] - g[itf, active_tx]), 0.0)
     t_pas = math.sqrt(p**x)
-    e_act = estimate_active[itf, active_tx]
-    e_pas = estimate_active[itf, passive_tx]
+    e_act = estimate_active[:, itf, active_tx]
+    e_pas = estimate_active[:, itf, passive_tx]
     reg = 1.0 / p if regularize else 0.0
-    t_act = -np.conj(e_act) * e_pas * t_pas / (abs(e_act) ** 2 + reg)
-    t = np.zeros(2, dtype=complex)
-    t[active_tx] = t_act
-    t[passive_tx] = t_pas
-    return PrecodingVector(t, target_rx, f"s{target_rx + 1}")
+    # -conj(e_act) * e_pas in real arithmetic: numpy's complex array multiply
+    # may fuse the products, which the scalar product does not.  Dividing a
+    # complex by a real multiplies by its reciprocal.
+    ar, ai = -e_act.real, e_act.imag
+    num_re = (ar * e_pas.real - ai * e_pas.imag) * t_pas
+    num_im = (ar * e_pas.imag + ai * e_pas.real) * t_pas
+    inv = 1.0 / (_libm_square(np.hypot(e_act.real, e_act.imag)) + reg)
+    t = np.empty((len(e_act), 2), dtype=complex)
+    t[:, active_tx].real = num_re * inv
+    t[:, active_tx].imag = num_im * inv
+    t[:, passive_tx] = t_pas
+    return t
 
 
-def multicast(p: float, layout: SchemeLayout) -> PrecodingVector:
+def multicast(p: float, layout: SchemeLayout) -> np.ndarray:
     """Common layer soaking up the power the lower layers leave over.
 
     Each transmitter dedicates one power slot per transmitted band, so
     the residual is P minus P**power_exp once per band actually carrying
-    rate (the private pair counts once, the z-layer once).
+    rate (the private pair counts once, the z-layer once).  The layer is
+    the same on every draw, so it is one (2,) vector.
     """
     residual = p
     if layout.rate_exp.get("s1", 0.0) > 0.0:
@@ -97,57 +122,44 @@ def multicast(p: float, layout: SchemeLayout) -> PrecodingVector:
     if layout.rate_exp.get("z1", 0.0) > 0.0:
         residual -= p ** layout.power_exp["z1"]
     residual = max(residual, 0.0)
-    t = np.full(2, math.sqrt(residual / 2.0), dtype=complex)
-    return PrecodingVector(t, None, "s0")
+    return np.full(2, math.sqrt(residual / 2.0), dtype=complex)
 
 
-def matched(estimate_active: np.ndarray, p: float, layout: SchemeLayout) -> PrecodingVector:
-    """Matched-filter layer for RX 1 riding below the interference floor.
+def matched(estimate_active: np.ndarray, p: float, layout: SchemeLayout) -> np.ndarray:
+    """Matched-filter layer (draws, 2) for RX 1 riding below the interference floor.
 
     Beamforms along the active TX's estimate of RX 1's row at the
-    z-layer power; degenerates to the zero vector when the layout
-    carries no z rate.
+    z-layer power; degenerates to zero vectors when the layout carries
+    no z rate.
     """
     if layout.rate_exp.get("z1", 0.0) <= 0.0:
-        return PrecodingVector(np.zeros(2, dtype=complex), 0, "z1")
-    d = np.conj(estimate_active[0, :])
-    n = float(np.linalg.norm(d))
-    if n == 0.0:
-        return PrecodingVector(np.zeros(2, dtype=complex), 0, "z1")
-    t = d * (math.sqrt(p ** layout.power_exp["z1"]) / n)
-    return PrecodingVector(t, 0, "z1")
+        return np.zeros((len(estimate_active), 2), dtype=complex)
+    return _scaled(np.conj(estimate_active[:, 0, :]), layout.power_exp["z1"], p)
 
 
 def _regularized_zf(estimate: np.ndarray, target_rx: int, p: float) -> np.ndarray:
-    """Direction of the regularized channel-inverse column for ``target_rx``."""
-    gram = estimate @ estimate.conj().T + (1.0 / p) * _EYE2
-    return estimate.conj().T @ np.linalg.solve(gram, _EYE2[:, target_rx])
-
-
-def _scaled(w: np.ndarray, tau: float, p: float) -> np.ndarray:
-    n = float(np.linalg.norm(w))
-    if n == 0.0:
-        return np.zeros(2, dtype=complex)
-    return w * (math.sqrt(p**tau) / n)
+    """Directions of the regularized channel-inverse column for ``target_rx``."""
+    est_h = estimate.conj().swapaxes(-1, -2)
+    gram = estimate @ est_h + (1.0 / p) * _EYE2
+    return (est_h @ np.linalg.solve(gram, _EYE2[:, target_rx])[..., None])[..., 0]
 
 
 def centralized_zf(
     shared_estimate: np.ndarray, target_rx: int, tau: float, p: float
-) -> PrecodingVector:
-    """Regularized ZF from one shared estimate, norm sqrt(P**tau)."""
-    t = _scaled(_regularized_zf(shared_estimate, target_rx, p), tau, p)
-    return PrecodingVector(t, target_rx, f"s{target_rx + 1}")
+) -> np.ndarray:
+    """Regularized ZF vectors (draws, 2) from one shared estimate, norm sqrt(P**tau)."""
+    return _scaled(_regularized_zf(shared_estimate, target_rx, p), tau, p)
 
 
-def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p: float) -> PrecodingVector:
+def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p: float) -> np.ndarray:
     """Each TX runs the centralized computation on its own estimate.
 
-    TX j normalizes its locally computed full vector to sqrt(P**tau) and
+    ``estimates`` is (draws, 2, 2, 2), TX j's estimate at ``[:, j]``.  TX j
+    normalizes its locally computed full vector to sqrt(P**tau) and
     transmits entry j of it; the entries generally do not cohere because
     the two estimates differ.
     """
-    t = np.zeros(2, dtype=complex)
+    t = np.empty((len(estimates), 2), dtype=complex)
     for j in range(2):
-        w = _scaled(_regularized_zf(estimates[j], target_rx, p), tau, p)
-        t[j] = w[j]
-    return PrecodingVector(t, target_rx, f"s{target_rx + 1}")
+        t[:, j] = _scaled(_regularized_zf(estimates[:, j], target_rx, p), tau, p)[:, j]
+    return t

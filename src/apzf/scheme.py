@@ -1,12 +1,14 @@
-"""Assembling transmit plans and evaluating their achievable rates.
+"""Instantiating layouts on batches of draws and evaluating their rates.
 
-A transmit plan instantiates a layout for one fading/CSIT draw: a common
-layer on top, the two private layers underneath, and (when the layout
-carries it) the below-the-floor z layer for RX 1.  Decoding is
-successive: both receivers decode the common layer treating everything
-else as noise, each then strips it and decodes its private layer; RX 1
-finally strips its private layer and decodes the z layer with only the
-other private layer left as noise.
+A layout is instantiated as a dict of layers, keyed by tag in decoding
+order: a common layer ``s0`` on top, the two private layers ``s1``/``s2``
+underneath, and (when the layout carries it) the below-the-floor z layer
+``z1`` for RX 1.  Each layer holds its vectors for every draw, shape
+(draws, 2); the common layer is the same on every draw and is one (2,)
+vector.  Decoding is successive: both receivers decode the common layer
+treating everything else as noise, each then strips it and decodes its
+private layer; RX 1 finally strips its private layer and decodes the z
+layer with only the other private layer left as noise.
 
 Scheme kinds differ only in how the private vectors are produced:
 
@@ -23,34 +25,29 @@ Scheme kinds differ only in how the private vectors are produced:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelRealization, CsitEstimate
 from .gdof import SchemeLayout, scheme_layout
-from .precoders import PrecodingVector, apzf, centralized_zf, matched, multicast, naive_zf
-from .topology import CanonicalForm, effective_alphas
+from .precoders import apzf, centralized_zf, matched, multicast, naive_zf
+from .topology import CanonicalForm
 
 __all__ = [
     "SchemeKind",
-    "PlanLayer",
-    "TransmitPlan",
-    "RateBreakdown",
     "PowerInfeasible",
     "plan_layout",
-    "build_plan",
+    "build_layers",
+    "tx_power",
     "achievable_rates",
     "interference_power",
-    "per_tx_power",
 ]
 
 _POWER_TOL = 1e-9
 
 
 class PowerInfeasible(RuntimeError):
-    """A plan's per-transmitter power came out above the budget."""
+    """A draw's per-transmitter power came out above the budget."""
 
 
 class SchemeKind(str, Enum):
@@ -58,43 +55,6 @@ class SchemeKind(str, Enum):
     CENTRALIZED_ZF = "centralized_zf"
     NAIVE_ZF = "naive_zf"
     NO_CSIT = "no_csit"
-
-
-@dataclass
-class PlanLayer:
-    tag: str
-    vector: PrecodingVector
-    rate_exp: float
-
-
-@dataclass
-class TransmitPlan:
-    layers: list
-    scheme_kind: SchemeKind
-    p: float
-
-    def get(self, tag: str) -> PrecodingVector | None:
-        for layer in self.layers:
-            if layer.tag == tag:
-                return layer.vector
-        return None
-
-
-@dataclass
-class RateBreakdown:
-    """Per-layer achievable rates of one draw, in bits per channel use.
-
-    ``r0`` common, ``r1``/``r2`` private, ``rz`` the z layer at RX 1.
-    """
-
-    r0: float
-    r1: float
-    r2: float
-    rz: float
-    sum: float = 0.0
-
-    def __post_init__(self):
-        self.sum = self.r0 + self.r1 + self.r2 + self.rz
 
 
 def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
@@ -113,140 +73,137 @@ def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
     return scheme_layout(canonical)
 
 
-def _private_pair(canonical, estimate, layout, kind, p):
+def _private_pair(canonical, h_hat, layout, kind, p):
     tau = layout.power_exp["s1"]
     act = canonical.active_tx
     if kind is SchemeKind.APZF:
-        est = estimate.h_hat[act]
-        return [
-            apzf(est, rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)
-        ]
+        return [apzf(h_hat[:, act], rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)]
     if kind is SchemeKind.CENTRALIZED_ZF:
-        est = estimate.h_hat[act]
-        return [centralized_zf(est, rx, tau, p) for rx in (0, 1)]
-    return [naive_zf(estimate.h_hat, rx, tau, p) for rx in (0, 1)]
+        return [centralized_zf(h_hat[:, act], rx, tau, p) for rx in (0, 1)]
+    return [naive_zf(h_hat, rx, tau, p) for rx in (0, 1)]
 
 
-def _scale_layer(layer: PlanLayer, beta: float) -> None:
-    layer.vector.t = layer.vector.t * math.sqrt(max(beta, 0.0))
-
-
-def _cap_to_budget(layers: list, p: float) -> None:
-    """Scale adaptive layers down if a draw overshoots a TX's power budget.
+def _cap_to_budget(layers: dict, p: float, draws: int) -> np.ndarray:
+    """Scale adaptive layers down on draws that overshoot a TX's power budget.
 
     The active AP-ZF coefficient is a ratio of Gaussians, so a small
-    fraction of draws exceeds the per-TX share at finite P.  All
-    non-common layers are scaled by one common factor (both coefficients
-    of each pair together), which preserves their cancellation directions
-    and their relative power split.
+    fraction of draws exceeds the per-TX share at finite P.  On such a
+    draw all non-common layers are scaled by one common factor (both
+    coefficients of each pair together), which preserves their
+    cancellation directions and their relative power split.  Returns the
+    (draws,) mask of the draws it scaled.
     """
-    adaptive = [l for l in layers if l.tag != "s0"]
+    adaptive = [tag for tag in layers if tag != "s0"]
     if not adaptive:
-        return
+        return np.zeros(draws, dtype=bool)
     budget = np.full(2, p)
-    totals = np.zeros(2)
-    for layer in layers:
-        if layer.tag == "s0":
-            budget -= np.abs(layer.vector.t) ** 2
-        else:
-            totals += np.abs(layer.vector.t) ** 2
+    if "s0" in layers:
+        budget -= np.abs(layers["s0"]) ** 2
+    totals = np.zeros((draws, 2))
+    for tag in adaptive:
+        totals += np.abs(layers[tag]) ** 2
     over = totals > budget
-    if np.any(over):
-        beta = float(np.min(budget[over] / totals[over]))
-        for layer in adaptive:
-            _scale_layer(layer, beta)
+    backed_off = over.any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.where(over, budget / totals, np.inf).min(axis=1)
+    scale = np.where(backed_off, np.sqrt(np.maximum(beta, 0.0)), 1.0)
+    for tag in adaptive:
+        layers[tag] = layers[tag] * scale[:, None]
+    return backed_off
 
 
-def per_tx_power(plan: TransmitPlan) -> np.ndarray:
-    total = np.zeros(2)
-    for layer in plan.layers:
-        total += np.abs(layer.vector.t) ** 2
+def tx_power(layers: dict) -> np.ndarray:
+    """Per-transmitter power summed over the layers, (draws, 2)."""
+    total = 0.0
+    for t in layers.values():
+        total = total + np.abs(t) ** 2
     return total
 
 
-def build_plan(
+def build_layers(
     canonical: CanonicalForm,
-    estimate: CsitEstimate,
+    h_hat: np.ndarray,
     layout: SchemeLayout,
     scheme_kind,
     p: float,
-) -> TransmitPlan:
-    """Instantiate ``layout`` for one CSIT draw under the given scheme.
+) -> tuple[dict, np.ndarray]:
+    """Instantiate ``layout`` on every draw of the estimates ``h_hat`` (draws, 2, 2, 2).
 
     Layers whose rate exponent is zero are not transmitted.  Per-TX power
-    never exceeds P (enforced by a back-off on pathological draws).
+    never exceeds P: a back-off scales the adaptive layers of the draws
+    that overshoot.  Returns the layers and the (draws,) back-off mask.
     """
     kind = SchemeKind(scheme_kind)
-    layers: list[PlanLayer] = []
-
+    draws = len(h_hat)
     if kind is SchemeKind.NO_CSIT:
-        g = canonical.topology.gamma
-        rate = float(min(g[0].max(), g[1].max()))
-        t = np.full(2, math.sqrt(p / 2.0), dtype=complex)
-        layers.append(PlanLayer("s0", PrecodingVector(t, None, "s0"), rate))
-        return TransmitPlan(layers, kind, float(p))
+        layers = {"s0": np.full(2, math.sqrt(p / 2.0), dtype=complex)}
+        return layers, np.zeros(draws, dtype=bool)
 
+    layers = {}
     bc = multicast(p, layout)
-    if bc.power() > 0.0:
-        layers.append(PlanLayer("s0", bc, layout.rate_exp["s0"]))
+    if np.sum(np.abs(bc) ** 2) > 0.0:
+        layers["s0"] = bc
     if layout.rate_exp.get("s1", 0.0) > 0.0:
-        v1, v2 = _private_pair(canonical, estimate, layout, kind, p)
-        layers.append(PlanLayer("s1", v1, layout.rate_exp["s1"]))
-        layers.append(PlanLayer("s2", v2, layout.rate_exp["s2"]))
+        layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, layout, kind, p)
     if kind is SchemeKind.APZF and layout.rate_exp.get("z1", 0.0) > 0.0:
-        z = matched(estimate.h_hat[canonical.active_tx], p, layout)
-        layers.append(PlanLayer("z1", z, layout.rate_exp["z1"]))
+        layers["z1"] = matched(h_hat[:, canonical.active_tx], p, layout)
 
-    _cap_to_budget(layers, p)
-    plan = TransmitPlan(layers, kind, float(p))
-    if np.any(per_tx_power(plan) > p * (1.0 + _POWER_TOL)):
+    backed_off = _cap_to_budget(layers, p, draws)
+    if np.any(tx_power(layers) > p * (1.0 + _POWER_TOL)):
         raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
-    return plan
+    return layers, backed_off
 
 
-def _received(channel: ChannelRealization, plan: TransmitPlan) -> dict:
-    h = channel.h
-    return {layer.tag: np.abs(h @ layer.vector.t) ** 2 for layer in plan.layers}
+def _received(h: np.ndarray, layers: dict) -> dict:
+    return {tag: np.abs((h @ t[..., None])[..., 0]) ** 2 for tag, t in layers.items()}
 
 
-def achievable_rates(channel: ChannelRealization, plan: TransmitPlan) -> RateBreakdown:
-    """Rates of the successive-decoding chain on one draw.
+def _log2(x: np.ndarray) -> np.ndarray:
+    # math.log2, not np.log2: numpy's vectorized log2 rounds differently
+    # on some values, and rates must not depend on how draws are batched.
+    return np.fromiter(map(math.log2, x.tolist()), float, len(x))
 
-    The common layer's rate is the worse of the two receivers' mutual
-    informations with all lower layers as noise; absent layers carry 0.
+
+def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
+    """Rates ``(r0, r1, r2, rz)`` of the successive-decoding chain, each (draws,).
+
+    ``r0`` is the common layer's rate, the worse of the two receivers'
+    mutual informations with all lower layers as noise; ``r1``/``r2``
+    are the private rates and ``rz`` the z layer's at RX 1.  Absent
+    layers carry 0.  Rates are in bits per channel use.
     """
-    q = _received(channel, plan)
+    q = _received(h, layers)
+    zero = np.zeros(len(h))
 
-    def at(tag: str, rx: int) -> float:
+    def at(tag: str, rx: int) -> np.ndarray:
         v = q.get(tag)
-        return float(v[rx]) if v is not None else 0.0
+        return v[:, rx] if v is not None else zero
 
-    r0 = r1 = r2 = rz = 0.0
+    r0 = r1 = r2 = rz = zero
     if "s0" in q:
-        sinr0 = min(
-            at("s0", rx) / (1.0 + at("s1", rx) + at("s2", rx) + at("z1", rx))
-            for rx in (0, 1)
+        sinr0 = np.minimum(
+            *(at("s0", rx) / (1.0 + at("s1", rx) + at("s2", rx) + at("z1", rx)) for rx in (0, 1))
         )
-        r0 = math.log2(1.0 + sinr0)
+        r0 = _log2(1.0 + sinr0)
     if "s1" in q:
-        r1 = math.log2(1.0 + at("s1", 0) / (1.0 + at("z1", 0) + at("s2", 0)))
+        r1 = _log2(1.0 + at("s1", 0) / (1.0 + at("z1", 0) + at("s2", 0)))
     if "s2" in q:
-        r2 = math.log2(1.0 + at("s2", 1) / (1.0 + at("s1", 1) + at("z1", 1)))
+        r2 = _log2(1.0 + at("s2", 1) / (1.0 + at("s1", 1) + at("z1", 1)))
     if "z1" in q:
-        rz = math.log2(1.0 + at("z1", 0) / (1.0 + at("s2", 0)))
-    return RateBreakdown(r0, r1, r2, rz)
+        rz = _log2(1.0 + at("z1", 0) / (1.0 + at("s2", 0)))
+    return r0, r1, r2, rz
 
 
-def interference_power(channel: ChannelRealization, plan: TransmitPlan, rx: int) -> float:
-    """Received power of the private layer aimed at the other receiver.
+def interference_power(h: np.ndarray, layers: dict, rx: int) -> np.ndarray:
+    """Received power (draws,) of the private layer aimed at the other receiver.
 
     This is the quantity the zero-forcing pair is supposed to suppress;
     the common and z layers are excluded (they are handled by the
     decoding order, not by cancellation).
     """
-    q = _received(channel, plan)
-    total = 0.0
+    q = _received(h, layers)
+    total = np.zeros(len(h))
     for tag, target in (("s1", 0), ("s2", 1)):
         if tag in q and target != rx:
-            total += float(q[tag][rx])
+            total = total + q[tag][:, rx]
     return total

@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from apzf import (
+    NORMALS_PER_DRAW,
     CsitQuality,
     SweepConfig,
     Topology,
@@ -132,13 +133,11 @@ def test_pair_coefficient_power_exponents():
         tau = 0.5 + 0.5 * rng.random()
         acc = np.zeros((len(P_GRID), 2, 2))
         for ip, p in enumerate(P_GRID):
-            for _ in range(draws):
-                ch = sample_channel(topo, p, rng)
-                est = sample_csit(ch, topo, csit, rng)
-                for tgt in (0, 1):
-                    v = apzf(est.h_hat[0], tgt, tau, topo, p)
-                    acc[ip, tgt] += np.log(np.abs(v.t) ** 2)
-        acc /= draws
+            z = rng.standard_normal((draws, NORMALS_PER_DRAW))
+            h_hat = sample_csit(sample_channel(topo, p, z), topo, csit, p, z)
+            for tgt in (0, 1):
+                t = apzf(h_hat[:, 0], tgt, tau, topo, p)
+                acc[ip, tgt] = np.log(np.abs(t) ** 2).mean(axis=0)
         for tgt in (0, 1):
             victim = 1 - tgt
             for k in (0, 1):
@@ -171,15 +170,14 @@ def test_received_power_exponents():
         acc_int = np.zeros((len(P_GRID), 2))
         acc_itf = np.zeros((len(P_GRID), 2))
         for ip, p in enumerate(P_GRID):
-            for _ in range(draws):
-                ch = sample_channel(topo, p, rng)
-                est = sample_csit(ch, topo, csit, rng)
-                for tgt in (0, 1):
-                    v = apzf(est.h_hat[0], tgt, tau, topo, p)
-                    acc_int[ip, tgt] += np.log(np.abs(ch.h[tgt] @ v.t) ** 2)
-                    acc_itf[ip, tgt] += np.log(np.abs(ch.h[1 - tgt] @ v.t) ** 2)
-        acc_int /= draws
-        acc_itf /= draws
+            z = rng.standard_normal((draws, NORMALS_PER_DRAW))
+            h = sample_channel(topo, p, z)
+            h_hat = sample_csit(h, topo, csit, p, z)
+            for tgt in (0, 1):
+                t = apzf(h_hat[:, 0], tgt, tau, topo, p)
+                received = np.log(np.abs((h @ t[..., None])[..., 0]) ** 2).mean(axis=0)
+                acc_int[ip, tgt] = received[tgt]
+                acc_itf[ip, tgt] = received[1 - tgt]
         for tgt in (0, 1):
             victim = 1 - tgt
             expected = tau - 1.0 + max(
@@ -209,11 +207,11 @@ def test_exact_cancellation_with_perfect_csit():
     worst = 0.0
     for _ in range(n):
         topo, _ = dyadic_instance(rng)
-        ch = sample_channel(topo, p, rng)
+        h = sample_channel(topo, p, rng.standard_normal((1, 8)))
         for tgt in (0, 1):
-            v = apzf(ch.h, tgt, 1.0, topo, p, regularize=False)
-            resid = abs(ch.h[1 - tgt] @ v.t)
-            scale = np.linalg.norm(ch.h[1 - tgt]) * np.linalg.norm(v.t) + 1e-300
+            t = apzf(h, tgt, 1.0, topo, p, regularize=False)
+            resid = abs((h @ t[..., None])[0, 1 - tgt, 0])
+            scale = np.linalg.norm(h[0, 1 - tgt]) * np.linalg.norm(t[0]) + 1e-300
             worst = max(worst, resid / scale)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 1.0

@@ -1,18 +1,12 @@
 import numpy as np
 
-from apzf import CsitQuality, Topology, sample_channel, sample_csit
+from apzf import NORMALS_PER_DRAW, CsitQuality, Topology, sample_channel, sample_csit
 
 
 def _draws(topology, csit, p, n, seed):
-    rng = np.random.default_rng(seed)
-    h = np.empty((n, 2, 2), dtype=complex)
-    hh = np.empty((n, 2, 2, 2), dtype=complex)
-    for d in range(n):
-        ch = sample_channel(topology, p, rng)
-        est = sample_csit(ch, topology, csit, rng)
-        h[d] = ch.h
-        hh[d] = est.h_hat
-    return h, hh
+    z = np.random.default_rng(seed).standard_normal((n, NORMALS_PER_DRAW))
+    h = sample_channel(topology, p, z)
+    return h, sample_csit(h, topology, csit, p, z)
 
 
 def test_channel_moments_match_pathloss():
@@ -73,18 +67,21 @@ def test_perfect_quality_error_variance():
 def test_seeded_determinism():
     topo = Topology.parallel(0.5)
     csit = CsitQuality.uniform(0.4, 0.1)
-    a = sample_channel(topo, 1e4, np.random.default_rng(42))
-    b = sample_channel(topo, 1e4, np.random.default_rng(42))
-    assert np.array_equal(a.h, b.h)
-    ea = sample_csit(a, topo, csit, np.random.default_rng(43))
-    eb = sample_csit(b, topo, csit, np.random.default_rng(43))
-    assert np.array_equal(ea.h_hat, eb.h_hat)
-    assert a.p == ea.p == 1e4
+    za = np.random.default_rng(42).standard_normal((3, NORMALS_PER_DRAW))
+    zb = np.random.default_rng(42).standard_normal((3, NORMALS_PER_DRAW))
+    a = sample_channel(topo, 1e4, za)
+    b = sample_channel(topo, 1e4, zb)
+    assert np.array_equal(a, b)
+    ea = sample_csit(a, topo, csit, 1e4, za)
+    eb = sample_csit(b, topo, csit, 1e4, zb)
+    assert np.array_equal(ea, eb)
+    # A draw does not depend on the batch it is made in.
+    assert np.array_equal(sample_channel(topo, 1e4, za[1:2]), a[1:2])
+    assert np.array_equal(sample_csit(a[1:2], topo, csit, 1e4, za[1:2]), ea[1:2])
 
 
 def test_channel_full_rank():
-    rng = np.random.default_rng(5)
+    z = np.random.default_rng(5).standard_normal((100, 8))
     topo = Topology.parallel(0.8)
-    for _ in range(100):
-        ch = sample_channel(topo, 1e4, rng)
-        assert np.linalg.matrix_rank(ch.h) == 2
+    h = sample_channel(topo, 1e4, z)
+    assert np.all(np.linalg.matrix_rank(h) == 2)

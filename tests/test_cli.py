@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import BAD_CONFIG_VALUES
 
 from apzf.cli import (
     EXIT_CHECK_FAILED,
@@ -126,6 +127,35 @@ def test_unknown_scheme_override_is_config_error(config_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_scheme_override_outside_config_is_config_error(config_path, tmp_path, capsys):
+    # no_csit is a known scheme, but the config does not list it.
+    for argv in (
+        ["simulate", "--config", config_path, "--snr-db", "50", "--scheme", "apzf,no_csit"],
+        ["sweep", "--config", config_path, "--out", str(tmp_path / "x.csv"), "--scheme", "no_csit"],
+    ):
+        assert main(argv) == EXIT_CONFIG
+        assert "not among the config's schemes" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_bad_config_value_exits_with_config_error(config_path, tmp_path, case, capsys):
+    key, value = BAD_CONFIG_VALUES[case]
+    raw = json.loads(open(config_path, encoding="utf-8").read())
+    raw[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "4000"])
+def test_simulate_bad_snr_exits_with_config_error(config_path, snr, capsys):
+    assert main(["simulate", "--config", config_path, "--snr-db", snr]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+
+
 def test_malformed_json_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
@@ -173,4 +203,4 @@ def test_validate_with_config_adds_determinism_check(config_path, capsys):
     assert main(["validate", "--config", config_path]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5
-    assert lines[-1].startswith("PASS  deterministic re-simulation")
+    assert lines[-1].startswith("PASS  deterministic re-simulation: 2 schemes")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from apzf import (
+    NORMALS_PER_DRAW,
     ConfigError,
     CsitQuality,
     InsufficientPoints,
@@ -12,7 +13,7 @@ from apzf import (
     SweepCurve,
     Topology,
     achievable_rates,
-    build_plan,
+    build_layers,
     canonicalize,
     closed_forms,
     estimate_slope,
@@ -26,8 +27,9 @@ from apzf import (
     write_csv,
     write_summary,
 )
+import apzf.harness as harness
 from apzf.harness import _substream, config_from_dict, config_to_dict
-from conftest import reference_instance
+from conftest import BAD_CONFIG_VALUES, reference_instance
 
 
 def _config(**overrides):
@@ -42,6 +44,16 @@ def _config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def _draw_sum(cfg, canon, layout, p, snr_db, d):
+    """Sum rate of apzf on draw d of a point, from its substream alone."""
+    z = _substream(cfg.seed, snr_db, d).standard_normal((1, NORMALS_PER_DRAW))
+    h = sample_channel(canon.topology, p, z)
+    h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
+    layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
+    r0, r1, r2, rz = achievable_rates(h, layers)
+    return float((r0 + r1 + r2 + rz)[0])
 
 
 # ---------------------------------------------------------------- points
@@ -64,10 +76,7 @@ def test_simulate_point_reproducible_and_single_draw():
     canon = canonicalize(cfg.topology, cfg.csit)
     layout = plan_layout(canon, "apzf")
     p = 10.0 ** (50.0 / 10.0)
-    rng = _substream(cfg.seed, 50.0, 0)
-    ch = sample_channel(canon.topology, p, rng)
-    est = sample_csit(ch, canon.topology, canon.csit, rng)
-    manual = achievable_rates(ch, build_plan(canon, est, layout, "apzf", p)).sum
+    manual = _draw_sum(cfg, canon, layout, p, 50.0, 0)
     assert mean == pytest.approx(manual, rel=1e-15)
 
 
@@ -81,13 +90,17 @@ def test_simulate_point_mean_prefix_consistent():
     canon = canonicalize(cfg10.topology, cfg10.csit)
     layout = plan_layout(canon, "apzf")
     p = 10.0 ** (40.0 / 10.0)
-    tail = []
-    for d in range(5, 10):
-        rng = _substream(cfg10.seed, 40.0, d)
-        ch = sample_channel(canon.topology, p, rng)
-        est = sample_csit(ch, canon.topology, canon.csit, rng)
-        tail.append(achievable_rates(ch, build_plan(canon, est, layout, "apzf", p)).sum)
+    tail = [_draw_sum(cfg10, canon, layout, p, 40.0, d) for d in range(5, 10)]
     assert m10 == pytest.approx((5 * m5 + sum(tail)) / 10.0, rel=1e-12)
+
+
+def test_block_size_does_not_change_results(monkeypatch):
+    # A point's draws are evaluated in blocks; a draw's sum rate, and so
+    # every statistic of the point, must not depend on the block it is in.
+    cfg = _config(schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"), draws=23)
+    whole = harness.simulate_snr(cfg, 40.0)
+    monkeypatch.setattr(harness, "_BLOCK_DRAWS", 5)
+    assert harness.simulate_snr(cfg, 40.0) == whole
 
 
 def test_stderr_shrinks_like_sqrt_draws():
@@ -239,8 +252,10 @@ def test_write_summary_format(tmp_path):
     raw = path.read_bytes().decode("utf-8")
     assert raw.endswith("}\n")
     data = json.loads(raw)
-    assert set(data) == {"config", "slopes", "gdof_closed_form"}
+    assert set(data) == {"config", "slopes", "gdof_closed_form", "backoff_frac"}
     assert data["slopes"] == {"apzf": None, "naive_zf": None}
+    assert set(data["backoff_frac"]) == {"apzf", "naive_zf"}
+    assert all(len(f) == 1 and 0.0 <= f[0] <= 1.0 for f in data["backoff_frac"].values())
     assert data["gdof_closed_form"] == {
         "distributed": 1.7,
         "centralized": 1.7,
@@ -249,6 +264,7 @@ def test_write_summary_format(tmp_path):
     assert data["config"]["draws"] == 2
     assert data["config"]["gamma"] == [[1.0, 0.8], [0.8, 1.0]]
     # keys are sorted for stable diffs
+    assert raw.index('"backoff_frac"') < raw.index('"config"')
     assert raw.index('"config"') < raw.index('"gdof_closed_form"') < raw.index('"slopes"')
 
 
@@ -307,6 +323,23 @@ def test_config_rejections(mutate):
     mutate(raw)
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_config_boundary_rejections(case):
+    key, value = BAD_CONFIG_VALUES[case]
+    raw = config_to_dict(_config())
+    raw[key] = value
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
+def test_config_accepts_integral_floats():
+    raw = config_to_dict(_config())
+    raw.update(draws=20.0, seed=7.0, workers=2.0)
+    cfg = config_from_dict(raw)
+    assert (cfg.draws, cfg.seed, cfg.workers) == (20, 7, 2)
+    assert all(type(v) is int for v in (cfg.draws, cfg.seed, cfg.workers))
 
 
 def test_load_config_rejects_bad_json(tmp_path):

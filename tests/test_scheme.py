@@ -4,25 +4,22 @@ import numpy as np
 import pytest
 
 from apzf import (
-    ChannelRealization,
+    NORMALS_PER_DRAW,
     CsitQuality,
-    PlanLayer,
-    PrecodingVector,
     SchemeKind,
     Topology,
-    TransmitPlan,
     achievable_rates,
     apzf,
-    build_plan,
+    build_layers,
     canonicalize,
     fit_exponent,
     interference_power,
     multicast,
-    per_tx_power,
     plan_layout,
     sample_channel,
     sample_csit,
     scheme_layout,
+    tx_power,
 )
 from conftest import reference_instance
 
@@ -32,11 +29,21 @@ def _canon_reference():
     return canonicalize(topo, csit)
 
 
-def _draw_plan(canon, kind, p, rng, layout=None):
-    layout = layout if layout is not None else plan_layout(canon, kind)
-    ch = sample_channel(canon.topology, p, rng)
-    est = sample_csit(ch, canon.topology, canon.csit, rng)
-    return ch, build_plan(canon, est, layout, kind, p)
+def _draw(canon, p, rng, draws=1):
+    z = rng.standard_normal((draws, NORMALS_PER_DRAW))
+    h = sample_channel(canon.topology, p, z)
+    return h, sample_csit(h, canon.topology, canon.csit, p, z)
+
+
+def _draw_layers(canon, kind, p, rng, draws=1):
+    """Channels and the layers of ``kind`` on ``draws`` fresh draws."""
+    h, h_hat = _draw(canon, p, rng, draws)
+    layers, _ = build_layers(canon, h_hat, plan_layout(canon, kind), kind, p)
+    return h, layers
+
+
+def _received(h, layers):
+    return {tag: np.abs((h @ t[..., None])[..., 0]) ** 2 for tag, t in layers.items()}
 
 
 def test_scheme_kind_values():
@@ -60,10 +67,15 @@ def test_plan_layout_naive_uses_worst_quality():
 def test_build_plan_reference_has_three_layers():
     canon = _canon_reference()
     rng = np.random.default_rng(0)
-    _, plan = _draw_plan(canon, "apzf", 1e6, rng)
-    assert [l.tag for l in plan.layers] == ["s0", "s1", "s2"]
-    assert plan.get("z1") is None
-    assert plan.get("s1").target_rx == 0
+    h, h_hat = _draw(canon, 1e6, rng)
+    layout = plan_layout(canon, "apzf")
+    layers, _ = build_layers(canon, h_hat, layout, "apzf", 1e6)
+    assert list(layers) == ["s0", "s1", "s2"]
+    assert "z1" not in layers
+    # s1 is the AP-ZF vector aimed at RX 1 (index 0).
+    tau = layout.power_exp["s1"]
+    aimed = apzf(h_hat[:, 0], 0, tau, canon.topology, 1e6)
+    np.testing.assert_array_equal(layers["s1"], aimed)
 
 
 def test_build_plan_four_layer_case():
@@ -73,31 +85,28 @@ def test_build_plan_four_layer_case():
     layout = plan_layout(canon, "apzf")
     assert layout.power_exp["s1"] == pytest.approx(0.7)
     rng = np.random.default_rng(1)
-    _, plan = _draw_plan(canon, "apzf", 1e6, rng)
-    assert [l.tag for l in plan.layers] == ["s0", "s1", "s2", "z1"]
+    _, layers = _draw_layers(canon, "apzf", 1e6, rng)
+    assert list(layers) == ["s0", "s1", "s2", "z1"]
     # The z layer is an AP-ZF-scheme refinement; baselines skip it.
-    _, plan_czf = _draw_plan(canon, "centralized_zf", 1e6, rng)
-    assert [l.tag for l in plan_czf.layers] == ["s0", "s1", "s2"]
+    _, layers_czf = _draw_layers(canon, "centralized_zf", 1e6, rng)
+    assert list(layers_czf) == ["s0", "s1", "s2"]
 
 
 def test_build_plan_no_csit_single_full_power_layer():
     canon = _canon_reference()
     rng = np.random.default_rng(2)
-    _, plan = _draw_plan(canon, "no_csit", 1e6, rng)
-    assert len(plan.layers) == 1
-    layer = plan.layers[0]
-    assert layer.tag == "s0"
-    assert layer.vector.power() == pytest.approx(1e6)
-    assert layer.rate_exp == pytest.approx(1.0)
+    _, layers = _draw_layers(canon, "no_csit", 1e6, rng)
+    assert list(layers) == ["s0"]
+    assert np.sum(np.abs(layers["s0"]) ** 2) == pytest.approx(1e6)
 
 
 def test_achievable_rates_zero_channel():
     canon = _canon_reference()
     rng = np.random.default_rng(3)
-    _, plan = _draw_plan(canon, "apzf", 1e4, rng)
-    silent = ChannelRealization(np.zeros((2, 2), dtype=complex), 1e4)
-    r = achievable_rates(silent, plan)
-    assert r.r0 == r.r1 == r.r2 == r.rz == r.sum == 0.0
+    _, layers = _draw_layers(canon, "apzf", 1e4, rng)
+    silent = np.zeros((1, 2, 2), dtype=complex)
+    r0, r1, r2, rz = achievable_rates(silent, layers)
+    assert r0 == r1 == r2 == rz == r0 + r1 + r2 + rz == 0.0
 
 
 def test_achievable_rates_diagonal_shannon():
@@ -105,30 +114,26 @@ def test_achievable_rates_diagonal_shannon():
     # to the scalar Shannon rates.
     p = 1e4
     h = np.diag([0.9 + 0.3j, -0.4 + 1.1j])
-    plan = TransmitPlan(
-        [
-            PlanLayer("s1", PrecodingVector(np.array([math.sqrt(p), 0j]), 0, "s1"), 1.0),
-            PlanLayer("s2", PrecodingVector(np.array([0j, math.sqrt(p)]), 1, "s2"), 1.0),
-        ],
-        SchemeKind.APZF,
-        p,
-    )
-    r = achievable_rates(ChannelRealization(h, p), plan)
-    assert r.r0 == 0.0 and r.rz == 0.0
-    assert r.r1 == pytest.approx(math.log2(1 + p * abs(h[0, 0]) ** 2))
-    assert r.r2 == pytest.approx(math.log2(1 + p * abs(h[1, 1]) ** 2))
-    assert r.sum == pytest.approx(r.r1 + r.r2)
+    layers = {
+        "s1": np.array([[math.sqrt(p), 0j]]),
+        "s2": np.array([[0j, math.sqrt(p)]]),
+    }
+    r0, r1, r2, rz = (float(r[0]) for r in achievable_rates(h[np.newaxis], layers))
+    assert r0 == 0.0 and rz == 0.0
+    assert r1 == pytest.approx(math.log2(1 + p * abs(h[0, 0]) ** 2))
+    assert r2 == pytest.approx(math.log2(1 + p * abs(h[1, 1]) ** 2))
+    assert r0 + r1 + r2 + rz == pytest.approx(r1 + r2)
 
 
 def test_rates_nonnegative_and_additive():
     canon = _canon_reference()
     rng = np.random.default_rng(4)
     for kind in ("apzf", "centralized_zf", "naive_zf", "no_csit"):
-        for _ in range(50):
-            ch, plan = _draw_plan(canon, kind, 1e5, rng)
-            r = achievable_rates(ch, plan)
-            assert min(r.r0, r.r1, r.r2, r.rz) >= 0.0
-            assert r.sum == pytest.approx(r.r0 + r.r1 + r.r2 + r.rz)
+        h, layers = _draw_layers(canon, kind, 1e5, rng, draws=50)
+        r = np.array(achievable_rates(h, layers))
+        assert r.shape == (4, 50)
+        assert r.min() >= 0.0
+        np.testing.assert_allclose(r[0] + r[1] + r[2] + r[3], r.sum(axis=0), rtol=1e-6)
 
 
 def test_per_tx_power_within_budget():
@@ -138,9 +143,8 @@ def test_per_tx_power_within_budget():
     for p in (1e3, 1e4, 1e6):
         rng = np.random.default_rng(5)
         for kind in ("apzf", "centralized_zf", "naive_zf"):
-            for _ in range(300):
-                _, plan = _draw_plan(canon, kind, p, rng)
-                assert np.all(per_tx_power(plan) <= p * (1.0 + 1e-9))
+            _, layers = _draw_layers(canon, kind, p, rng, draws=300)
+            assert np.all(tx_power(layers) <= p * (1.0 + 1e-9))
 
 
 def test_backoff_scales_private_pairs_uniformly():
@@ -152,42 +156,33 @@ def test_backoff_scales_private_pairs_uniformly():
     tau = layout.power_exp["s1"]
     p = 1e3
     rng = np.random.default_rng(6)
-    capped = 0
-    for _ in range(300):
-        ch = sample_channel(canon.topology, p, rng)
-        est = sample_csit(ch, canon.topology, canon.csit, rng)
-        plan = build_plan(canon, est, layout, "apzf", p)
-        raw = [apzf(est.h_hat[0], rx, tau, canon.topology, p, active_tx=0)
-               for rx in (0, 1)]
-        ratios = np.concatenate([
-            plan.get(tag).t / raw[i].t for i, tag in enumerate(("s1", "s2"))
-        ])
-        beta = ratios[0]
-        assert beta.imag == pytest.approx(0.0, abs=1e-12)
-        assert 0.0 < beta.real <= 1.0 + 1e-12
-        np.testing.assert_allclose(ratios, beta, rtol=1e-12)
-        if beta.real < 1.0 - 1e-9:
-            capped += 1
-        s0 = plan.get("s0")
-        expected_s0 = multicast(p, layout)
-        np.testing.assert_array_equal(s0.t, expected_s0.t)
-    assert capped > 0
+    _, h_hat = _draw(canon, p, rng, draws=300)
+    layers, backed_off = build_layers(canon, h_hat, layout, "apzf", p)
+    raw = [apzf(h_hat[:, 0], rx, tau, canon.topology, p, active_tx=0) for rx in (0, 1)]
+    ratios = np.concatenate([layers[tag] / raw[i] for i, tag in enumerate(("s1", "s2"))], axis=1)
+    beta = ratios[:, :1]
+    np.testing.assert_allclose(beta.imag, 0.0, atol=1e-12)
+    assert np.all((0.0 < beta.real) & (beta.real <= 1.0 + 1e-12))
+    np.testing.assert_allclose(ratios, np.broadcast_to(beta, ratios.shape), rtol=1e-12)
+    capped = beta.real[:, 0] < 1.0 - 1e-9
+    assert capped.sum() > 0
+    np.testing.assert_array_equal(capped, backed_off)
+    np.testing.assert_array_equal(layers["s0"], multicast(p, layout))
 
 
 def test_decode_order_monotonicity():
     canon = _canon_reference()
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        ch, plan = _draw_plan(canon, "apzf", 1e5, rng)
-        got = {l.tag: np.abs(ch.h @ l.vector.t) ** 2 for l in plan.layers}
-        for rx in (0, 1):
-            full = got["s0"][rx] / (1.0 + got["s1"][rx] + got["s2"][rx])
-            partial = got["s0"][rx] / (1.0 + got["s2"][rx])
-            assert full <= partial
-        r = achievable_rates(ch, plan)
-        assert r.r0 <= math.log2(1.0 + min(
-            got["s0"][rx] / (1.0 + got["s2"][rx]) for rx in (0, 1)
-        ))
+    h, layers = _draw_layers(canon, "apzf", 1e5, rng, draws=100)
+    got = _received(h, layers)
+    for rx in (0, 1):
+        full = got["s0"][:, rx] / (1.0 + got["s1"][:, rx] + got["s2"][:, rx])
+        partial = got["s0"][:, rx] / (1.0 + got["s2"][:, rx])
+        assert np.all(full <= partial)
+    r0 = achievable_rates(h, layers)[0]
+    assert np.all(r0 <= np.log2(1.0 + np.minimum(
+        *(got["s0"][:, rx] / (1.0 + got["s2"][:, rx]) for rx in (0, 1))
+    )))
 
 
 def test_layer_sinr_exponents():
@@ -199,16 +194,11 @@ def test_layer_sinr_exponents():
     acc0 = np.zeros(len(grid))
     acc1 = np.zeros(len(grid))
     for ip, p in enumerate(grid):
-        t0 = t1 = 0.0
-        for _ in range(draws):
-            ch = sample_channel(canon.topology, p, rng)
-            est = sample_csit(ch, canon.topology, canon.csit, rng)
-            plan = build_plan(canon, est, layout, "apzf", p)
-            got = {l.tag: np.abs(ch.h @ l.vector.t) ** 2 for l in plan.layers}
-            t0 += math.log(got["s0"][0] / (1.0 + got["s1"][0] + got["s2"][0]))
-            t1 += math.log(got["s1"][0] / (1.0 + got["s2"][0]))
-        acc0[ip] = t0 / draws
-        acc1[ip] = t1 / draws
+        h, h_hat = _draw(canon, p, rng, draws)
+        layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
+        got = _received(h, layers)
+        acc0[ip] = np.mean(np.log(got["s0"][:, 0] / (1.0 + got["s1"][:, 0] + got["s2"][:, 0])))
+        acc1[ip] = np.mean(np.log(got["s1"][:, 0] / (1.0 + got["s2"][:, 0])))
     # common layer SINR grows as gamma_22 - rho, private as rho
     assert fit_exponent(list(zip(grid, np.exp(acc0)))) == pytest.approx(0.3, abs=0.1)
     assert fit_exponent(list(zip(grid, np.exp(acc1)))) == pytest.approx(0.7, abs=0.1)
@@ -219,25 +209,20 @@ def test_apzf_outrates_naive_at_high_snr():
     p = 1e6
     means = {}
     for kind in ("apzf", "naive_zf"):
-        layout = plan_layout(canon, kind)
-        rng = np.random.default_rng(8)
-        total = 0.0
-        for _ in range(2000):
-            ch = sample_channel(canon.topology, p, rng)
-            est = sample_csit(ch, canon.topology, canon.csit, rng)
-            total += achievable_rates(ch, build_plan(canon, est, layout, kind, p)).sum
-        means[kind] = total / 2000
+        h, layers = _draw_layers(canon, kind, p, np.random.default_rng(8), draws=2000)
+        r0, r1, r2, rz = achievable_rates(h, layers)
+        means[kind] = np.mean(r0 + r1 + r2 + rz)
     assert means["apzf"] > means["naive_zf"]
 
 
 def test_interference_power_accounting():
     canon = _canon_reference()
     rng = np.random.default_rng(9)
-    ch, plan = _draw_plan(canon, "apzf", 1e5, rng)
+    h, layers = _draw_layers(canon, "apzf", 1e5, rng)
     for rx in (0, 1):
-        other = plan.get("s2" if rx == 0 else "s1")
-        manual = abs(ch.h[rx] @ other.t) ** 2
-        assert interference_power(ch, plan, rx) == pytest.approx(manual)
+        other = layers["s2" if rx == 0 else "s1"]
+        manual = abs(h[0, rx] @ other[0]) ** 2
+        assert interference_power(h, layers, rx)[0] == pytest.approx(manual)
 
 
 def test_apzf_interference_stays_on_noise_floor():
@@ -248,11 +233,7 @@ def test_apzf_interference_stays_on_noise_floor():
     rng = np.random.default_rng(10)
     acc = np.zeros(len(grid))
     for ip, p in enumerate(grid):
-        tot = 0.0
-        for _ in range(draws):
-            ch = sample_channel(canon.topology, p, rng)
-            est = sample_csit(ch, canon.topology, canon.csit, rng)
-            plan = build_plan(canon, est, layout, "apzf", p)
-            tot += math.log(interference_power(ch, plan, 0))
-        acc[ip] = tot / draws
+        h, h_hat = _draw(canon, p, rng, draws)
+        layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
+        acc[ip] = np.mean(np.log(interference_power(h, layers, 0)))
     assert abs(fit_exponent(list(zip(grid, np.exp(acc))))) <= 0.1
