@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path (summary goes to .json)")
     p.add_argument("--scheme", default=None, help="comma-separated subset of config schemes")
     p.add_argument("--window", default=None, help="slope-fit window, lo:hi in dB")
-    p.add_argument("--workers", type=int, default=None, help="processes for point evaluation")
+    p.add_argument("--workers", type=int, default=None, help="most processes for point evaluation")
 
     p = sub.add_parser("validate", help="run identity/cancellation/exponent self-checks")
     add_common(p, config_required=False)

@@ -50,6 +50,13 @@ DEFAULT_WINDOW_DB = (40.0, 60.0)
 # stay at a few MB whatever the configured draw count.
 _BLOCK_DRAWS = 4096
 
+# Fewest draws a worker process must get before a sweep forks one.  Each
+# forked worker holds its own copy of the parent's pages (about 30 MB),
+# and on a small sweep the few tenths of a second it saves are no larger
+# than the run-to-run spread that scheduling the workers adds.  About
+# half a second of kernel work per worker.
+_POOL_MIN_DRAWS = 20_000
+
 # log2(P) advances by this much per dB of SNR.
 _LOG2P_PER_DB = math.log2(10.0) / 10.0
 
@@ -193,6 +200,16 @@ def _point_task(args):
     return snr, simulate_snr(config, snr)
 
 
+def _pool_size(config: SweepConfig) -> int:
+    """Worker processes a sweep uses; 1 means it runs in this process.
+
+    At most ``config.workers`` and one per SNR point, and no more than
+    give each worker ``_POOL_MIN_DRAWS`` draws.
+    """
+    total = config.draws * len(config.snr_db)
+    return max(1, min(config.workers, len(config.snr_db), total // _POOL_MIN_DRAWS))
+
+
 def closed_forms(config: SweepConfig) -> dict:
     """The three closed-form GDoF references for a config."""
     return {
@@ -205,14 +222,16 @@ def closed_forms(config: SweepConfig) -> dict:
 def sweep(config: SweepConfig) -> SweepCurve:
     """Simulate every (scheme, SNR) point and fit per-scheme slopes.
 
-    With ``config.workers > 1`` SNR points are farmed out to processes,
-    one task per point covering all schemes; the per-draw substreams make
-    the result identical for any worker count.  Schemes whose window
-    holds fewer than two grid points get slope None.
+    With ``config.workers > 1`` and enough draws (see ``_pool_size``),
+    SNR points are farmed out to processes, one task per point covering
+    all schemes; the per-draw substreams make the result identical for
+    any worker count.  Schemes whose window holds fewer than two grid
+    points get slope None.
     """
     tasks = [(config, snr) for snr in config.snr_db]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = _pool_size(config)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_task, tasks))
     else:
         results = [_point_task(t) for t in tasks]

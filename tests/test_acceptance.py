@@ -34,6 +34,7 @@ from apzf import (
     sweep,
     write_csv,
 )
+import apzf.harness as harness
 from conftest import dyadic_instance, reference_instance
 
 P_GRID = np.logspace(4, 8, 5)
@@ -222,7 +223,9 @@ def test_exact_cancellation_with_perfect_csit():
     )
 
 
-def test_sweeps_are_byte_identical_across_runs_and_workers(tmp_path):
+def test_sweeps_are_byte_identical_across_runs_and_workers(tmp_path, monkeypatch):
+    # Let a sweep this small use the pool, so both paths are compared.
+    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
     topo, csit = reference_instance()
 
     def run(workers: int, name: str) -> bytes:

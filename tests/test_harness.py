@@ -157,7 +157,9 @@ def test_sweep_single_point_window_gives_none_slope():
     assert curve.mean["apzf"].shape == (1,)
 
 
-def test_sweep_worker_count_does_not_change_results(tmp_path):
+def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
+    # Let a sweep this small use the pool, so both paths are compared.
+    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
     serial = sweep(_config(draws=15, seed=11))
     parallel = sweep(_config(draws=15, seed=11, workers=2))
     for s in serial.schemes:
@@ -167,6 +169,26 @@ def test_sweep_worker_count_does_not_change_results(tmp_path):
     write_csv(serial, f1)
     write_csv(parallel, f2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_pool_size_needs_enough_draws_per_worker(monkeypatch):
+    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 100)
+    # 3 points x 20 draws: too few for a second worker.
+    assert harness._pool_size(_config(workers=2)) == 1
+    # 3 x 70 = 210 draws: two workers get 100 each, a third would not.
+    assert harness._pool_size(_config(draws=70, workers=4)) == 2
+    # Never more workers than SNR points, nor than configured.
+    assert harness._pool_size(_config(draws=1000, workers=8)) == 3
+    assert harness._pool_size(_config(draws=1000, workers=1)) == 1
+
+
+def test_small_sweep_forks_no_workers(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small sweep started a process pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    curve = sweep(_config(draws=5, workers=2))
+    assert curve.mean["apzf"].shape == (3,)
 
 
 def test_sweep_repeat_is_byte_identical(tmp_path):
