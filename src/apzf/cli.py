@@ -33,6 +33,7 @@ from .harness import (
     write_summary,
 )
 from .precoders import apzf
+from .scheme import PowerInfeasible
 from .topology import CsitQuality, Topology, ValidationError, canonicalize, validate
 
 EXIT_OK = 0
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValidationError as exc:
+    except (ValidationError, PowerInfeasible) as exc:
         print(f"unsupported configuration: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

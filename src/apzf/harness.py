@@ -127,6 +127,9 @@ class SweepConfig:
         self.workers = _integer("workers", self.workers)
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
+        if self.draws > 2**32:
+            # _pcg64_states takes the draw index as one uint32 entropy word
+            raise ConfigError("draws must be <= 2**32")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         lo, hi = self.window_db
@@ -150,7 +153,106 @@ class SweepCurve:
 
 
 def _substream(seed: int, snr_db: float, draw: int) -> np.random.Generator:
+    """The generator of draw ``draw`` at one SNR point: the substream contract."""
     return np.random.default_rng([seed, _snr_key(snr_db), draw])
+
+
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 2**32 - 1
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
+
+
+def _uint32_words(n: int) -> list:
+    """A non-negative int as little-endian uint32 words, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _pcg64_states(seed: int, snr_key: int, block: range) -> list:
+    """``(state, inc)`` of ``default_rng([seed, snr_key, d]).bit_generator`` per d in block.
+
+    Runs SeedSequence's entropy mixing and ``generate_state(4, uint64)``
+    as wrap-around uint32 array ops over the draw axis (the seed and key
+    words are the same for every draw; the draw index is one word, so
+    ``block.stop <= 2**32``), then PCG64's seeding step on Python ints.
+    """
+    n = len(block)
+    words = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed) + _uint32_words(snr_key)]
+    words.append(np.arange(block.start, block.stop, dtype=np.uint64).astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return r ^ (r >> _XSHIFT)
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):  # generate_state(4, uint64) draws 8 uint32 words
+        v = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        v = v * hash_const
+        state.append((v ^ (v >> _XSHIFT)).astype(np.uint64))
+    # little-endian pairs of uint32 words make the 4 uint64 words w0..w3
+    w = [(state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    out = []
+    for w0, w1, w2, w3 in zip(*w):
+        # pcg64_set_seed: inc = 2*initseq + 1, state = ((inc + s)*M + inc)
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        out.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def _block_normals(seed: int, snr_key: int, block: range) -> np.ndarray:
+    """(len(block), NORMALS_PER_DRAW) normals; row i comes from draw block[i]'s substream.
+
+    Row i equals ``standard_normal(NORMALS_PER_DRAW)`` of that draw's
+    ``_substream`` bit for bit.  One generator is reseeded per draw with
+    its precomputed PCG64 state, which skips SeedSequence's per-draw
+    construction cost.
+    """
+    z = np.empty((len(block), NORMALS_PER_DRAW))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for row, (state, inc) in zip(z, _pcg64_states(seed, snr_key, block)):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=row)
+    return z
 
 
 def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
@@ -164,15 +266,14 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
     power back-off scaled down.
     """
     p = _snr_power(snr_db)
+    key = _snr_key(snr_db)
     canon = canonicalize(config.topology, config.csit)
     layouts = {s: plan_layout(canon, s) for s in config.schemes}
     sums = {s: np.empty(config.draws) for s in config.schemes}
     backed_off = dict.fromkeys(config.schemes, 0)
     for start in range(0, config.draws, _BLOCK_DRAWS):
         block = range(start, min(start + _BLOCK_DRAWS, config.draws))
-        z = np.empty((len(block), NORMALS_PER_DRAW))
-        for i, d in enumerate(block):
-            _substream(config.seed, snr_db, d).standard_normal(out=z[i])
+        z = _block_normals(config.seed, key, block)
         h = sample_channel(canon.topology, p, z)
         h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
         for s in config.schemes:

@@ -35,6 +35,7 @@ BAD_CONFIG_VALUES = {
     "snr-same-millidb-key": ("snr_db", [40.0, 40.0004]),
     "draws-fractional": ("draws", 2.7),
     "draws-bool": ("draws", True),
+    "draws-above-one-index-word": ("draws", 2**32 + 1),
     "seed-fractional": ("seed", 7.5),
     "seed-bool": ("seed", True),
     "workers-fractional": ("workers", 1.5),

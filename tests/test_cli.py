@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from conftest import BAD_CONFIG_VALUES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import apzf.harness as harness
 from apzf.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -11,6 +18,7 @@ from apzf.cli import (
     EXIT_OK,
     main,
 )
+from apzf.scheme import PowerInfeasible
 
 
 @pytest.fixture
@@ -178,6 +186,18 @@ def test_out_of_range_gamma_is_domain_error(tmp_path, capsys):
     assert "unsupported configuration" in capsys.readouterr().err
 
 
+def test_power_infeasible_is_domain_error(config_path, tmp_path, monkeypatch, capsys):
+    def infeasible(*args, **kwargs):
+        raise PowerInfeasible("per-TX power exceeds budget P = 1e4")
+
+    monkeypatch.setattr(harness, "build_layers", infeasible)
+    code = main(["sweep", "--config", config_path, "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err == "unsupported configuration: per-TX power exceeds budget P = 1e4\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unwritable_output_is_io_error(config_path, tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["sweep", "--config", config_path, "--out", str(missing_dir)])
@@ -204,3 +224,65 @@ def test_validate_with_config_adds_determinism_check(config_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5
     assert lines[-1].startswith("PASS  deterministic re-simulation: 2 schemes")
+
+
+# ------------------------------------------------------- fuzzed configs
+
+_EXPONENT = st.one_of(
+    st.floats(-0.25, 1.25), st.sampled_from([0.0, 0.5, 1.0, float("nan"), float("inf")])
+)
+_PAIR = st.lists(_EXPONENT, min_size=2, max_size=2)
+_SNR = st.one_of(
+    st.floats(-60.0, 120.0), st.sampled_from([float("nan"), float("-inf"), 4000.0])
+)
+_SCHEMES = ["apzf", "centralized_zf", "naive_zf", "no_csit"]
+_WELL_FORMED = st.fixed_dictionaries(
+    {
+        "gamma": st.just([[1.0, 0.8], [0.8, 1.0]]),
+        "alpha": st.just([[[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]]),
+        "schemes": st.lists(st.sampled_from(_SCHEMES), min_size=1, max_size=4, unique=True),
+        "snr_db": st.lists(st.floats(-60.0, 120.0), min_size=1, max_size=3, unique=True).map(sorted),
+        "draws": st.integers(1, 5),
+        "seed": st.integers(0, 2**70),
+    },
+    optional={
+        "window_db": st.lists(st.floats(-60.0, 120.0), min_size=2, max_size=2).map(sorted),
+        "workers": st.integers(1, 3),
+    },
+)
+# Values a hand-written config might hold instead, well-formed or not.
+_WILD = {
+    "gamma": st.lists(_PAIR, min_size=1, max_size=3),
+    "alpha": st.lists(st.lists(_PAIR, min_size=2, max_size=2), min_size=1, max_size=3),
+    "schemes": st.lists(st.sampled_from(_SCHEMES + ["dirty_paper"]), max_size=3),
+    "snr_db": st.one_of(st.lists(_SNR, max_size=3), st.just(40.0)),
+    "draws": st.sampled_from([0, 2.5, True, "5", None, 2**32 + 1]),
+    "seed": st.sampled_from([-1, 1.5, "7", None]),
+    "window_db": st.lists(st.floats(-60.0, 120.0), max_size=3),
+    "workers": st.sampled_from([0, True, 1.5]),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A well-formed sweep config with up to two keys replaced by wild values."""
+    raw = draw(_WELL_FORMED)
+    for key in draw(st.lists(st.sampled_from(sorted(_WILD)), max_size=2, unique=True)):
+        raw[key] = draw(_WILD[key])
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_configs())
+def test_fuzzed_sweep_config_exits_cleanly(raw):
+    # Any config gets a clean exit: 0, or 2 for a bad value, or 3 for an
+    # instance outside the supported domain; never 1 (self-check failed)
+    # and never an uncaught exception.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from apzf import (
     write_summary,
 )
 import apzf.harness as harness
-from apzf.harness import _substream, config_from_dict, config_to_dict
+from apzf.harness import _block_normals, _snr_key, _substream, config_from_dict, config_to_dict
 from conftest import BAD_CONFIG_VALUES, reference_instance
 
 
@@ -63,6 +64,30 @@ def test_substream_key_is_seed_snr_millidb_draw():
     a = _substream(7, 45.0, 3).random(4)
     b = np.random.default_rng([7, 45000, 3]).random(4)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 23, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("snr_db", [0.0, -0.001])  # SNR keys 0 and 2**31 - 1
+def test_block_normals_match_substreams(seed, snr_db):
+    # The kernel's blocks for 4098 draws; rows at both block edges must be
+    # their draws' substreams bit for bit.  2**64 + 3 is three entropy
+    # words, so with the key and the draw index it overflows the 4-word pool.
+    key = _snr_key(snr_db)
+    assert key in (0, 2**31 - 1)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        first = _block_normals(seed, key, range(0, harness._BLOCK_DRAWS))
+        second = _block_normals(seed, key, range(harness._BLOCK_DRAWS, harness._BLOCK_DRAWS + 2))
+    assert first.shape == (4096, NORMALS_PER_DRAW) and second.shape == (2, NORMALS_PER_DRAW)
+    for d, row in ((0, first[0]), (4095, first[4095]), (4096, second[0]), (4097, second[1])):
+        expected = _substream(seed, snr_db, d).standard_normal(NORMALS_PER_DRAW)
+        np.testing.assert_array_equal(row, expected)
+
+
+def test_block_normals_cover_the_largest_draw_index():
+    z = _block_normals(5, 45000, range(2**32 - 2, 2**32))
+    for i, d in enumerate((2**32 - 2, 2**32 - 1)):
+        np.testing.assert_array_equal(z[i], _substream(5, 45.0, d).standard_normal(NORMALS_PER_DRAW))
 
 
 def test_simulate_point_reproducible_and_single_draw():
@@ -362,6 +387,12 @@ def test_config_accepts_integral_floats():
     cfg = config_from_dict(raw)
     assert (cfg.draws, cfg.seed, cfg.workers) == (20, 7, 2)
     assert all(type(v) is int for v in (cfg.draws, cfg.seed, cfg.workers))
+
+
+def test_config_accepts_as_many_draws_as_one_index_word_holds():
+    raw = config_to_dict(_config())
+    raw["draws"] = 2**32
+    assert config_from_dict(raw).draws == 2**32
 
 
 def test_load_config_rejects_bad_json(tmp_path):
