@@ -146,6 +146,25 @@ def test_layout_reference_configuration():
     assert layout.rate_total() == pytest.approx(1.7)
 
 
+@pytest.mark.parametrize("cross, alpha, general_rounds_alike", [(0.4, 0.4, False), (0.8, 0.5, True)])
+def test_symmetric_layout_uses_the_shortcut_formula(cross, alpha, general_rounds_alike):
+    # The shortcut is not redundant off the 1/1024 lattice: the general
+    # case-1 branch computes 1.0 - cross + alpha, which can round differently
+    # from 1.0 + alpha - cross (0.4, 0.4 gives 1.0 against 0.9999999999999999).
+    layout = scheme_layout(canonicalize(Topology.parallel(cross), CsitQuality.uniform(alpha, 0.0)))
+    rho = max(1.0 + alpha - cross, 0.0)
+    assert layout.parallel and layout.case_id == "case1"
+    assert layout.rho.hex() == rho.hex()
+    assert [(k, v.hex()) for k, v in layout.power_exp.items()] == [
+        ("s0", (1.0).hex()), ("s1", rho.hex()), ("s2", rho.hex())
+    ]
+    assert [(k, v.hex()) for k, v in layout.rate_exp.items()] == [
+        ("s0", max(cross - alpha, 0.0).hex()), ("s1", rho.hex()), ("s2", rho.hex())
+    ]
+    assert layout.rate_total() == max(cross - alpha, 0.0) + rho + rho
+    assert (1.0 - cross + alpha == rho) is general_rounds_alike
+
+
 def test_layout_case1_example():
     topo = Topology(np.array([[1.0, 0.7], [0.5, 0.9]]))
     a1 = np.array([[0.4, 0.4], [0.3, 0.3]])
