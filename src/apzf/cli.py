@@ -34,7 +34,14 @@ from .harness import (
 )
 from .precoders import apzf
 from .scheme import PowerInfeasible
-from .topology import CsitQuality, Topology, ValidationError, canonicalize, validate
+from .topology import (
+    CsitQuality,
+    Topology,
+    ValidationError,
+    canonicalize,
+    dyadic_instance,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -149,18 +156,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _dyadic_instance(rng, grid=1024):
-    """Random instance on the 1/grid lattice with a dominant transmitter."""
-    gamma = rng.integers(0, grid + 1, size=(2, 2)) / grid
-    hi = rng.integers(0, (gamma * grid).astype(int) + 1, size=(2, 2)) / grid
-    lo = rng.integers(0, (hi * grid).astype(int) + 1, size=(2, 2)) / grid
-    alpha = np.stack([hi, lo]) if rng.random() < 0.5 else np.stack([lo, hi])
-    return Topology(gamma), CsitQuality(alpha)
-
-
 def _check_identity(rng, n=1000):
     for _ in range(n):
-        topo, csit = _dyadic_instance(rng)
+        topo, csit = dyadic_instance(rng)
         if distributed_gdof(topo, csit).value != genie_outer_bound(topo, csit).value:
             return False, f"mismatch at gamma={topo.gamma.tolist()}"
     return True, f"{n} random instances, bit-exact"
@@ -169,7 +167,7 @@ def _check_identity(rng, n=1000):
 def _check_layout_sum(rng, n=1000):
     worst = 0.0
     for _ in range(n):
-        topo, csit = _dyadic_instance(rng)
+        topo, csit = dyadic_instance(rng)
         layout = scheme_layout(canonicalize(topo, csit))
         worst = max(worst, abs(layout.rate_total() - distributed_gdof(topo, csit).value))
         if worst > 1e-12:
@@ -181,7 +179,7 @@ def _check_cancellation(rng, n=1000):
     worst = 0.0
     p = 1e6
     for _ in range(n):
-        topo, _ = _dyadic_instance(rng)
+        topo, _ = dyadic_instance(rng)
         h = sample_channel(topo, p, rng.standard_normal((1, 8)))
         t = apzf(h, 0, 1.0, topo, p, regularize=False)
         resid = np.abs((h @ t[..., None])[:, 1, 0])

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .topology import (
-    AlphaOutOfRange,
     CanonicalForm,
     CsitQuality,
-    GammaOutOfRange,
     Topology,
+    _range_violations,
     canonicalize,
     effective_alphas,
     validate,
@@ -95,15 +94,6 @@ class SchemeLayout:
         return float(sum(self.rate_exp.values()))
 
 
-def _check_alpha_matrix(gamma: np.ndarray, alpha: np.ndarray) -> None:
-    for i in range(2):
-        for k in range(2):
-            if not (0.0 <= gamma[i, k] <= 1.0):
-                raise GammaOutOfRange(i, k, float(gamma[i, k]))
-            if not (0.0 <= alpha[i, k] <= gamma[i, k]):
-                raise AlphaOutOfRange(-1, i, k, float(alpha[i, k]), float(gamma[i, k]))
-
-
 def centralized_gdof(topology: Topology, alpha) -> GdofValue:
     """Sum GDoF when both TXs share the quality exponents ``alpha`` (2x2).
 
@@ -112,16 +102,18 @@ def centralized_gdof(topology: Topology, alpha) -> GdofValue:
         d1 = max(g[0,1], g[0,0]) + max((g[1,0]-g[0,0]+a1)+, (g[1,1]-g[0,1]+a1)+)
         d2 = max(g[1,1], g[1,0]) + max((g[0,1]-g[1,1]+a2)+, (g[0,0]-g[1,0]+a2)+)
 
-    and the sum GDoF is min(d1, d2).
+    and the sum GDoF is min(d1, d2).  Out-of-range gamma or alpha raises
+    the first violation in ``validate``'s order, with ``tx_est = -1``.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (2, 2):
         raise ValueError(f"alpha must be 2x2, got shape {alpha.shape}")
-    g = topology.gamma
-    _check_alpha_matrix(g, alpha)
-    a1 = min(float(alpha[0, 0]), float(alpha[0, 1]))
-    a2 = min(float(alpha[1, 0]), float(alpha[1, 1]))
-    g11, g12, g21, g22 = float(g[0, 0]), float(g[0, 1]), float(g[1, 0]), float(g[1, 1])
+    g, al = topology.gamma.tolist(), alpha.tolist()
+    violations = _range_violations(g, [(-1, al)])
+    if violations:
+        raise violations[0]
+    (g11, g12), (g21, g22) = g
+    a1, a2 = min(al[0]), min(al[1])
     d1 = max(g12, g11) + max(_pos(g21 - g11 + a1), _pos(g22 - g12 + a1))
     d2 = max(g22, g21) + max(_pos(g12 - g22 + a2), _pos(g11 - g21 + a2))
     value = min(d1, d2)
@@ -137,10 +129,9 @@ def distributed_gdof(topology: Topology, csit: CsitQuality) -> GdofValue:
     ``canonicalize``.
     """
     canon = canonicalize(topology, csit)
-    g = canon.topology.gamma
     eff = effective_alphas(canon.topology, canon.csit)
-    ap1, ap2 = float(eff.alpha_prime[0]), float(eff.alpha_prime[1])
-    g11, g12, g21, g22 = float(g[0, 0]), float(g[0, 1]), float(g[1, 0]), float(g[1, 1])
+    ap1, ap2 = eff.alpha_prime.tolist()
+    (g11, g12), (g21, g22) = canon.topology.gamma.tolist()
     if g21 <= g22:
         d1 = g11 + _pos(g22 - g12 + ap1)
         d2 = g22 + g11 - g21 + ap2
@@ -163,7 +154,7 @@ def genie_outer_bound(topology: Topology, csit: CsitQuality) -> GdofValue:
 
 
 def _case_layout(g: np.ndarray, ap1: float, ap2: float) -> SchemeLayout:
-    g11, g12, g21, g22 = float(g[0, 0]), float(g[0, 1]), float(g[1, 0]), float(g[1, 1])
+    (g11, g12), (g21, g22) = g.tolist()
 
     if g11 == 1.0 and g22 == 1.0 and g12 == g21 and ap1 == ap2:
         # Symmetric full-strength direct links: the z-layer carries zero

@@ -37,6 +37,7 @@ __all__ = [
     "validate",
     "canonicalize",
     "effective_alphas",
+    "dyadic_instance",
 ]
 
 
@@ -156,26 +157,43 @@ class ValidationReport:
             raise self.violations[0]
 
 
+def _dominates(x: list, y: list) -> bool:
+    """Whether the 2x2 float list ``x`` is >= ``y`` in every entry."""
+    (x00, x01), (x10, x11) = x
+    (y00, y01), (y10, y11) = y
+    return x00 >= y00 and x01 >= y01 and x10 >= y10 and x11 >= y11
+
+
+def _range_violations(g: list, alphas) -> list:
+    """Out-of-range exponents, as float lists, in ``validate``'s order.
+
+    ``g`` is the 2x2 gamma list; ``alphas`` yields ``(tx_est, alpha)``
+    pairs, each alpha a 2x2 list checked against ``g``.  Gamma entries
+    come first, then each alpha in turn, row-major within a matrix.
+    """
+    violations: list[ValidationError] = []
+    for i in 0, 1:
+        for k in 0, 1:
+            if not (0.0 <= g[i][k] <= 1.0):
+                violations.append(GammaOutOfRange(i, k, g[i][k]))
+    for j, a in alphas:
+        for i in 0, 1:
+            gi, ai = g[i], a[i]
+            for k in 0, 1:
+                if not (0.0 <= ai[k] <= gi[k]):
+                    violations.append(AlphaOutOfRange(j, i, k, ai[k], gi[k]))
+    return violations
+
+
 def validate(topology: Topology, csit: CsitQuality) -> ValidationReport:
     """Collect every domain violation of a (topology, csit) pair.
 
     Checks, in order: gamma entries in [0, 1]; alpha entries in
     [0, gamma] for their link; existence of an entrywise dominant TX.
     """
-    g, a = topology.gamma, csit.alpha
-    violations: list[ValidationError] = []
-    for i in range(2):
-        for k in range(2):
-            if not (0.0 <= g[i, k] <= 1.0):
-                violations.append(GammaOutOfRange(i, k, float(g[i, k])))
-    for j in range(2):
-        for i in range(2):
-            for k in range(2):
-                if not (0.0 <= a[j, i, k] <= g[i, k]):
-                    violations.append(
-                        AlphaOutOfRange(j, i, k, float(a[j, i, k]), float(g[i, k]))
-                    )
-    if not (np.all(a[0] >= a[1]) or np.all(a[1] >= a[0])):
+    a = csit.alpha.tolist()
+    violations = _range_violations(topology.gamma.tolist(), enumerate(a))
+    if not (_dominates(a[0], a[1]) or _dominates(a[1], a[0])):
         violations.append(NoDominantTransmitter())
     return ValidationReport(violations)
 
@@ -206,13 +224,17 @@ def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:
     validation error if the input is outside the supported domain.
     """
     validate(topology, csit).raise_first()
-    target = topology.gamma.max()
+    g, a = topology.gamma.tolist(), csit.alpha.tolist()
+    target = max(max(g[0]), max(g[1]))
     for rx_swap, tx_swap in _RELABELLINGS:
-        g, a = _permute(topology.gamma, csit.alpha, rx_swap, tx_swap)
-        if g[0, 0] == target:
+        # This relabelling moves gamma[int(rx_swap), int(tx_swap)] to the corner.
+        if g[rx_swap][tx_swap] == target:
             break
-    active_tx = 0 if np.all(a[0] >= a[1]) else 1
-    return CanonicalForm(Topology(g), CsitQuality(a), rx_swap, tx_swap, active_tx)
+    gamma, alpha = _permute(topology.gamma, csit.alpha, rx_swap, tx_swap)
+    # Both alphas get the same row and column flips, so dominance after
+    # the relabelling is dominance of the TX that lands at index 0.
+    active_tx = 0 if _dominates(a[tx_swap], a[not tx_swap]) else 1
+    return CanonicalForm(Topology(gamma), CsitQuality(alpha), rx_swap, tx_swap, active_tx)
 
 
 def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponents:
@@ -223,7 +245,22 @@ def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponent
     the best-informed transmitter for each link (max over TXs).
     """
     a = csit.alpha
-    alpha_rx = a.min(axis=2)
-    alpha_max = a.max(axis=0)
-    alpha_prime = alpha_max.min(axis=1)
+    alpha_rx = np.minimum(a[:, :, 0], a[:, :, 1])
+    alpha_max = np.maximum(a[0], a[1])
+    alpha_prime = np.minimum(alpha_max[:, 0], alpha_max[:, 1])
     return EffectiveExponents(alpha_rx, alpha_max, alpha_prime)
+
+
+def dyadic_instance(rng: np.random.Generator, grid: int = 1024):
+    """Random valid (topology, csit) on the 1/grid lattice with a dominant TX.
+
+    Exponents that are exact binary fractions keep min/max branch
+    selection and the closed-form identities exact in float64.  The
+    self-checks of ``apzf validate`` and the tests draw from this, so its
+    sequence of ``rng`` calls is part of their seeded output.
+    """
+    gamma = rng.integers(0, grid + 1, size=(2, 2)) / grid
+    hi = rng.integers(0, (gamma * grid).astype(int) + 1, size=(2, 2)) / grid
+    lo = rng.integers(0, (hi * grid).astype(int) + 1, size=(2, 2)) / grid
+    alpha = np.stack([hi, lo]) if rng.random() < 0.5 else np.stack([lo, hi])
+    return Topology(gamma), CsitQuality(alpha)

@@ -1,21 +1,7 @@
 """Shared helpers for the test suite."""
 
-import numpy as np
-
 from apzf import CsitQuality, Topology
-
-
-def dyadic_instance(rng, grid=1024):
-    """Random valid instance on the 1/grid lattice with a dominant TX.
-
-    Exponents that are exact binary fractions keep min/max branch
-    selection and the closed-form identities exact in float64.
-    """
-    gamma = rng.integers(0, grid + 1, size=(2, 2)) / grid
-    hi = rng.integers(0, (gamma * grid).astype(int) + 1, size=(2, 2)) / grid
-    lo = rng.integers(0, (hi * grid).astype(int) + 1, size=(2, 2)) / grid
-    alpha = np.stack([hi, lo]) if rng.random() < 0.5 else np.stack([lo, hi])
-    return Topology(gamma), CsitQuality(alpha)
+from apzf.topology import dyadic_instance  # noqa: F401  (shared by the test modules)
 
 
 def reference_instance():

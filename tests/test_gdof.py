@@ -4,6 +4,7 @@ import pytest
 from apzf import (
     AlphaOutOfRange,
     CsitQuality,
+    GammaOutOfRange,
     NoDominantTransmitter,
     Topology,
     canonicalize,
@@ -44,6 +45,17 @@ def test_centralized_rejects_bad_alpha():
         centralized_gdof(Topology.parallel(0.5), np.full((2, 2), 0.9))
     with pytest.raises(ValueError):
         centralized_gdof(Topology.parallel(0.5), np.zeros(3))
+
+
+def test_centralized_reports_gamma_before_alpha():
+    # The same order as validate: every gamma entry, then every alpha entry.
+    gamma = Topology.parallel(0.5).gamma
+    gamma[1, 1] = -0.1
+    alpha = np.full((2, 2), 0.4)
+    alpha[0, 1] = 0.6
+    with pytest.raises(GammaOutOfRange) as info:
+        centralized_gdof(Topology(gamma), alpha)
+    assert (info.value.rx, info.value.tx) == (1, 1)
 
 
 def test_distributed_reference_configuration():
@@ -146,7 +158,9 @@ def test_layout_reference_configuration():
     assert layout.rate_total() == pytest.approx(1.7)
 
 
-@pytest.mark.parametrize("cross, alpha, general_rounds_alike", [(0.4, 0.4, False), (0.8, 0.5, True)])
+@pytest.mark.parametrize(
+    "cross, alpha, general_rounds_alike", [(0.4, 0.4, False), (0.8, 0.5, True)]
+)
 def test_symmetric_layout_uses_the_shortcut_formula(cross, alpha, general_rounds_alike):
     # The shortcut is not redundant off the 1/1024 lattice: the general
     # case-1 branch computes 1.0 - cross + alpha, which can round differently
