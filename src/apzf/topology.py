@@ -165,11 +165,11 @@ def _dominates(x: list, y: list) -> bool:
 
 
 def _range_violations(g: list, alphas) -> list:
-    """Out-of-range exponents, as float lists, in ``validate``'s order.
+    """Range violations of 2x2 float lists, in ``validate``'s order.
 
-    ``g`` is the 2x2 gamma list; ``alphas`` yields ``(tx_est, alpha)``
-    pairs, each alpha a 2x2 list checked against ``g``.  Gamma entries
-    come first, then each alpha in turn, row-major within a matrix.
+    ``g`` is gamma; ``alphas`` yields ``(tx_est, alpha)`` pairs, each
+    alpha checked against ``g``.  Gamma entries come first, then each
+    alpha in turn, row-major within a matrix.
     """
     violations: list[ValidationError] = []
     for i in 0, 1:

@@ -180,10 +180,7 @@ BAD_INPUTS = {
 
 
 def _bits(x):
-    if x is None:
-        return None
-    assert type(x) is float, f"{x!r} is {type(x).__name__}, not float"
-    return x.hex()
+    return None if x is None else _f(x)
 
 
 def _violation_key(v):
