@@ -1,0 +1,90 @@
+"""Self-checks of the paper's claims, shared by ``apzf validate`` and the tests.
+
+Each check draws its random instances from ``rng`` in a fixed order, so
+a seeded generator gives the same verdict every run, and returns
+``(ok, detail)`` with a one-line description of what it measured.  The
+callers choose the seed and the size.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
+from .gdof import distributed_gdof, genie_outer_bound, scheme_layout
+from .harness import fit_exponent, simulate_snr
+from .precoders import apzf
+from .topology import CsitQuality, Topology, canonicalize, dyadic_instance
+
+__all__ = ["cancellation", "closed_form_identity", "coefficient_exponents", "determinism",
+           "layout_totals"]
+
+
+def closed_form_identity(rng, n):
+    """Distributed CSIT reaches the centralized reference, bit for bit."""
+    for _ in range(n):
+        topo, csit = dyadic_instance(rng)
+        if distributed_gdof(topo, csit).value != genie_outer_bound(topo, csit).value:
+            return False, f"mismatch at gamma={topo.gamma.tolist()}"
+    return True, f"{n} random instances, bit-exact"
+
+
+def layout_totals(rng, n):
+    """The layer rate exponents sum to the closed form within 1e-12."""
+    worst = 0.0
+    for _ in range(n):
+        topo, csit = dyadic_instance(rng)
+        layout = scheme_layout(canonicalize(topo, csit))
+        worst = max(worst, abs(layout.rate_total() - distributed_gdof(topo, csit).value))
+        if worst > 1e-12:
+            return False, f"layout sum off by {worst:g}"
+    return True, f"{n} random instances, max |diff| = {worst:g}"
+
+
+def cancellation(rng, n):
+    """With perfect CSIT and no regularizer, AP-ZF aimed at either receiver
+    leaves a relative residual below 1e-10 at the other one."""
+    p = 1e6
+    worst = 0.0
+    for _ in range(n):
+        topo, _ = dyadic_instance(rng)
+        h = sample_channel(topo, p, rng.standard_normal((1, 8)))
+        for tgt in (0, 1):
+            t = apzf(h, tgt, 1.0, topo, p, regularize=False)
+            resid = abs((h @ t[..., None])[0, 1 - tgt, 0])
+            scale = np.linalg.norm(h[0, 1 - tgt]) * np.linalg.norm(t[0]) + 1e-300
+            worst = max(worst, float(resid / scale))
+    return worst < 1e-10, f"{n} draws, worst relative residual = {worst:.3g}"
+
+
+def coefficient_exponents(rng, n_topologies, draws):
+    """The fitted power exponents of the AP-ZF coefficients match
+    ``tau - (gamma[victim, k] - gamma[victim, 1-k])+`` within 0.05."""
+    grid = np.logspace(4, 8, 5)
+    worst = 0.0
+    for _ in range(n_topologies):
+        gamma = 0.3 + 0.7 * rng.random((2, 2))
+        topo = Topology(gamma)
+        csit = CsitQuality(np.stack([gamma * rng.random((2, 2)), np.zeros((2, 2))]))
+        tau = 0.5 + 0.5 * rng.random()
+        acc = np.zeros((len(grid), 2, 2))  # mean log power, [P, target, tx]
+        for ip, p in enumerate(grid):
+            z = rng.standard_normal((draws, NORMALS_PER_DRAW))
+            h_hat = sample_csit(sample_channel(topo, p, z), topo, csit, p, z)
+            for tgt in (0, 1):
+                t = apzf(h_hat[:, 0], tgt, tau, topo, p)
+                acc[ip, tgt] = np.log(np.abs(t) ** 2).mean(axis=0)
+        for tgt in (0, 1):
+            victim = 1 - tgt
+            for k in (0, 1):
+                expected = tau - max(float(gamma[victim, k] - gamma[victim, 1 - k]), 0.0)
+                slope = fit_exponent(list(zip(grid, np.exp(acc[:, tgt, k]))))
+                worst = max(worst, abs(slope - expected))
+    return worst < 0.05, f"{n_topologies} topologies, worst |fit - exponent| = {worst:.4f}"
+
+
+def determinism(config):
+    """Simulating the first SNR point twice gives identical results."""
+    a = simulate_snr(config, config.snr_db[0])
+    b = simulate_snr(config, config.snr_db[0])
+    return a == b, f"{len(a)} schemes, repeated point identical: {a == b}"

@@ -14,40 +14,39 @@ usage, 3 config outside the supported domain, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
+from . import checks
 from .gdof import distributed_gdof, genie_outer_bound, scheme_layout
 from .harness import (
     ConfigError,
     closed_forms,
-    fit_exponent,
     load_config,
     simulate_snr,
     sweep,
     write_csv,
     write_summary,
 )
-from .precoders import apzf
 from .scheme import PowerInfeasible
-from .topology import (
-    CsitQuality,
-    Topology,
-    ValidationError,
-    canonicalize,
-    dyadic_instance,
-    validate,
-)
+from .topology import ValidationError, canonicalize, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of ``--seed``: RNG seeds must be non-negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=config_required,
             help="JSON config (gamma, alpha, schemes, snr_db, draws, seed)",
         )
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=non_negative_int, default=None, help="override config seed")
 
     p = sub.add_parser("gdof", help="print closed-form GDoF values and the layer table")
     add_common(p)
@@ -156,95 +155,26 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_identity(rng, n=1000):
-    for _ in range(n):
-        topo, csit = dyadic_instance(rng)
-        if distributed_gdof(topo, csit).value != genie_outer_bound(topo, csit).value:
-            return False, f"mismatch at gamma={topo.gamma.tolist()}"
-    return True, f"{n} random instances, bit-exact"
-
-
-def _check_layout_sum(rng, n=1000):
-    worst = 0.0
-    for _ in range(n):
-        topo, csit = dyadic_instance(rng)
-        layout = scheme_layout(canonicalize(topo, csit))
-        worst = max(worst, abs(layout.rate_total() - distributed_gdof(topo, csit).value))
-        if worst > 1e-12:
-            return False, f"layout sum off by {worst:g}"
-    return True, f"{n} random instances, max |diff| = {worst:g}"
-
-
-def _check_cancellation(rng, n=1000):
-    worst = 0.0
-    p = 1e6
-    for _ in range(n):
-        topo, _ = dyadic_instance(rng)
-        h = sample_channel(topo, p, rng.standard_normal((1, 8)))
-        t = apzf(h, 0, 1.0, topo, p, regularize=False)
-        resid = np.abs((h @ t[..., None])[:, 1, 0])
-        rel = resid / (np.linalg.norm(h[:, 1], axis=-1) * np.linalg.norm(t, axis=-1) + 1e-300)
-        worst = max(worst, float(rel.max()))
-    ok = worst < 1e-10
-    return ok, f"{n} draws, worst relative residual = {worst:.3g}"
-
-
-def _check_coefficient_exponents(rng, n_topologies=3, draws=1500):
-    grid = np.logspace(4, 8, 5)
-    worst = 0.0
-    for _ in range(n_topologies):
-        gamma = 0.3 + 0.7 * rng.random((2, 2))
-        topo = Topology(gamma)
-        csit = CsitQuality(np.stack([gamma * rng.random((2, 2)), np.zeros((2, 2))]))
-        tau = 0.5 + 0.5 * rng.random()
-        acc = np.zeros((len(grid), 2, 2))  # mean log power, [P, target, tx]
-        for ip, p in enumerate(grid):
-            z = rng.standard_normal((draws, NORMALS_PER_DRAW))
-            h = sample_channel(topo, p, z)
-            h_hat = sample_csit(h, topo, csit, p, z)
-            for tgt in (0, 1):
-                t = apzf(h_hat[:, 0], tgt, tau, topo, p)
-                acc[ip, tgt] = np.log(np.abs(t) ** 2).mean(axis=0)
-        for tgt in (0, 1):
-            itf = 1 - tgt
-            for k in (0, 1):
-                expected = tau - max(float(gamma[itf, k] - gamma[itf, 1 - k]), 0.0)
-                slope = fit_exponent(list(zip(grid, np.exp(acc[:, tgt, k]))))
-                worst = max(worst, abs(slope - expected))
-    ok = worst < 0.05
-    return ok, f"{n_topologies} topologies, worst |fit - exponent| = {worst:.4f}"
-
-
-def _check_determinism(config):
-    a = simulate_snr(config, config.snr_db[0])
-    b = simulate_snr(config, config.snr_db[0])
-    return a == b, f"{len(a)} schemes, repeated point identical: {a == b}"
-
-
 def _cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    checks = [
+    suite = [
         ("closed-form identity (distributed == centralized reference)",
-         lambda: _check_identity(np.random.default_rng([seed, 1]))),
+         lambda: checks.closed_form_identity(np.random.default_rng([seed, 1]), 1000)),
         ("layout rate total == closed form",
-         lambda: _check_layout_sum(np.random.default_rng([seed, 2]))),
+         lambda: checks.layout_totals(np.random.default_rng([seed, 2]), 1000)),
         ("exact cancellation (perfect CSIT, no regularizer)",
-         lambda: _check_cancellation(np.random.default_rng([seed, 3]))),
+         lambda: checks.cancellation(np.random.default_rng([seed, 3]), 1000)),
         ("AP-ZF coefficient power exponents",
-         lambda: _check_coefficient_exponents(np.random.default_rng([seed, 4]))),
+         lambda: checks.coefficient_exponents(np.random.default_rng([seed, 4]), 3, 1500)),
     ]
     if args.config:
         config = load_config(args.config)
         validate(config.topology, config.csit).raise_first()
-        small = config.__class__(
-            topology=config.topology, csit=config.csit, schemes=config.schemes,
-            snr_db=config.snr_db, draws=min(config.draws, 50), seed=seed,
-            window_db=config.window_db,
-        )
-        checks.append(("deterministic re-simulation", lambda: _check_determinism(small)))
+        small = dataclasses.replace(config, draws=min(config.draws, 50), seed=seed)
+        suite.append(("deterministic re-simulation", lambda: checks.determinism(small)))
 
     failed = 0
-    for name, fn in checks:
+    for name, fn in suite:
         ok, detail = fn()
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         failed += 0 if ok else 1

@@ -196,11 +196,20 @@ def scheme_layout(canonical: CanonicalForm, alpha_prime=None) -> SchemeLayout:
 
     ``alpha_prime`` overrides the effective quality exponents; this is the
     knob baseline schemes use when they can only exploit the worst
-    transmitter's estimates.  The total of the rate exponents equals the
-    corresponding GDoF value.
+    transmitter's estimates.  An override must hold two entries with
+    ``0 <= alpha_prime[i] <= min(gamma[i])``, else ``ValueError``.  The
+    total of the rate exponents equals the corresponding GDoF value.
     """
     if alpha_prime is None:
         eff = effective_alphas(canonical.topology, canonical.csit)
         alpha_prime = eff.alpha_prime
+    else:
+        alpha_prime = [float(a) for a in alpha_prime]
+        bounds = [min(row) for row in canonical.topology.gamma.tolist()]
+        # A NaN entry fails the comparison.
+        if len(alpha_prime) != 2 or not all(0.0 <= a <= b for a, b in zip(alpha_prime, bounds)):
+            raise ValueError(
+                f"alpha_prime must be 2 entries in [0, min(gamma[i])], got {alpha_prime}"
+            )
     ap1, ap2 = float(alpha_prime[0]), float(alpha_prime[1])
     return _case_layout(canonical.topology.gamma, ap1, ap2)

@@ -256,7 +256,7 @@ def dyadic_instance(rng: np.random.Generator, grid: int = 1024):
 
     Exponents that are exact binary fractions keep min/max branch
     selection and the closed-form identities exact in float64.  The
-    self-checks of ``apzf validate`` and the tests draw from this, so its
+    self-checks in ``apzf.checks`` draw from this, so its
     sequence of ``rng`` calls is part of their seeded output.
     """
     gamma = rng.integers(0, grid + 1, size=(2, 2)) / grid

@@ -23,19 +23,16 @@ from apzf import (
     SweepConfig,
     Topology,
     apzf,
-    canonicalize,
-    centralized_gdof,
     distributed_gdof,
     fit_exponent,
-    genie_outer_bound,
     sample_channel,
     sample_csit,
-    scheme_layout,
     sweep,
     write_csv,
 )
+import apzf.checks as checks
 import apzf.harness as harness
-from conftest import dyadic_instance, reference_instance
+from conftest import reference_instance
 
 P_GRID = np.logspace(4, 8, 5)
 
@@ -43,6 +40,15 @@ P_GRID = np.logspace(4, 8, 5)
 def _verdict(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
     assert ok, f"{name}: {detail}"
+
+
+def _timed_verdict(name: str, budget_s: float, check, seed: int, *size) -> None:
+    """Run a shared self-check on ``default_rng(seed)``; it must pass
+    within ``budget_s`` seconds."""
+    t0 = time.perf_counter()
+    ok, detail = check(np.random.default_rng(seed), *size)
+    elapsed = time.perf_counter() - t0
+    _verdict(name, ok and elapsed < budget_s, f"{detail}, {elapsed:.2f}s")
 
 
 def test_reference_closed_forms_are_exact():
@@ -58,38 +64,13 @@ def test_reference_closed_forms_are_exact():
 
 
 def test_both_gdof_paths_agree_bit_exactly():
-    rng = np.random.default_rng(2026)
-    t0 = time.perf_counter()
-    n = 1000
-    mismatches = sum(
-        distributed_gdof(t, c).value != genie_outer_bound(t, c).value
-        for t, c in (dyadic_instance(rng) for _ in range(n))
-    )
-    elapsed = time.perf_counter() - t0
-    ok = mismatches == 0 and elapsed < 1.0
-    _verdict(
-        "case formulas equal the best-quality reference path",
-        ok,
-        f"{n} instances, {mismatches} mismatches, {elapsed:.2f}s",
-    )
+    name = "case formulas equal the best-quality reference path"
+    _timed_verdict(name, 1.0, checks.closed_form_identity, 2026, 1000)
 
 
 def test_layout_rate_totals_match_closed_form():
-    rng = np.random.default_rng(3033)
-    t0 = time.perf_counter()
-    n = 1000
-    worst = 0.0
-    for _ in range(n):
-        topo, csit = dyadic_instance(rng)
-        total = scheme_layout(canonicalize(topo, csit)).rate_total()
-        worst = max(worst, abs(total - distributed_gdof(topo, csit).value))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and elapsed < 1.0
-    _verdict(
-        "layout rate exponents sum to the closed form",
-        ok,
-        f"{n} instances, max |diff| = {worst:.2e}, {elapsed:.2f}s",
-    )
+    name = "layout rate exponents sum to the closed form"
+    _timed_verdict(name, 1.0, checks.layout_totals, 3033, 1000)
 
 
 def test_simulated_slopes_match_closed_form_gdof():
@@ -123,35 +104,8 @@ def test_simulated_slopes_match_closed_form_gdof():
 
 
 def test_pair_coefficient_power_exponents():
-    rng = np.random.default_rng(501)
-    t0 = time.perf_counter()
-    draws = 1200
-    worst = 0.0
-    for _ in range(10):
-        gamma = 0.3 + 0.7 * rng.random((2, 2))
-        topo = Topology(gamma)
-        csit = CsitQuality(np.stack([gamma * rng.random((2, 2)), np.zeros((2, 2))]))
-        tau = 0.5 + 0.5 * rng.random()
-        acc = np.zeros((len(P_GRID), 2, 2))
-        for ip, p in enumerate(P_GRID):
-            z = rng.standard_normal((draws, NORMALS_PER_DRAW))
-            h_hat = sample_csit(sample_channel(topo, p, z), topo, csit, p, z)
-            for tgt in (0, 1):
-                t = apzf(h_hat[:, 0], tgt, tau, topo, p)
-                acc[ip, tgt] = np.log(np.abs(t) ** 2).mean(axis=0)
-        for tgt in (0, 1):
-            victim = 1 - tgt
-            for k in (0, 1):
-                expected = tau - max(float(gamma[victim, k] - gamma[victim, 1 - k]), 0.0)
-                slope = fit_exponent(list(zip(P_GRID, np.exp(acc[:, tgt, k]))))
-                worst = max(worst, abs(slope - expected))
-    elapsed = time.perf_counter() - t0
-    ok = worst < 0.05 and elapsed < 30.0
-    _verdict(
-        "coefficient power exponents",
-        ok,
-        f"10 topologies, worst |fit - formula| = {worst:.4f}, {elapsed:.0f}s",
-    )
+    name = "coefficient power exponents"
+    _timed_verdict(name, 30.0, checks.coefficient_exponents, 501, 10, 1200)
 
 
 def test_received_power_exponents():
@@ -201,26 +155,8 @@ def test_received_power_exponents():
 
 
 def test_exact_cancellation_with_perfect_csit():
-    rng = np.random.default_rng(707)
-    t0 = time.perf_counter()
-    n = 1000
-    p = 1e6
-    worst = 0.0
-    for _ in range(n):
-        topo, _ = dyadic_instance(rng)
-        h = sample_channel(topo, p, rng.standard_normal((1, 8)))
-        for tgt in (0, 1):
-            t = apzf(h, tgt, 1.0, topo, p, regularize=False)
-            resid = abs((h @ t[..., None])[0, 1 - tgt, 0])
-            scale = np.linalg.norm(h[0, 1 - tgt]) * np.linalg.norm(t[0]) + 1e-300
-            worst = max(worst, resid / scale)
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-10 and elapsed < 1.0
-    _verdict(
-        "exact cancellation with perfect knowledge",
-        ok,
-        f"{n} draws, worst relative residual = {worst:.2e}, {elapsed:.2f}s",
-    )
+    name = "exact cancellation with perfect knowledge"
+    _timed_verdict(name, 1.0, checks.cancellation, 707, 1000)
 
 
 def test_sweeps_are_byte_identical_across_runs_and_workers(tmp_path, monkeypatch):

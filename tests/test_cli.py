@@ -9,6 +9,7 @@ from conftest import BAD_CONFIG_VALUES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apzf.checks as checks
 import apzf.harness as harness
 from apzf.cli import (
     EXIT_CHECK_FAILED,
@@ -212,6 +213,18 @@ def test_missing_required_argument_exits_with_usage_error(capsys):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gdof", "simulate", "sweep", "validate"])
+def test_negative_seed_is_usage_error(command, config_path, capsys):
+    required = {"gdof": ["--config", config_path], "validate": [],
+                "simulate": ["--config", config_path, "--snr-db", "50"],
+                "sweep": ["--config", config_path, "--out", "unwritten.csv"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, "--seed", "-1"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--seed: must be a non-negative integer" in err and "Traceback" not in err
+
+
 def test_validate_all_checks_pass(capsys):
     assert main(["validate"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
@@ -224,6 +237,15 @@ def test_validate_with_config_adds_determinism_check(config_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5
     assert lines[-1].startswith("PASS  deterministic re-simulation: 2 schemes")
+
+
+def test_failed_check_exits_one_and_the_rest_still_run(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "layout_totals", lambda rng, n: (False, "forced"))
+    assert main(["validate"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 4
+    assert lines[1] == "FAIL  layout rate total == closed form: forced"
+    assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
 
 
 # ------------------------------------------------------- fuzzed configs

@@ -211,6 +211,14 @@ def test_layout_override_mirrors_effective_exponents():
     assert scheme_layout(canon, alpha_prime=eff.alpha_prime) == scheme_layout(canon)
 
 
+# Three entries; NaN; above min(gamma[0]) = 0.8 on the reference instance.
+@pytest.mark.parametrize("alpha_prime", [(5.0, -3.0, 9.0), (float("nan"), 0.2), (0.9, 0.0)])
+def test_layout_rejects_a_bad_override(alpha_prime):
+    canon = canonicalize(*reference_instance())
+    with pytest.raises(ValueError, match="alpha_prime"):
+        scheme_layout(canon, alpha_prime=alpha_prime)
+
+
 def test_layout_case_discriminator_and_tie():
     rng = np.random.default_rng(31)
     for _ in range(200):
