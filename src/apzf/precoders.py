@@ -19,14 +19,16 @@ estimate (each TX then transmits only its own entry, so the two entries
 come from inconsistent matrix inverses).
 
 Every function works on a batch of draws: estimates carry a leading draw
-axis and a vector ``t[d, k]`` is applied at TX ``k`` on draw ``d``.  The
-arithmetic repeats, operation for operation, what one draw computed with
-numpy scalars, so a draw's vector does not depend on the batch it is in.
+axis and a vector ``t[d, k]`` is applied at TX ``k`` on draw ``d``.  A
+draw's vector does not depend on the size of the batch it is in.  So
+complex products are taken on real and imaginary parts (``_cmul``):
+numpy's complex multiply rounds ``a * b`` and ``b * a`` differently on
+some values, and it swaps the operands when it reuses a temporary of
+256 KiB or more (16,384 entries, 8,192 draws of a 2-vector) in place.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -42,30 +44,23 @@ __all__ = [
     "naive_zf",
 ]
 
-_EYE2 = np.eye(2)
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """``|x|**2`` elementwise."""
+    return x.real * x.real + x.imag * x.imag
 
 
-def _libm_square(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` through the C library's ``pow``, as a numpy float64 scalar
-    computes it; ``x * x`` and ``np.power`` round differently on some values."""
-    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), float, len(x))
-
-
-def _norm(w: np.ndarray) -> np.ndarray:
-    """Norms of the rows of ``w`` (draws, 2), equal to ``np.linalg.norm`` of each.
-
-    ``np.linalg.norm`` adds the BLAS dots of the real and of the imaginary
-    parts, and BLAS may fuse a dot's multiply-adds, so the same dot is run
-    on every row through ``matmul``.
-    """
-    re, im = w.real, w.imag
-    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
-    return np.sqrt(sq[:, 0, 0])
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` elementwise, from real products (see the module docstring)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _scaled(w: np.ndarray, tau: float, p: float) -> np.ndarray:
     """Rows of ``w`` rescaled to norm sqrt(P**tau); all-zero rows stay zero."""
-    n = _norm(w)
+    n = np.sqrt(_abs2(w).sum(axis=1))
     with np.errstate(divide="ignore"):
         s = np.where(n == 0.0, 0.0, math.sqrt(p**tau) / n)
     return w * s[:, None]
@@ -94,16 +89,8 @@ def apzf(
     e_act = estimate_active[:, itf, active_tx]
     e_pas = estimate_active[:, itf, passive_tx]
     reg = 1.0 / p if regularize else 0.0
-    # -conj(e_act) * e_pas in real arithmetic: numpy's complex array multiply
-    # may fuse the products, which the scalar product does not.  Dividing a
-    # complex by a real multiplies by its reciprocal.
-    ar, ai = -e_act.real, e_act.imag
-    num_re = (ar * e_pas.real - ai * e_pas.imag) * t_pas
-    num_im = (ar * e_pas.imag + ai * e_pas.real) * t_pas
-    inv = 1.0 / (_libm_square(np.hypot(e_act.real, e_act.imag)) + reg)
     t = np.empty((len(e_act), 2), dtype=complex)
-    t[:, active_tx].real = num_re * inv
-    t[:, active_tx].imag = num_im * inv
+    t[:, active_tx] = _cmul(-np.conj(e_act), e_pas) * (t_pas / (_abs2(e_act) + reg))
     t[:, passive_tx] = t_pas
     return t
 
@@ -138,10 +125,17 @@ def matched(estimate_active: np.ndarray, p: float, layout: SchemeLayout) -> np.n
 
 
 def _regularized_zf(estimate: np.ndarray, target_rx: int, p: float) -> np.ndarray:
-    """Directions of the regularized channel-inverse column for ``target_rx``."""
-    est_h = estimate.conj().swapaxes(-1, -2)
-    gram = estimate @ est_h + (1.0 / p) * _EYE2
-    return (est_h @ np.linalg.solve(gram, _EYE2[:, target_rx])[..., None])[..., 0]
+    """Directions of the regularized channel-inverse column for ``target_rx``.
+
+    Column ``target_rx`` of ``H^H (H H^H + I/P)^-1``, with ``H`` the
+    estimate, up to the positive factor ``1/det`` of the 2x2 matrix, which
+    ``_scaled`` removes: ``conj(r_t (|r_o|^2 + 1/P) - r_o <r_t, r_o>)`` for
+    the target's row ``r_t`` and the other receiver's row ``r_o``.
+    """
+    r_t, r_o = estimate[:, target_rx], estimate[:, 1 - target_rx]
+    inner = _cmul(r_t, np.conj(r_o)).sum(axis=1)
+    w = r_t * (_abs2(r_o).sum(axis=1) + 1.0 / p)[:, None] - _cmul(r_o, inner[:, None])
+    return np.conj(w)
 
 
 def centralized_zf(

@@ -158,12 +158,6 @@ def _received(h: np.ndarray, layers: dict) -> dict:
     return {tag: np.abs((h @ t[..., None])[..., 0]) ** 2 for tag, t in layers.items()}
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    # math.log2, not np.log2: numpy's vectorized log2 rounds differently
-    # on some values, and rates must not depend on how draws are batched.
-    return np.fromiter(map(math.log2, x.tolist()), float, len(x))
-
-
 def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
     """Rates ``(r0, r1, r2, rz)`` of the successive-decoding chain, each (draws,).
 
@@ -184,13 +178,13 @@ def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
         sinr0 = np.minimum(
             *(at("s0", rx) / (1.0 + at("s1", rx) + at("s2", rx) + at("z1", rx)) for rx in (0, 1))
         )
-        r0 = _log2(1.0 + sinr0)
+        r0 = np.log2(1.0 + sinr0)
     if "s1" in q:
-        r1 = _log2(1.0 + at("s1", 0) / (1.0 + at("z1", 0) + at("s2", 0)))
+        r1 = np.log2(1.0 + at("s1", 0) / (1.0 + at("z1", 0) + at("s2", 0)))
     if "s2" in q:
-        r2 = _log2(1.0 + at("s2", 1) / (1.0 + at("s1", 1) + at("z1", 1)))
+        r2 = np.log2(1.0 + at("s2", 1) / (1.0 + at("s1", 1) + at("z1", 1)))
     if "z1" in q:
-        rz = _log2(1.0 + at("z1", 0) / (1.0 + at("s2", 0)))
+        rz = np.log2(1.0 + at("z1", 0) / (1.0 + at("s2", 0)))
     return r0, r1, r2, rz
 
 

@@ -243,6 +243,13 @@ def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponent
     A transmitter cancelling interference caused at RX i is limited by its
     worst estimate in row i (min over columns); the network is limited by
     the best-informed transmitter for each link (max over TXs).
+
+    It does not check its input.  ``distributed_gdof`` and
+    ``genie_outer_bound`` validate before they call it, and
+    ``scheme_layout`` calls it on a form that ``canonicalize`` built only
+    after validating.  It runs up to three times per closed-form
+    evaluation, so a ``validate`` here would add its cost to every
+    instance of a GDoF map.
     """
     a = csit.alpha
     alpha_rx = np.minimum(a[:, :, 0], a[:, :, 1])

@@ -14,6 +14,7 @@ from apzf import (
     genie_outer_bound,
     scheme_layout,
 )
+import apzf.checks as checks
 from conftest import dyadic_instance, reference_instance
 
 
@@ -87,10 +88,8 @@ def test_distributed_rejects_non_dominant():
 
 
 def test_genie_equals_distributed():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        topo, csit = dyadic_instance(rng)
-        assert genie_outer_bound(topo, csit).value == distributed_gdof(topo, csit).value
+    ok, detail = checks.closed_form_identity(np.random.default_rng(5), 300)
+    assert ok, detail
 
 
 def test_genie_degenerate_max():
@@ -235,11 +234,8 @@ def test_layout_case_discriminator_and_tie():
 
 
 def test_layout_sum_matches_closed_form():
-    rng = np.random.default_rng(37)
-    for _ in range(500):
-        topo, csit = dyadic_instance(rng)
-        layout = scheme_layout(canonicalize(topo, csit))
-        assert abs(layout.rate_total() - distributed_gdof(topo, csit).value) <= 1e-12
+    ok, detail = checks.layout_totals(np.random.default_rng(37), 500)
+    assert ok, detail
 
 
 def test_layout_exponent_ranges():

@@ -119,13 +119,36 @@ def test_simulate_point_mean_prefix_consistent():
     assert m10 == pytest.approx((5 * m5 + sum(tail)) / 10.0, rel=1e-12)
 
 
-def test_block_size_does_not_change_results(monkeypatch):
+def _point_with_draw_sums(monkeypatch, cfg, snr_db):
+    """``simulate_snr``'s result and, per scheme, the sum rate of every draw."""
+    sums = []
+
+    def recording(h, layers):
+        rates = achievable_rates(h, layers)
+        sums.append(sum(rates))
+        return rates
+
+    monkeypatch.setattr(harness, "achievable_rates", recording)
+    out = harness.simulate_snr(cfg, snr_db)
+    n = len(cfg.schemes)  # calls run block by block, scheme by scheme
+    return out, [np.concatenate(sums[i::n]) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "draws, block", [(23, 1), (23, 5), (23, 7), (8203, 4097), (8203, 8203)]
+)
+def test_block_size_does_not_change_results(monkeypatch, draws, block):
     # A point's draws are evaluated in blocks; a draw's sum rate, and so
     # every statistic of the point, must not depend on the block it is in.
-    cfg = _config(schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"), draws=23)
-    whole = harness.simulate_snr(cfg, 40.0)
-    monkeypatch.setattr(harness, "_BLOCK_DRAWS", 5)
-    assert harness.simulate_snr(cfg, 40.0) == whole
+    # Blocks of 8,192 draws or more catch numpy's complex multiply, which
+    # is not bit-commutative and has its operands swapped on large arrays.
+    cfg = _config(schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"), draws=draws)
+    whole, whole_sums = _point_with_draw_sums(monkeypatch, cfg, 40.0)
+    monkeypatch.setattr(harness, "_BLOCK_DRAWS", block)
+    out, sums = _point_with_draw_sums(monkeypatch, cfg, 40.0)
+    assert out == whole
+    for a, b in zip(sums, whole_sums):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_stderr_shrinks_like_sqrt_draws():

@@ -231,6 +231,30 @@ def test_naive_zf_keeps_full_strength_interference():
     assert _geomean_exponent(resid, 1500, 13) == pytest.approx(0.5, abs=0.15)
 
 
+def _zf_reference(estimate, target_rx, tau, p):
+    """Column ``target_rx`` of H^H (H H^H + I/P)^-1 per draw, norm sqrt(P**tau)."""
+    est_h = estimate.conj().swapaxes(-1, -2)
+    w = (est_h @ np.linalg.inv(estimate @ est_h + np.eye(2) / p))[:, :, target_rx]
+    return w * (math.sqrt(p**tau) / np.linalg.norm(w, axis=1))[:, None]
+
+
+@pytest.mark.parametrize("p", [1e2, 1e6, 1e8])
+def test_zf_matches_matrix_inverse_reference(p):
+    rng = np.random.default_rng(4242)
+    est = rng.standard_normal((4000, 2, 2, 2)) + 1j * rng.standard_normal((4000, 2, 2, 2))
+    tau = 0.7
+    scale = math.sqrt(p**tau)
+    for target in (0, 1):
+        ref = _zf_reference(est[:, 0], target, tau, p)
+        err = np.abs(centralized_zf(est[:, 0], target, tau, p) - ref).max()
+        assert err / scale <= 1e-10
+        # TX j transmits entry j of the vector computed from its own estimate.
+        t = naive_zf(est, target, tau, p)
+        for j in (0, 1):
+            ref = _zf_reference(est[:, j], target, tau, p)
+            assert np.abs(t[:, j] - ref[:, j]).max() / scale <= 1e-10
+
+
 def test_golden_regression_vectors():
     topo = Topology.parallel(0.8)
     csit = CsitQuality.uniform(0.5, 0.0)
