@@ -135,8 +135,8 @@ def _cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     results = simulate_snr(config, args.snr_db)
     print(f"snr_db = {args.snr_db:g}, draws = {config.draws}, seed = {config.seed}")
-    for scheme, (mean, stderr, _) in results.items():
-        print(f"{scheme:15s} sum_rate = {mean:.6f} +/- {stderr:.6f}")
+    for scheme, pt in results.items():
+        print(f"{scheme:15s} sum_rate = {pt.mean:.6f} +/- {pt.stderr:.6f}")
     return EXIT_OK
 
 

@@ -10,13 +10,12 @@ draws (common random numbers).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ __all__ = [
     "SweepCurve",
     "ConfigError",
     "InsufficientPoints",
-    "simulate_point",
+    "PointStats",
     "simulate_snr",
     "sweep",
     "estimate_slope",
@@ -114,6 +113,8 @@ class SweepConfig:
         self.snr_db = tuple(float(s) for s in self.snr_db)
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError(f"schemes must not repeat: {','.join(self.schemes)}")
         for snr in self.snr_db:
             _snr_power(snr)
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
@@ -140,16 +141,24 @@ class SweepConfig:
             raise ConfigError("workers must be >= 1")
 
 
+@dataclass(frozen=True)
+class PointStats:
+    """One scheme at one SNR point: the mean sum rate, its standard error,
+    and the fraction of draws the power back-off scaled down."""
+
+    mean: float
+    stderr: float
+    backoff_frac: float
+
+
 @dataclass
 class SweepCurve:
-    schemes: tuple
+    """``points[scheme]`` holds one PointStats per ``snr_db`` entry."""
+
     snr_db: tuple
-    mean: dict
-    stderr: dict
+    points: dict
     slopes: dict
-    window_db: tuple
-    gdof: dict = field(default_factory=dict)
-    backoff_frac: dict = field(default_factory=dict)
+    gdof: dict
 
 
 def _substream(seed: int, snr_db: float, draw: int) -> np.random.Generator:
@@ -261,9 +270,7 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
     Draw d at this point always uses the substream (seed, snr, d),
     whichever draws and schemes run with it.  Draws are evaluated in
     blocks of at most ``_BLOCK_DRAWS``, which bounds the memory a point
-    needs.  Returns, per scheme, ``(mean, stderr, backoff_frac)``: the
-    mean sum rate, its standard error, and the fraction of draws the
-    power back-off scaled down.
+    needs.  Returns ``{scheme: PointStats}``.
     """
     p = _snr_power(snr_db)
     key = _snr_key(snr_db)
@@ -285,15 +292,8 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
     for s in config.schemes:
         mean = float(sums[s].mean())
         stderr = float(sums[s].std(ddof=1) / math.sqrt(config.draws)) if config.draws > 1 else 0.0
-        out[s] = (mean, stderr, backed_off[s] / config.draws)
+        out[s] = PointStats(mean, stderr, backed_off[s] / config.draws)
     return out
-
-
-def simulate_point(config: SweepConfig, scheme_kind, snr_db: float):
-    """Mean sum rate and its standard error of one scheme at one SNR point."""
-    scheme = SchemeKind(scheme_kind).value
-    mean, stderr, _ = simulate_snr(dataclasses.replace(config, schemes=(scheme,)), snr_db)[scheme]
-    return mean, stderr
 
 
 def _point_task(args):
@@ -338,25 +338,16 @@ def sweep(config: SweepConfig) -> SweepCurve:
         results = [_point_task(t) for t in tasks]
 
     table = dict(results)
-    mean, stderr, backoff, slopes = {}, {}, {}, {}
-    for s in config.schemes:
-        mean[s] = np.array([table[snr][s][0] for snr in config.snr_db])
-        stderr[s] = np.array([table[snr][s][1] for snr in config.snr_db])
-        backoff[s] = np.array([table[snr][s][2] for snr in config.snr_db])
+    points = {s: [table[snr][s] for snr in config.snr_db] for s in config.schemes}
+    slopes = {}
+    for s, pts in points.items():
         try:
-            slopes[s] = estimate_slope(list(zip(config.snr_db, mean[s])), config.window_db)
+            slopes[s] = estimate_slope(
+                [(snr, pt.mean) for snr, pt in zip(config.snr_db, pts)], config.window_db
+            )
         except InsufficientPoints:
             slopes[s] = None
-    return SweepCurve(
-        config.schemes,
-        config.snr_db,
-        mean,
-        stderr,
-        slopes,
-        config.window_db,
-        closed_forms(config),
-        backoff,
-    )
+    return SweepCurve(config.snr_db, points, slopes, closed_forms(config))
 
 
 def estimate_slope(points, window_db) -> float:
@@ -398,11 +389,9 @@ def write_csv(curve: SweepCurve, path) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("snr_db,scheme,sum_rate_mean,sum_rate_stderr\n")
-        for s in curve.schemes:
-            for i, snr in enumerate(curve.snr_db):
-                f.write(
-                    f"{snr:.12g},{s},{curve.mean[s][i]:.12g},{curve.stderr[s][i]:.12g}\n"
-                )
+        for s, pts in curve.points.items():
+            for snr, pt in zip(curve.snr_db, pts):
+                f.write(f"{snr:.12g},{s},{pt.mean:.12g},{pt.stderr:.12g}\n")
 
 
 def summary_dict(config: SweepConfig, curve: SweepCurve) -> dict:
@@ -410,7 +399,7 @@ def summary_dict(config: SweepConfig, curve: SweepCurve) -> dict:
         "config": config_to_dict(config),
         "slopes": dict(curve.slopes),
         "gdof_closed_form": dict(curve.gdof),
-        "backoff_frac": {s: [float(v) for v in f] for s, f in curve.backoff_frac.items()},
+        "backoff_frac": {s: [pt.backoff_frac for pt in pts] for s, pts in curve.points.items()},
     }
 
 

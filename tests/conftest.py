@@ -26,4 +26,5 @@ BAD_CONFIG_VALUES = {
     "seed-bool": ("seed", True),
     "workers-fractional": ("workers", 1.5),
     "workers-bool": ("workers", True),
+    "schemes-duplicated": ("schemes", ["apzf", "apzf"]),
 }

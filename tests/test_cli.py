@@ -127,10 +127,11 @@ def test_sweep_rejects_malformed_window(config_path, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_unknown_scheme_override_is_config_error(config_path, capsys):
+@pytest.mark.parametrize("schemes", ["dirty_paper", "apzf,apzf"])
+def test_unknown_scheme_override_is_config_error(config_path, schemes, capsys):
     code = main([
         "simulate", "--config", config_path, "--snr-db", "50",
-        "--scheme", "dirty_paper",
+        "--scheme", schemes,
     ])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err

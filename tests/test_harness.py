@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -10,6 +11,7 @@ from apzf import (
     ConfigError,
     CsitQuality,
     InsufficientPoints,
+    PointStats,
     SweepConfig,
     SweepCurve,
     Topology,
@@ -23,7 +25,7 @@ from apzf import (
     plan_layout,
     sample_channel,
     sample_csit,
-    simulate_point,
+    simulate_snr,
     sweep,
     write_csv,
     write_summary,
@@ -90,27 +92,31 @@ def test_block_normals_cover_the_largest_draw_index():
         np.testing.assert_array_equal(z[i], _substream(5, 45.0, d).standard_normal(NORMALS_PER_DRAW))
 
 
-def test_simulate_point_reproducible_and_single_draw():
+def _apzf_point(cfg, snr_db):
+    """apzf's PointStats at one SNR point, simulated on its own."""
+    return simulate_snr(dataclasses.replace(cfg, schemes=("apzf",)), snr_db)["apzf"]
+
+
+def test_simulate_snr_reproducible_and_single_draw():
     cfg = _config(draws=1)
-    mean, stderr = simulate_point(cfg, "apzf", 50.0)
-    assert stderr == 0.0
-    again, _ = simulate_point(cfg, "apzf", 50.0)
-    assert again == mean
+    pt = _apzf_point(cfg, 50.0)
+    assert pt.stderr == 0.0
+    assert _apzf_point(cfg, 50.0) == pt
 
     # one draw must match a by-hand reconstruction of the same substream
     canon = canonicalize(cfg.topology, cfg.csit)
     layout = plan_layout(canon, "apzf")
     p = 10.0 ** (50.0 / 10.0)
     manual = _draw_sum(cfg, canon, layout, p, 50.0, 0)
-    assert mean == pytest.approx(manual, rel=1e-15)
+    assert pt.mean == pytest.approx(manual, rel=1e-15)
 
 
-def test_simulate_point_mean_prefix_consistent():
+def test_simulate_snr_mean_prefix_consistent():
     # Substreams are keyed by draw index, so a longer run reuses the
     # shorter run's draws exactly.
-    m5, _ = simulate_point(_config(draws=5), "apzf", 40.0)
+    m5 = _apzf_point(_config(draws=5), 40.0).mean
     cfg10 = _config(draws=10)
-    m10, _ = simulate_point(cfg10, "apzf", 40.0)
+    m10 = _apzf_point(cfg10, 40.0).mean
     # reconstruct the 10-draw mean from two disjoint halves
     canon = canonicalize(cfg10.topology, cfg10.csit)
     layout = plan_layout(canon, "apzf")
@@ -151,9 +157,26 @@ def test_block_size_does_not_change_results(monkeypatch, draws, block):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("scheme", ["apzf", "centralized_zf", "naive_zf", "no_csit"])
+def test_point_stats_do_not_depend_on_the_other_schemes(scheme):
+    # The asymmetric case-2 instance with a z1 layer: at 20 dB apzf and
+    # centralized_zf back off on many draws, so backoff_frac is compared too.
+    cfg = SweepConfig(
+        topology=Topology([[1.0, 0.6], [0.9, 0.5]]),
+        csit=CsitQuality([[[0.6, 0.4], [0.5, 0.3]], [[0.2, 0.1], [0.1, 0.0]]]),
+        schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"),
+        snr_db=(20.0, 40.0),
+        draws=300,
+        seed=23,
+    )
+    for snr in cfg.snr_db:
+        alone = simulate_snr(dataclasses.replace(cfg, schemes=(scheme,)), snr)
+        assert alone[scheme] == simulate_snr(cfg, snr)[scheme]
+
+
 def test_stderr_shrinks_like_sqrt_draws():
-    _, se_small = simulate_point(_config(draws=100), "apzf", 30.0)
-    _, se_big = simulate_point(_config(draws=10000), "apzf", 30.0)
+    se_small = _apzf_point(_config(draws=100), 30.0).stderr
+    se_big = _apzf_point(_config(draws=10000), 30.0).stderr
     assert 5.0 < se_small / se_big < 20.0
 
 
@@ -174,7 +197,7 @@ def test_no_csit_rate_tracks_log2p():
     # the ratio approaches 1 like O(1/log2 P): the min over the two
     # receivers costs a constant ~1.7 bits
     log2p = 100.0 * math.log2(10.0) / 10.0
-    assert curve.mean["no_csit"][-1] / log2p == pytest.approx(1.0, abs=0.08)
+    assert curve.points["no_csit"][-1].mean / log2p == pytest.approx(1.0, abs=0.08)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -190,8 +213,8 @@ def test_sweep_orders_schemes_above_20db():
     curve = sweep(cfg)
     for i, snr in enumerate(cfg.snr_db):
         if snr >= 20.0:
-            assert curve.mean["apzf"][i] > curve.mean["naive_zf"][i]
-            assert curve.mean["apzf"][i] > curve.mean["no_csit"][i]
+            assert curve.points["apzf"][i].mean > curve.points["naive_zf"][i].mean
+            assert curve.points["apzf"][i].mean > curve.points["no_csit"][i].mean
     assert curve.slopes["apzf"] > curve.slopes["naive_zf"] + 0.2
     for s in cfg.schemes:
         assert 0.8 < curve.slopes[s] < 1.9
@@ -202,7 +225,7 @@ def test_sweep_single_point_window_gives_none_slope():
     cfg = _config(snr_db=(50.0,), draws=3)
     curve = sweep(cfg)
     assert curve.slopes == {"apzf": None, "naive_zf": None}
-    assert curve.mean["apzf"].shape == (1,)
+    assert len(curve.points["apzf"]) == 1
 
 
 def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
@@ -210,9 +233,7 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
     serial = sweep(_config(draws=15, seed=11))
     parallel = sweep(_config(draws=15, seed=11, workers=2))
-    for s in serial.schemes:
-        np.testing.assert_array_equal(serial.mean[s], parallel.mean[s])
-        np.testing.assert_array_equal(serial.stderr[s], parallel.stderr[s])
+    assert serial.points == parallel.points
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(serial, f1)
     write_csv(parallel, f2)
@@ -236,7 +257,7 @@ def test_small_sweep_forks_no_workers(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
     curve = sweep(_config(draws=5, workers=2))
-    assert curve.mean["apzf"].shape == (3,)
+    assert len(curve.points["apzf"]) == 3
 
 
 def test_sweep_repeat_is_byte_identical(tmp_path):
@@ -287,18 +308,13 @@ def test_fit_exponent_power_law_and_constant():
 
 def test_write_csv_format(tmp_path):
     curve = SweepCurve(
-        schemes=("naive_zf", "apzf"),
         snr_db=(40.0, 50.0),
-        mean={
-            "naive_zf": np.array([1.234567890123456, 2.0]),
-            "apzf": np.array([3.5, 4.25]),
-        },
-        stderr={
-            "naive_zf": np.array([0.01, 0.02]),
-            "apzf": np.array([0.0, 0.125]),
+        points={
+            "naive_zf": [PointStats(1.234567890123456, 0.01, 0.0), PointStats(2.0, 0.02, 0.0)],
+            "apzf": [PointStats(3.5, 0.0, 0.0), PointStats(4.25, 0.125, 0.5)],
         },
         slopes={"naive_zf": None, "apzf": 1.7},
-        window_db=(40.0, 60.0),
+        gdof={},
     )
     path = tmp_path / "curve.csv"
     write_csv(curve, path)
