@@ -1,102 +1,17 @@
 """GDoF closed forms and achievability simulation for the 2-user MISO
 broadcast channel with distributed CSIT."""
 
-from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
-from .gdof import (
-    GdofValue,
-    SchemeLayout,
-    centralized_gdof,
-    distributed_gdof,
-    genie_outer_bound,
-    scheme_layout,
-)
-from .harness import (
-    ConfigError,
-    InsufficientPoints,
-    PointStats,
-    SweepConfig,
-    SweepCurve,
-    closed_forms,
-    estimate_slope,
-    fit_exponent,
-    load_config,
-    simulate_snr,
-    sweep,
-    write_csv,
-    write_summary,
-)
-from .precoders import apzf, centralized_zf, matched, multicast, naive_zf
-from .scheme import (
-    PowerInfeasible,
-    SchemeKind,
-    achievable_rates,
-    build_layers,
-    interference_power,
-    plan_layout,
-    tx_power,
-)
-from .topology import (
-    AlphaOutOfRange,
-    CanonicalForm,
-    CsitQuality,
-    EffectiveExponents,
-    GammaOutOfRange,
-    NoDominantTransmitter,
-    Topology,
-    ValidationError,
-    ValidationReport,
-    canonicalize,
-    effective_alphas,
-    validate,
-)
+from . import channel, gdof, harness, precoders, scheme, topology
+from .channel import *  # noqa: F403
+from .gdof import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .precoders import *  # noqa: F403
+from .scheme import *  # noqa: F403
+from .topology import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaOutOfRange",
-    "CanonicalForm",
-    "ConfigError",
-    "CsitQuality",
-    "EffectiveExponents",
-    "GammaOutOfRange",
-    "GdofValue",
-    "InsufficientPoints",
-    "NORMALS_PER_DRAW",
-    "NoDominantTransmitter",
-    "PointStats",
-    "PowerInfeasible",
-    "SchemeKind",
-    "SchemeLayout",
-    "SweepConfig",
-    "SweepCurve",
-    "Topology",
-    "ValidationError",
-    "ValidationReport",
-    "achievable_rates",
-    "apzf",
-    "build_layers",
-    "canonicalize",
-    "centralized_gdof",
-    "centralized_zf",
-    "closed_forms",
-    "distributed_gdof",
-    "effective_alphas",
-    "estimate_slope",
-    "fit_exponent",
-    "genie_outer_bound",
-    "interference_power",
-    "load_config",
-    "matched",
-    "multicast",
-    "naive_zf",
-    "plan_layout",
-    "sample_channel",
-    "sample_csit",
-    "scheme_layout",
-    "simulate_snr",
-    "sweep",
-    "tx_power",
-    "validate",
-    "write_csv",
-    "write_summary",
-]
+# Each submodule's __all__ is the one list of its public names.
+__all__ = sorted(
+    name for module in (channel, gdof, harness, precoders, scheme, topology) for name in module.__all__
+)

@@ -87,8 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
+    """A copy of ``config`` with the command-line overrides applied and validated."""
+    changes = {}
     if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+        changes["seed"] = args.seed
     if getattr(args, "scheme", None):
         chosen = tuple(s.strip() for s in args.scheme.split(","))
         extra = [s for s in chosen if s not in config.schemes]
@@ -97,16 +99,12 @@ def _apply_overrides(config, args):
                 f"--scheme {','.join(extra)} is not among the config's schemes "
                 f"({','.join(config.schemes)})"
             )
-        config.schemes = chosen
+        changes["schemes"] = chosen
     if getattr(args, "window", None):
-        try:
-            lo, hi = (float(v) for v in args.window.split(":"))
-        except ValueError as exc:
-            raise ConfigError(f"--window must be lo:hi, got {args.window!r}") from exc
-        config.window_db = (lo, hi)
+        changes["window_db"] = args.window.split(":")
     if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-    return config.__class__(**vars(config))  # re-run validation
+        changes["workers"] = args.workers
+    return dataclasses.replace(config, **changes)
 
 
 def _cmd_gdof(args) -> int:
@@ -142,10 +140,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    curve = sweep(config)
     out = Path(args.out)
-    write_csv(curve, out)
     summary_path = out.with_suffix(".json")
+    if out.resolve() == summary_path.resolve():
+        raise ConfigError(f"--out {out}: its .json summary would overwrite the CSV itself")
+    if Path(args.config).resolve() in (out.resolve(), summary_path.resolve()):
+        raise ConfigError(f"--out {out} would overwrite the config {args.config}")
+    curve = sweep(config)
+    write_csv(curve, out)
     write_summary(config, curve, summary_path)
     for s in config.schemes:
         slope = curve.slopes[s]

@@ -10,6 +10,7 @@ draws (common random numbers).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -36,13 +37,9 @@ __all__ = [
     "fit_exponent",
     "closed_forms",
     "write_csv",
-    "summary_dict",
     "write_summary",
     "load_config",
-    "config_to_dict",
 ]
-
-DEFAULT_WINDOW_DB = (40.0, 60.0)
 
 # Draws per block of the per-point kernel: large enough that numpy's
 # per-call overhead is spread thin, small enough that a block's arrays
@@ -102,7 +99,7 @@ class SweepConfig:
     snr_db: tuple
     draws: int
     seed: int
-    window_db: tuple = DEFAULT_WINDOW_DB
+    window_db: tuple = (40.0, 60.0)
     workers: int = 1
 
     def __post_init__(self):
@@ -133,10 +130,13 @@ class SweepConfig:
             raise ConfigError("draws must be <= 2**32")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        lo, hi = self.window_db
+        try:
+            lo, hi = (float(v) for v in self.window_db)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"window_db must be two numbers lo, hi; got {self.window_db!r}") from exc
         if not lo < hi:
             raise ConfigError("window_db must satisfy lo < hi")
-        self.window_db = (float(lo), float(hi))
+        self.window_db = (lo, hi)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -409,37 +409,39 @@ def write_summary(config: SweepConfig, curve: SweepCurve, path) -> None:
         f.write("\n")
 
 
+# The config file holds the topology and the CSIT quality as their
+# exponent matrices, Topology.gamma and CsitQuality.alpha; every other
+# key is a SweepConfig field's name.
+_MATRIX_KEYS = {"topology": "gamma", "csit": "alpha"}
+
+
+def _config_fields() -> dict:
+    """``{config key: SweepConfig field}``, in field order."""
+    return {_MATRIX_KEYS.get(f.name, f.name): f for f in dataclasses.fields(SweepConfig)}
+
+
 def config_to_dict(config: SweepConfig) -> dict:
-    return {
-        "gamma": config.topology.gamma.tolist(),
-        "alpha": config.csit.alpha.tolist(),
-        "schemes": list(config.schemes),
-        "snr_db": list(config.snr_db),
-        "draws": config.draws,
-        "seed": config.seed,
-        "window_db": list(config.window_db),
-        "workers": config.workers,
-    }
-
-
-_REQUIRED_KEYS = ("gamma", "alpha", "schemes", "snr_db", "draws", "seed")
+    out = {}
+    for key, f in _config_fields().items():
+        value = getattr(config, f.name)
+        if f.name in _MATRIX_KEYS:
+            value = getattr(value, key).tolist()
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def config_from_dict(raw: dict) -> SweepConfig:
-    missing = [k for k in _REQUIRED_KEYS if k not in raw]
+    fields = _config_fields()
+    missing = [k for k, f in fields.items() if k not in raw and f.default is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"config missing keys: {', '.join(missing)}")
+    unknown = [k for k in raw if k not in fields]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        return SweepConfig(
-            topology=Topology(raw["gamma"]),
-            csit=CsitQuality(raw["alpha"]),
-            schemes=tuple(raw["schemes"]),
-            snr_db=tuple(raw["snr_db"]),
-            draws=raw["draws"],
-            seed=raw["seed"],
-            window_db=tuple(raw.get("window_db", DEFAULT_WINDOW_DB)),
-            workers=raw.get("workers", 1),
-        )
+        kwargs = {fields[k].name: v for k, v in raw.items()}
+        kwargs.update(topology=Topology(raw["gamma"]), csit=CsitQuality(raw["alpha"]))
+        return SweepConfig(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

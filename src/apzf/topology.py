@@ -37,7 +37,6 @@ __all__ = [
     "validate",
     "canonicalize",
     "effective_alphas",
-    "dyadic_instance",
 ]
 
 

@@ -27,4 +27,5 @@ BAD_CONFIG_VALUES = {
     "workers-fractional": ("workers", 1.5),
     "workers-bool": ("workers", True),
     "schemes-duplicated": ("schemes", ["apzf", "apzf"]),
+    "unknown-key": ("window", [45.0, 55.0]),
 }

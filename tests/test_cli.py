@@ -1,5 +1,6 @@
 import contextlib
 import io
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -17,6 +18,7 @@ from apzf.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
+    _apply_overrides,
     main,
 )
 from apzf.scheme import PowerInfeasible
@@ -118,13 +120,37 @@ def test_sweep_window_and_scheme_overrides(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_rejects_malformed_window(config_path, tmp_path, capsys):
+@pytest.mark.parametrize("window", ["45-60", "40:50:60"])
+def test_sweep_rejects_malformed_window(config_path, tmp_path, window, capsys):
     code = main([
         "sweep", "--config", config_path, "--out", str(tmp_path / "x.csv"),
-        "--window", "45-60",
+        "--window", window,
     ])
     assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+# x.json: the summary would overwrite the CSV; config.csv: the summary
+# would overwrite the config; config.json: the CSV would.
+@pytest.mark.parametrize("out", ["x.json", "config.csv", "config.json"])
+def test_sweep_out_that_overwrites_an_input_or_itself_is_config_error(config_path, tmp_path, out, capsys):
+    before = Path(config_path).read_bytes()
+    assert main(["sweep", "--config", config_path, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert Path(config_path).read_bytes() == before
+
+
+def test_overrides_return_a_new_config_and_leave_the_loaded_one_unchanged(config_path):
+    config = harness.load_config(config_path)
+    before = harness.config_to_dict(config)
+    args = argparse.Namespace(seed=8, scheme="apzf", window="45:60", workers=2)
+    changed = harness.config_to_dict(_apply_overrides(config, args))
+    assert harness.config_to_dict(config) == before
+    assert changed == dict(before, seed=8, schemes=["apzf"], window_db=[45.0, 60.0], workers=2)
 
 
 @pytest.mark.parametrize("schemes", ["dirty_paper", "apzf,apzf"])

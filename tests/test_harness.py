@@ -420,6 +420,14 @@ def test_config_boundary_rejections(case):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "window", [(40.0, 50.0, 60.0), (45.0,), 50.0, ("lo", "hi")], ids=["three", "one", "scalar", "words"]
+)
+def test_sweep_config_rejects_a_window_that_is_not_two_numbers(window):
+    with pytest.raises(ConfigError, match="window_db must be two numbers"):
+        _config(window_db=window)
+
+
 def test_config_accepts_integral_floats():
     raw = config_to_dict(_config())
     raw.update(draws=20.0, seed=7.0, workers=2.0)
