@@ -191,25 +191,11 @@ def _case_layout(g: np.ndarray, ap1: float, ap2: float) -> SchemeLayout:
     return SchemeLayout(case_id, False, rho, power, rate)
 
 
-def scheme_layout(canonical: CanonicalForm, alpha_prime=None) -> SchemeLayout:
+def scheme_layout(canonical: CanonicalForm) -> SchemeLayout:
     """Layer split achieving the distributed closed form on a canonical instance.
 
-    ``alpha_prime`` overrides the effective quality exponents; this is the
-    knob baseline schemes use when they can only exploit the worst
-    transmitter's estimates.  An override must hold two entries with
-    ``0 <= alpha_prime[i] <= min(gamma[i])``, else ``ValueError``.  The
-    total of the rate exponents equals the corresponding GDoF value.
+    The total of the rate exponents equals the corresponding GDoF value.
     """
-    if alpha_prime is None:
-        eff = effective_alphas(canonical.topology, canonical.csit)
-        alpha_prime = eff.alpha_prime
-    else:
-        alpha_prime = [float(a) for a in alpha_prime]
-        bounds = [min(row) for row in canonical.topology.gamma.tolist()]
-        # A NaN entry fails the comparison.
-        if len(alpha_prime) != 2 or not all(0.0 <= a <= b for a, b in zip(alpha_prime, bounds)):
-            raise ValueError(
-                f"alpha_prime must be 2 entries in [0, min(gamma[i])], got {alpha_prime}"
-            )
-    ap1, ap2 = float(alpha_prime[0]), float(alpha_prime[1])
+    eff = effective_alphas(canonical.topology, canonical.csit)
+    ap1, ap2 = eff.alpha_prime.tolist()
     return _case_layout(canonical.topology.gamma, ap1, ap2)

@@ -269,8 +269,9 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
 
     Draw d at this point always uses the substream (seed, snr, d),
     whichever draws and schemes run with it.  Draws are evaluated in
-    blocks of at most ``_BLOCK_DRAWS``, which bounds the memory a point
-    needs.  Returns ``{scheme: PointStats}``.
+    blocks of at most ``_BLOCK_DRAWS``, which bounds the memory of the
+    channel and layer arrays; the per-draw sums take 8 bytes per draw
+    per scheme.  Returns ``{scheme: PointStats}``.
     """
     p = _snr_power(snr_db)
     key = _snr_key(snr_db)
@@ -453,8 +454,9 @@ def load_config(path) -> SweepConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an integer past Python's digit limit.
+        raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return config_from_dict(raw)

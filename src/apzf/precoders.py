@@ -33,7 +33,6 @@ import math
 
 import numpy as np
 
-from .gdof import SchemeLayout
 from .topology import Topology
 
 __all__ = [
@@ -95,33 +94,21 @@ def apzf(
     return t
 
 
-def multicast(p: float, layout: SchemeLayout) -> np.ndarray:
-    """Common layer soaking up the power the lower layers leave over.
+def multicast(power: float) -> np.ndarray:
+    """Common layer of total ``power``, split evenly across the two TXs.
 
-    Each transmitter dedicates one power slot per transmitted band, so
-    the residual is P minus P**power_exp once per band actually carrying
-    rate (the private pair counts once, the z-layer once).  The layer is
-    the same on every draw, so it is one (2,) vector.
+    The layer is the same on every draw, so it is one (2,) vector.
     """
-    residual = p
-    if layout.rate_exp.get("s1", 0.0) > 0.0:
-        residual -= p ** layout.power_exp["s1"]
-    if layout.rate_exp.get("z1", 0.0) > 0.0:
-        residual -= p ** layout.power_exp["z1"]
-    residual = max(residual, 0.0)
-    return np.full(2, math.sqrt(residual / 2.0), dtype=complex)
+    return np.full(2, math.sqrt(power / 2.0), dtype=complex)
 
 
-def matched(estimate_active: np.ndarray, p: float, layout: SchemeLayout) -> np.ndarray:
+def matched(estimate_active: np.ndarray, tau: float, p: float) -> np.ndarray:
     """Matched-filter layer (draws, 2) for RX 1 riding below the interference floor.
 
-    Beamforms along the active TX's estimate of RX 1's row at the
-    z-layer power; degenerates to zero vectors when the layout carries
-    no z rate.
+    Beamforms along the active TX's estimate of RX 1's row, with norm
+    sqrt(P**tau).
     """
-    if layout.rate_exp.get("z1", 0.0) <= 0.0:
-        return np.zeros((len(estimate_active), 2), dtype=complex)
-    return _scaled(np.conj(estimate_active[:, 0, :]), layout.power_exp["z1"], p)
+    return _scaled(np.conj(estimate_active[:, 0, :]), tau, p)
 
 
 def _regularized_zf(estimate: np.ndarray, target_rx: int, p: float) -> np.ndarray:

@@ -24,14 +24,14 @@ Scheme kinds differ only in how the private vectors are produced:
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from enum import Enum
 
 import numpy as np
 
 from .gdof import SchemeLayout, scheme_layout
 from .precoders import apzf, centralized_zf, matched, multicast, naive_zf
-from .topology import CanonicalForm
+from .topology import CanonicalForm, CsitQuality
 
 __all__ = [
     "SchemeKind",
@@ -62,19 +62,18 @@ def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
 
     AP-ZF and the centralized baseline use the effective (best-TX)
     exponents.  The naive baseline only delivers the cancellation quality
-    of the worse transmitter, so its layout is evaluated at the
+    of the worse transmitter, so its layout is that of both TXs holding the
     entrywise-minimum alphas; transmitting the optimistic layout instead
     would drown the common layer in residual interference.
     """
     kind = SchemeKind(scheme_kind)
     if kind is SchemeKind.NAIVE_ZF:
         worst = canonical.csit.alpha.min(axis=0)
-        return scheme_layout(canonical, alpha_prime=worst.min(axis=1))
+        canonical = dataclasses.replace(canonical, csit=CsitQuality(np.stack([worst, worst])))
     return scheme_layout(canonical)
 
 
-def _private_pair(canonical, h_hat, layout, kind, p):
-    tau = layout.power_exp["s1"]
+def _private_pair(canonical, h_hat, tau, kind, p):
     act = canonical.active_tx
     if kind is SchemeKind.APZF:
         return [apzf(h_hat[:, act], rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)]
@@ -129,26 +128,31 @@ def build_layers(
 ) -> tuple[dict, np.ndarray]:
     """Instantiate ``layout`` on every draw of the estimates ``h_hat`` (draws, 2, 2, 2).
 
-    Layers whose rate exponent is zero are not transmitted.  Per-TX power
-    never exceeds P: a back-off scales the adaptive layers of the draws
-    that overshoot.  Returns the layers and the (draws,) back-off mask.
+    Each band that carries rate (``s1``, then ``z1``; none for ``no_csit``)
+    takes P**power_exp of the power, and ``s0`` is sent whenever power is
+    left, even at rate exponent 0; only ``apzf`` sends ``z1``.  Per-TX
+    power never exceeds P: a back-off scales the adaptive layers of the
+    draws that overshoot.  Returns the layers and the (draws,) back-off mask.
     """
     kind = SchemeKind(scheme_kind)
-    draws = len(h_hat)
-    if kind is SchemeKind.NO_CSIT:
-        layers = {"s0": np.full(2, math.sqrt(p / 2.0), dtype=complex)}
-        return layers, np.zeros(draws, dtype=bool)
+    tau = layout.power_exp
+    # The ZF baselines never send z1 but still leave its slot free: giving
+    # that power to s0 would change their sweep numbers wherever z1 has rate.
+    carried = () if kind is SchemeKind.NO_CSIT else ("s1", "z1")
+    bands = [tag for tag in carried if layout.rate_exp.get(tag, 0.0) > 0.0]
+    residual = p
+    for tag in bands:
+        residual -= p ** tau[tag]
 
     layers = {}
-    bc = multicast(p, layout)
-    if np.sum(np.abs(bc) ** 2) > 0.0:
-        layers["s0"] = bc
-    if layout.rate_exp.get("s1", 0.0) > 0.0:
-        layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, layout, kind, p)
-    if kind is SchemeKind.APZF and layout.rate_exp.get("z1", 0.0) > 0.0:
-        layers["z1"] = matched(h_hat[:, canonical.active_tx], p, layout)
+    if residual > 0.0:
+        layers["s0"] = multicast(residual)
+    if "s1" in bands:
+        layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, tau["s1"], kind, p)
+    if kind is SchemeKind.APZF and "z1" in bands:
+        layers["z1"] = matched(h_hat[:, canonical.active_tx], tau["z1"], p)
 
-    backed_off = _cap_to_budget(layers, p, draws)
+    backed_off = _cap_to_budget(layers, p, len(h_hat))
     if np.any(tx_power(layers) > p * (1.0 + _POWER_TOL)):
         raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
     return layers, backed_off

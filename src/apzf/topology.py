@@ -245,10 +245,10 @@ def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponent
 
     It does not check its input.  ``distributed_gdof`` and
     ``genie_outer_bound`` validate before they call it, and
-    ``scheme_layout`` calls it on a form that ``canonicalize`` built only
-    after validating.  It runs up to three times per closed-form
-    evaluation, so a ``validate`` here would add its cost to every
-    instance of a GDoF map.
+    ``scheme_layout`` calls it on validated alphas or, for the naive
+    baseline, their entrywise minimum.  It runs up to three times per
+    closed-form evaluation, so a ``validate`` here would add its cost to
+    every instance of a GDoF map.
     """
     a = csit.alpha
     alpha_rx = np.minimum(a[:, :, 0], a[:, :, 1])

@@ -192,9 +192,14 @@ def test_simulate_bad_snr_exits_with_config_error(config_path, snr, capsys):
     assert "config error" in captured.err and captured.out == ""
 
 
-def test_malformed_json_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content",
+    [b"{oops", b'\xff\xfe{"gamma": 1}', b"[" * 100_000 + b"]" * 100_000, b"1" * 5000],
+    ids=["malformed", "not-utf8", "deeply-nested", "integer-past-digit-limit"],
+)
+def test_malformed_json_is_config_error(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops", encoding="utf-8")
+    bad.write_bytes(content)
     assert main(["gdof", "--config", str(bad)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
@@ -334,4 +339,18 @@ def test_fuzzed_sweep_config_exits_cleanly(raw):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(content=st.binary(max_size=64))
+def test_arbitrary_config_bytes_exit_cleanly(content):
+    # A full config needs more than 64 bytes, so each of these exits 2 or 3.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["gdof", "--config", str(path)])
+    assert code in (EXIT_CONFIG, EXIT_DOMAIN), err.getvalue()
     assert "Traceback" not in err.getvalue()

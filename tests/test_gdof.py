@@ -10,7 +10,6 @@ from apzf import (
     canonicalize,
     centralized_gdof,
     distributed_gdof,
-    effective_alphas,
     genie_outer_bound,
     scheme_layout,
 )
@@ -193,29 +192,15 @@ def test_layout_case1_example():
 
 def test_layout_case2_example():
     topo = Topology(np.array([[1.0, 0.8], [0.9, 0.6]]))
-    canon = canonicalize(topo, CsitQuality.uniform(0.0, 0.0))
-    layout = scheme_layout(canon, alpha_prime=(0.5, 0.4))
+    # Row minima (0.5, 0.4), so alpha' = (0.5, 0.4).
+    a1 = np.array([[0.5, 0.6], [0.4, 0.5]])
+    layout = scheme_layout(canonicalize(topo, CsitQuality(np.stack([a1, np.zeros((2, 2))]))))
     assert layout.case_id == "case2"
     assert layout.rho == pytest.approx(0.4)
     assert layout.rate_exp == pytest.approx({"s0": 0.5, "s1": 0.4, "s2": 0.4, "z1": 0.1})
     assert layout.power_exp["s1"] == pytest.approx(0.4 + 1.0 - 0.9 + min(0.2, 0.3))
     assert layout.power_exp["z1"] == pytest.approx(0.1)
     assert layout.rate_total() == pytest.approx(1.4)
-
-
-def test_layout_override_mirrors_effective_exponents():
-    topo, csit = reference_instance()
-    canon = canonicalize(topo, csit)
-    eff = effective_alphas(canon.topology, canon.csit)
-    assert scheme_layout(canon, alpha_prime=eff.alpha_prime) == scheme_layout(canon)
-
-
-# Three entries; NaN; above min(gamma[0]) = 0.8 on the reference instance.
-@pytest.mark.parametrize("alpha_prime", [(5.0, -3.0, 9.0), (float("nan"), 0.2), (0.9, 0.0)])
-def test_layout_rejects_a_bad_override(alpha_prime):
-    canon = canonicalize(*reference_instance())
-    with pytest.raises(ValueError, match="alpha_prime"):
-        scheme_layout(canon, alpha_prime=alpha_prime)
 
 
 def test_layout_case_discriminator_and_tie():

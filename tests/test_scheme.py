@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,13 @@ from conftest import reference_instance
 def _canon_reference():
     topo, csit = reference_instance()
     return canonicalize(topo, csit)
+
+
+def _canon_four_band():
+    """Case-1 instance whose apzf layout carries s0, s1/s2 and z1."""
+    topo = Topology(np.array([[1.0, 0.7], [0.5, 0.9]]))
+    a1 = np.array([[0.4, 0.4], [0.3, 0.3]])
+    return canonicalize(topo, CsitQuality(np.stack([a1, np.zeros((2, 2))])))
 
 
 def _draw(canon, p, rng, draws=1):
@@ -64,6 +72,23 @@ def test_plan_layout_naive_uses_worst_quality():
     assert naive.rate_total() == pytest.approx(1.2)
 
 
+@pytest.mark.parametrize("dominant", [0, 1])
+def test_naive_layout_is_the_weaker_tx_layout(dominant):
+    # The z1 sweep instance, whose weaker TX is not blind.
+    topo = Topology(np.array([[1.0, 0.6], [0.9, 0.5]]))
+    a1 = np.array([[0.6, 0.4], [0.5, 0.3]])
+    a2 = np.array([[0.2, 0.1], [0.1, 0.0]])
+    pair = (a1, a2) if dominant == 0 else (a2, a1)
+    canon = canonicalize(topo, CsitQuality(np.stack(pair)))
+    naive = plan_layout(canon, "naive_zf")
+    assert naive == scheme_layout(canonicalize(topo, CsitQuality([a2, a2])))
+    assert naive.case_id == "case2" and naive.rho == 0.0
+    assert naive.rate_exp["z1"] == pytest.approx(0.1)
+    # s1 carries no rate and z1 is apzf's alone, so only s0 is sent.
+    _, h_hat = _draw(canon, 1e4, np.random.default_rng(12), draws=5)
+    assert list(build_layers(canon, h_hat, naive, "naive_zf", 1e4)[0]) == ["s0"]
+
+
 def test_build_plan_reference_has_three_layers():
     canon = _canon_reference()
     rng = np.random.default_rng(0)
@@ -79,9 +104,7 @@ def test_build_plan_reference_has_three_layers():
 
 
 def test_build_plan_four_layer_case():
-    topo = Topology(np.array([[1.0, 0.7], [0.5, 0.9]]))
-    a1 = np.array([[0.4, 0.4], [0.3, 0.3]])
-    canon = canonicalize(topo, CsitQuality(np.stack([a1, np.zeros((2, 2))])))
+    canon = _canon_four_band()
     layout = plan_layout(canon, "apzf")
     assert layout.power_exp["s1"] == pytest.approx(0.7)
     rng = np.random.default_rng(1)
@@ -98,6 +121,45 @@ def test_build_plan_no_csit_single_full_power_layer():
     _, layers = _draw_layers(canon, "no_csit", 1e6, rng)
     assert list(layers) == ["s0"]
     assert np.sum(np.abs(layers["s0"]) ** 2) == pytest.approx(1e6)
+
+
+_P4 = 1e6 - 1e6**0.7 - 1e6**0.1  # s0's power when s1 and z1 both carry rate
+
+
+@pytest.mark.parametrize(
+    "kind, zero_rates, p, tags, s0_power",
+    [
+        ("apzf", (), 1e6, ["s0", "s1", "s2", "z1"], _P4),
+        # The baselines leave z1's power slot free but never send z1.
+        ("centralized_zf", (), 1e6, ["s0", "s1", "s2"], _P4),
+        ("apzf", ("s0",), 1e6, ["s0", "s1", "s2", "z1"], _P4),
+        ("apzf", ("z1",), 1e6, ["s0", "s1", "s2"], 1e6 - 1e6**0.7),
+        ("apzf", ("s1", "s2", "z1"), 1e6, ["s0"], 1e6),
+        ("no_csit", (), 1e6, ["s0"], 1e6),
+        # 1.5 - 1.5**0.7 - 1.5**0.1 < 0: no power is left for s0.
+        ("apzf", (), 1.5, ["s1", "s2", "z1"], None),
+    ],
+    ids=[
+        "four-band",
+        "centralized-zf",
+        "s0-rate-zero",
+        "z1-rate-zero",
+        "s1-and-z1-rate-zero",
+        "no-csit",
+        "negative-residual",
+    ],
+)
+def test_build_layers_tags_and_common_power(kind, zero_rates, p, tags, s0_power):
+    canon = _canon_four_band()
+    layout = plan_layout(canon, "apzf")
+    layout = dataclasses.replace(
+        layout, rate_exp={**layout.rate_exp, **dict.fromkeys(zero_rates, 0.0)}
+    )
+    _, h_hat = _draw(canon, p, np.random.default_rng(11), draws=20)
+    layers, _ = build_layers(canon, h_hat, layout, kind, p)
+    assert list(layers) == tags
+    if s0_power is not None:
+        assert np.sum(np.abs(layers["s0"]) ** 2) == pytest.approx(s0_power, rel=1e-12)
 
 
 def test_achievable_rates_zero_channel():
@@ -167,7 +229,7 @@ def test_backoff_scales_private_pairs_uniformly():
     capped = beta.real[:, 0] < 1.0 - 1e-9
     assert capped.sum() > 0
     np.testing.assert_array_equal(capped, backed_off)
-    np.testing.assert_array_equal(layers["s0"], multicast(p, layout))
+    np.testing.assert_array_equal(layers["s0"], multicast(p - p**tau))
 
 
 def test_decode_order_monotonicity():
