@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .gdof import distributed_gdof, genie_outer_bound, scheme_layout
+from .gdof import centralized_gdof, distributed_gdof, genie_outer_bound, scheme_layout
 from .harness import (
     ConfigError,
-    closed_forms,
     load_config,
     simulate_snr,
     sweep,
@@ -109,16 +108,15 @@ def _apply_overrides(config, args):
 
 def _cmd_gdof(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    forms = closed_forms(config)
     dist = distributed_gdof(config.topology, config.csit)
     genie = genie_outer_bound(config.topology, config.csit)
-    canon = canonicalize(config.topology, config.csit)
-    layout = scheme_layout(canon)
-    print(f"distributed GDoF : {forms['distributed']:g}  "
+    no_csit = centralized_gdof(config.topology, np.zeros((2, 2)))
+    layout = scheme_layout(canonicalize(config.topology, config.csit))
+    print(f"distributed GDoF : {dist.value:g}  "
           f"(branch {dist.branch}: d1={dist.d1:g}, d2={dist.d2:g})")
-    print(f"centralized GDoF : {forms['centralized']:g}  "
+    print(f"centralized GDoF : {genie.value:g}  "
           f"(branch {genie.branch}: d1={genie.d1:g}, d2={genie.d2:g})")
-    print(f"no-CSIT GDoF     : {forms['no_csit']:g}")
+    print(f"no-CSIT GDoF     : {no_csit.value:g}")
     print(f"layout           : {layout.case_id}"
           + (" (parallel)" if layout.parallel else "")
           + f", rho = {layout.rho:g}")

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import numbers
+import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -87,7 +88,7 @@ def _integer(name: str, value) -> int:
         isinstance(value, float) and value.is_integer()
     )
     if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
@@ -103,10 +104,10 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        try:
-            self.schemes = tuple(str(SchemeKind(s).value) for s in self.schemes)
-        except ValueError as exc:
-            raise ConfigError(f"unknown scheme: {exc}") from exc
+        unknown = [s for s in self.schemes if s not in [k.value for k in SchemeKind]]
+        if unknown:
+            raise ConfigError(f"unknown scheme: {reprlib.repr(unknown[0])}")
+        self.schemes = tuple(str(SchemeKind(s).value) for s in self.schemes)
         self.snr_db = tuple(float(s) for s in self.snr_db)
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
@@ -133,7 +134,7 @@ class SweepConfig:
         try:
             lo, hi = (float(v) for v in self.window_db)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"window_db must be two numbers lo, hi; got {self.window_db!r}") from exc
+            raise ConfigError(f"window_db must be two numbers lo, hi; got {reprlib.repr(self.window_db)}") from exc
         if not lo < hi:
             raise ConfigError("window_db must satisfy lo < hi")
         self.window_db = (lo, hi)
@@ -299,7 +300,7 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
 
 def _point_task(args):
     config, snr = args
-    return snr, simulate_snr(config, snr)
+    return simulate_snr(config, snr)
 
 
 def _pool_size(config: SweepConfig) -> int:
@@ -338,8 +339,8 @@ def sweep(config: SweepConfig) -> SweepCurve:
     else:
         results = [_point_task(t) for t in tasks]
 
-    table = dict(results)
-    points = {s: [table[snr][s] for snr in config.snr_db] for s in config.schemes}
+    # pool.map keeps task order, so results[i] is the point at snr_db[i].
+    points = {s: [stats[s] for stats in results] for s in config.schemes}
     slopes = {}
     for s, pts in points.items():
         try:

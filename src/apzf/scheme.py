@@ -10,7 +10,8 @@ treating everything else as noise, each then strips it and decodes its
 private layer; RX 1 finally strips its private layer and decodes the z
 layer with only the other private layer left as noise.
 
-Scheme kinds differ only in how the private vectors are produced:
+Scheme kinds differ in how the private vectors are produced, and only
+``apzf`` sends ``z1``; a band takes power only if it is sent:
 
 * ``apzf``             active-passive ZF from the active TX's estimate,
 * ``centralized_zf``   regularized ZF from the active TX's estimate used
@@ -30,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .gdof import SchemeLayout, scheme_layout
-from .precoders import apzf, centralized_zf, matched, multicast, naive_zf
+from .precoders import _abs2, apzf, centralized_zf, matched, multicast, naive_zf
 from .topology import CanonicalForm, CsitQuality
 
 __all__ = [
@@ -92,15 +93,12 @@ def _cap_to_budget(layers: dict, p: float, draws: int) -> np.ndarray:
     cancellation directions and their relative power split.  Returns the
     (draws,) mask of the draws it scaled.
     """
-    adaptive = [tag for tag in layers if tag != "s0"]
+    common = {tag: t for tag, t in layers.items() if tag == "s0"}
+    adaptive = {tag: t for tag, t in layers.items() if tag != "s0"}
     if not adaptive:
         return np.zeros(draws, dtype=bool)
-    budget = np.full(2, p)
-    if "s0" in layers:
-        budget -= np.abs(layers["s0"]) ** 2
-    totals = np.zeros((draws, 2))
-    for tag in adaptive:
-        totals += np.abs(layers[tag]) ** 2
+    budget = p - tx_power(common)
+    totals = tx_power(adaptive)
     over = totals > budget
     backed_off = over.any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,11 +110,8 @@ def _cap_to_budget(layers: dict, p: float, draws: int) -> np.ndarray:
 
 
 def tx_power(layers: dict) -> np.ndarray:
-    """Per-transmitter power summed over the layers, (draws, 2)."""
-    total = 0.0
-    for t in layers.values():
-        total = total + np.abs(t) ** 2
-    return total
+    """Per-transmitter power summed over the layers, (draws, 2); 0 for no layers."""
+    return sum(_abs2(t) for t in layers.values())
 
 
 def build_layers(
@@ -128,18 +123,17 @@ def build_layers(
 ) -> tuple[dict, np.ndarray]:
     """Instantiate ``layout`` on every draw of the estimates ``h_hat`` (draws, 2, 2, 2).
 
-    Each band that carries rate (``s1``, then ``z1``; none for ``no_csit``)
-    takes P**power_exp of the power, and ``s0`` is sent whenever power is
-    left, even at rate exponent 0; only ``apzf`` sends ``z1``.  Per-TX
+    A band is sent, and takes P**power_exp of the power, only if the
+    scheme sends it and it carries rate: ``apzf`` sends ``s1`` and ``z1``,
+    the ZF baselines ``s1`` alone, ``no_csit`` neither.  ``s0`` takes the
+    power that is left whenever some is, even at rate exponent 0.  Per-TX
     power never exceeds P: a back-off scales the adaptive layers of the
     draws that overshoot.  Returns the layers and the (draws,) back-off mask.
     """
     kind = SchemeKind(scheme_kind)
     tau = layout.power_exp
-    # The ZF baselines never send z1 but still leave its slot free: giving
-    # that power to s0 would change their sweep numbers wherever z1 has rate.
-    carried = () if kind is SchemeKind.NO_CSIT else ("s1", "z1")
-    bands = [tag for tag in carried if layout.rate_exp.get(tag, 0.0) > 0.0]
+    sent = {SchemeKind.APZF: ("s1", "z1"), SchemeKind.NO_CSIT: ()}.get(kind, ("s1",))
+    bands = [tag for tag in sent if layout.rate_exp.get(tag, 0.0) > 0.0]
     residual = p
     for tag in bands:
         residual -= p ** tau[tag]
@@ -149,7 +143,7 @@ def build_layers(
         layers["s0"] = multicast(residual)
     if "s1" in bands:
         layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, tau["s1"], kind, p)
-    if kind is SchemeKind.APZF and "z1" in bands:
+    if "z1" in bands:
         layers["z1"] = matched(h_hat[:, canonical.active_tx], tau["z1"], p)
 
     backed_off = _cap_to_budget(layers, p, len(h_hat))
@@ -159,7 +153,7 @@ def build_layers(
 
 
 def _received(h: np.ndarray, layers: dict) -> dict:
-    return {tag: np.abs((h @ t[..., None])[..., 0]) ** 2 for tag, t in layers.items()}
+    return {tag: _abs2((h @ t[..., None])[..., 0]) for tag, t in layers.items()}
 
 
 def achievable_rates(h: np.ndarray, layers: dict) -> tuple:

@@ -177,12 +177,31 @@ def test_scheme_override_outside_config_is_config_error(config_path, tmp_path, c
 @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
 def test_bad_config_value_exits_with_config_error(config_path, tmp_path, case, capsys):
     key, value = BAD_CONFIG_VALUES[case]
-    raw = json.loads(open(config_path, encoding="utf-8").read())
+    raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
     raw[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def _nested(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("value", [_nested(900), "7" * 100_000], ids=["nested-900", "long-string"])
+@pytest.mark.parametrize("key", ["schemes", "draws", "seed", "workers", "window_db"])
+def test_config_error_echoes_a_bounded_value(config_path, tmp_path, key, value, capsys):
+    raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    raw[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["gdof", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("snr", ["nan", "inf", "4000"])

@@ -54,12 +54,12 @@ GOLDEN_CSV = {
         '20,apzf,5.80515004765,0.118443457645\n'
         '40,apzf,13.2468452373,0.15076455243\n'
         '60,apzf,21.7952750166,0.157634658476\n'
-        '20,centralized_zf,6.08723375853,0.11880490373\n'
-        '40,centralized_zf,13.7705939488,0.163196883643\n'
-        '60,centralized_zf,22.3009139969,0.171036338067\n'
-        '20,naive_zf,3.97706556753,0.107372321965\n'
-        '40,naive_zf,9.84464027022,0.129329284395\n'
-        '60,naive_zf,15.7480120064,0.133313158113\n'
+        '20,centralized_zf,6.10622299974,0.118822315429\n'
+        '40,centralized_zf,13.7709953435,0.163197952568\n'
+        '60,centralized_zf,22.300920078,0.17103634094\n'
+        '20,naive_zf,3.99749848223,0.107577757895\n'
+        '40,naive_zf,9.84500151618,0.129329445408\n'
+        '60,naive_zf,15.7480177495,0.13331315818\n'
         '20,no_csit,3.99749848223,0.107577757895\n'
         '40,no_csit,9.84500151618,0.129329445408\n'
         '60,no_csit,15.7480177495,0.13331315818\n'
@@ -77,7 +77,7 @@ GOLDEN_BACKOFF = {
     },
     "z1_case2": {
         "apzf": [200, 0, 0],
-        "centralized_zf": [36, 0, 0],
+        "centralized_zf": [42, 0, 0],
         "naive_zf": [0, 0, 0],
         "no_csit": [0, 0, 0],
     },

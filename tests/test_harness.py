@@ -157,11 +157,9 @@ def test_block_size_does_not_change_results(monkeypatch, draws, block):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("scheme", ["apzf", "centralized_zf", "naive_zf", "no_csit"])
-def test_point_stats_do_not_depend_on_the_other_schemes(scheme):
-    # The asymmetric case-2 instance with a z1 layer: at 20 dB apzf and
-    # centralized_zf back off on many draws, so backoff_frac is compared too.
-    cfg = SweepConfig(
+def _z1_case2_config():
+    """The asymmetric case-2 instance whose apzf layout carries a z1 layer."""
+    return SweepConfig(
         topology=Topology([[1.0, 0.6], [0.9, 0.5]]),
         csit=CsitQuality([[[0.6, 0.4], [0.5, 0.3]], [[0.2, 0.1], [0.1, 0.0]]]),
         schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"),
@@ -169,9 +167,35 @@ def test_point_stats_do_not_depend_on_the_other_schemes(scheme):
         draws=300,
         seed=23,
     )
+
+
+@pytest.mark.parametrize("scheme", ["apzf", "centralized_zf", "naive_zf", "no_csit"])
+def test_point_stats_do_not_depend_on_the_other_schemes(scheme):
+    # At 20 dB apzf and centralized_zf back off on many draws, so
+    # backoff_frac is compared too.
+    cfg = _z1_case2_config()
     for snr in cfg.snr_db:
         alone = simulate_snr(dataclasses.replace(cfg, schemes=(scheme,)), snr)
         assert alone[scheme] == simulate_snr(cfg, snr)[scheme]
+
+
+def test_naive_zf_sends_what_no_csit_sends_when_its_s1_carries_no_rate():
+    # The naive layout holds the weaker TX's alphas, so its s1 carries no
+    # rate here; z1 is apzf's alone, so naive_zf's s0 takes all of P.
+    cfg = _z1_case2_config()
+    canon = canonicalize(cfg.topology, cfg.csit)
+    assert plan_layout(canon, "naive_zf").rate_exp["s1"] == 0.0
+    assert plan_layout(canon, "naive_zf").rate_exp["z1"] > 0.0
+    for snr in cfg.snr_db:
+        out = simulate_snr(cfg, snr)
+        assert out["naive_zf"] == out["no_csit"]
+        p = 10.0 ** (snr / 10.0)
+        z = _block_normals(cfg.seed, _snr_key(snr), range(cfg.draws))
+        h_hat = sample_csit(sample_channel(canon.topology, p, z), canon.topology, canon.csit, p, z)
+        naive, _ = build_layers(canon, h_hat, plan_layout(canon, "naive_zf"), "naive_zf", p)
+        blind, _ = build_layers(canon, h_hat, plan_layout(canon, "no_csit"), "no_csit", p)
+        assert list(naive) == list(blind) == ["s0"]
+        np.testing.assert_array_equal(naive["s0"], blind["s0"])
 
 
 def test_stderr_shrinks_like_sqrt_draws():

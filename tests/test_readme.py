@@ -1,4 +1,4 @@
-"""The README's ``python`` code blocks run as written.
+"""The README's ``python`` code blocks run as written, and its CLI output is real.
 
 The blocks run in file order in one namespace, as a reader pasting them
 into one session would, so a later block may use names an earlier one
@@ -8,7 +8,10 @@ defined.
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from apzf.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_python_blocks_run():
@@ -17,3 +20,11 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_gdof_output_is_what_the_command_prints(capsys, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    shown = re.search(r"^`gdof` prints .*?:\n\n```\n(.*?)^```$", text, re.M | re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    assert main(["gdof", "--config", "configs/parallel.json"]) == 0
+    assert capsys.readouterr().out == shown

@@ -130,8 +130,8 @@ _P4 = 1e6 - 1e6**0.7 - 1e6**0.1  # s0's power when s1 and z1 both carry rate
     "kind, zero_rates, p, tags, s0_power",
     [
         ("apzf", (), 1e6, ["s0", "s1", "s2", "z1"], _P4),
-        # The baselines leave z1's power slot free but never send z1.
-        ("centralized_zf", (), 1e6, ["s0", "s1", "s2"], _P4),
+        # The baselines never send z1, so it takes none of their power.
+        ("centralized_zf", (), 1e6, ["s0", "s1", "s2"], 1e6 - 1e6**0.7),
         ("apzf", ("s0",), 1e6, ["s0", "s1", "s2", "z1"], _P4),
         ("apzf", ("z1",), 1e6, ["s0", "s1", "s2"], 1e6 - 1e6**0.7),
         ("apzf", ("s1", "s2", "z1"), 1e6, ["s0"], 1e6),
