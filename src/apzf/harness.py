@@ -1,9 +1,10 @@
 """Monte Carlo sum-rate sweeps, slope fitting, and result serialization.
 
-Each (SNR point, draw index) pair gets its own RNG substream derived
-from the config seed, so results are independent of evaluation order and
-of how points are distributed across worker processes.  One kernel call
-per SNR point draws every substream once and evaluates all schemes on
+Each SNR point splits its draws into chunks of ``_CHUNK_DRAWS``, and
+each (SNR point, chunk) pair gets its own RNG substream derived from the
+config seed, so results are independent of evaluation order and of how
+points are distributed across worker processes.  One kernel call per SNR
+point draws every chunk's normals once and evaluates all schemes on
 those draws as array operations, so all schemes see the same fading
 draws (common random numbers).
 """
@@ -47,11 +48,16 @@ __all__ = [
 # stay at a few MB whatever the configured draw count.
 _BLOCK_DRAWS = 4096
 
+# Draws per substream (see ``_substream``).  Part of the substream
+# contract: changing it changes every simulated number.
+_CHUNK_DRAWS = 1024
+
 # Fewest draws a worker process must get before a sweep forks one.  Each
-# forked worker holds its own copy of the parent's pages (about 30 MB),
-# and on a small sweep the few tenths of a second it saves are no larger
-# than the run-to-run spread that scheduling the workers adds.  About
-# half a second of kernel work per worker.
+# forked worker holds its own copy of the parent's pages (about 30 MB).
+# 20,000 draws of configs/parallel.json's four schemes are about 0.06 s
+# of kernel work (2 cores, numpy 2.4.6), near what starting the pool
+# costs: two such points ran in 0.12 s in one process and 0.15 s on two
+# workers, and two points of 40,000 draws in 0.30 s and 0.19 s.
 _POOL_MIN_DRAWS = 20_000
 
 # log2(P) advances by this much per dB of SNR.
@@ -59,7 +65,14 @@ _LOG2P_PER_DB = math.log2(10.0) / 10.0
 
 
 class ConfigError(ValueError):
-    """Malformed or incomplete sweep configuration."""
+    """Malformed or incomplete sweep configuration.
+
+    The message may echo a bad value of any size, so it is cut to 160
+    characters; sites echo values through ``reprlib.repr`` to bound depth.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(message if len(message) <= 160 else message[:157] + "...")
 
 
 class InsufficientPoints(ValueError):
@@ -127,7 +140,7 @@ class SweepConfig:
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
         if self.draws > 2**32:
-            # _pcg64_states takes the draw index as one uint32 entropy word
+            # simulate_snr keeps 8 bytes per draw per scheme: 32 GiB each here
             raise ConfigError("draws must be <= 2**32")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
@@ -162,127 +175,54 @@ class SweepCurve:
     gdof: dict
 
 
-def _substream(seed: int, snr_db: float, draw: int) -> np.random.Generator:
-    """The generator of draw ``draw`` at one SNR point: the substream contract."""
-    return np.random.default_rng([seed, _snr_key(snr_db), draw])
+def _substream(seed: int, snr_db: float, chunk: int) -> np.random.Generator:
+    """The generator of one chunk of draws at one SNR point: the substream contract.
 
-
-# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_MASK32 = 2**32 - 1
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = 2**128 - 1
-
-
-def _uint32_words(n: int) -> list:
-    """A non-negative int as little-endian uint32 words, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _pcg64_states(seed: int, snr_key: int, block: range) -> list:
-    """``(state, inc)`` of ``default_rng([seed, snr_key, d]).bit_generator`` per d in block.
-
-    Runs SeedSequence's entropy mixing and ``generate_state(4, uint64)``
-    as wrap-around uint32 array ops over the draw axis (the seed and key
-    words are the same for every draw; the draw index is one word, so
-    ``block.stop <= 2**32``), then PCG64's seeding step on Python ints.
+    Draw d is row ``d % _CHUNK_DRAWS`` of this generator's
+    ``standard_normal((n, NORMALS_PER_DRAW))`` for chunk ``d // _CHUNK_DRAWS``.
     """
-    n = len(block)
-    words = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed) + _uint32_words(snr_key)]
-    words.append(np.arange(block.start, block.stop, dtype=np.uint64).astype(np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        r = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return r ^ (r >> _XSHIFT)
-
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in words[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):  # generate_state(4, uint64) draws 8 uint32 words
-        v = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        v = v * hash_const
-        state.append((v ^ (v >> _XSHIFT)).astype(np.uint64))
-    # little-endian pairs of uint32 words make the 4 uint64 words w0..w3
-    w = [(state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
-    out = []
-    for w0, w1, w2, w3 in zip(*w):
-        # pcg64_set_seed: inc = 2*initseq + 1, state = ((inc + s)*M + inc)
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        out.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return out
+    return np.random.default_rng([seed, _snr_key(snr_db), chunk])
 
 
-def _block_normals(seed: int, snr_key: int, block: range) -> np.ndarray:
-    """(len(block), NORMALS_PER_DRAW) normals; row i comes from draw block[i]'s substream.
+def _block_normals(seed: int, snr_db: float, block: range, gen=None) -> tuple:
+    """Normals of the draws in ``block`` (row i: draw block[i]'s row of its
+    chunk's ``_substream``), and the generator to go on with.
 
-    Row i equals ``standard_normal(NORMALS_PER_DRAW)`` of that draw's
-    ``_substream`` bit for bit.  One generator is reseeded per draw with
-    its precomputed PCG64 state, which skips SeedSequence's per-draw
-    construction cost.
+    ``gen`` is what the call for the draws just before ``block`` returned;
+    without it, a block starting inside a chunk drops the chunk's earlier rows.
     """
     z = np.empty((len(block), NORMALS_PER_DRAW))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for row, (state, inc) in zip(z, _pcg64_states(seed, snr_key, block)):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=row)
-    return z
+    d = block.start
+    while d < block.stop:
+        chunk, row = divmod(d, _CHUNK_DRAWS)
+        if gen is None or row == 0:
+            gen = _substream(seed, snr_db, chunk)
+            gen.standard_normal((row, NORMALS_PER_DRAW))
+        end = min(block.stop, (chunk + 1) * _CHUNK_DRAWS)
+        gen.standard_normal(out=z[d - block.start : end - block.start])
+        d = end
+    return z, gen
 
 
 def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
     """Every config scheme at one SNR point, all on the same draws.
 
-    Draw d at this point always uses the substream (seed, snr, d),
+    Draw d is always the same row of substream (seed, snr, d // _CHUNK_DRAWS),
     whichever draws and schemes run with it.  Draws are evaluated in
     blocks of at most ``_BLOCK_DRAWS``, which bounds the memory of the
-    channel and layer arrays; the per-draw sums take 8 bytes per draw
-    per scheme.  Returns ``{scheme: PointStats}``.
+    channel and layer arrays; each chunk's generator carries on across
+    blocks.  The per-draw sums take 8 bytes per draw per scheme.  Returns
+    ``{scheme: PointStats}``.
     """
     p = _snr_power(snr_db)
-    key = _snr_key(snr_db)
     canon = canonicalize(config.topology, config.csit)
     layouts = {s: plan_layout(canon, s) for s in config.schemes}
     sums = {s: np.empty(config.draws) for s in config.schemes}
     backed_off = dict.fromkeys(config.schemes, 0)
+    gen = None
     for start in range(0, config.draws, _BLOCK_DRAWS):
         block = range(start, min(start + _BLOCK_DRAWS, config.draws))
-        z = _block_normals(config.seed, key, block)
+        z, gen = _block_normals(config.seed, snr_db, block, gen)
         h = sample_channel(canon.topology, p, z)
         h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
         for s in config.schemes:
@@ -327,7 +267,7 @@ def sweep(config: SweepConfig) -> SweepCurve:
 
     With ``config.workers > 1`` and enough draws (see ``_pool_size``),
     SNR points are farmed out to processes, one task per point covering
-    all schemes; the per-draw substreams make the result identical for
+    all schemes; the per-point substreams make the result identical for
     any worker count.  Schemes whose window holds fewer than two grid
     points get slope None.
     """

@@ -10,8 +10,9 @@ def reference_instance():
     return Topology.parallel(0.8), CsitQuality.uniform(0.5, 0.0)
 
 
-# Each case must be a ConfigError, so the CLI exits with code 2 (see
-# tests/test_cli.py), never a traceback or the self-check failure code 1.
+# Each case must be a ConfigError, so the CLI exits with code 2 and one
+# short stderr line (see tests/test_cli.py), never a traceback or the
+# self-check failure code 1.
 BAD_CONFIG_VALUES = {
     "snr-nan": ("snr_db", [40.0, float("nan")]),
     "snr-inf": ("snr_db", [40.0, float("inf")]),
@@ -21,11 +22,14 @@ BAD_CONFIG_VALUES = {
     "snr-same-millidb-key": ("snr_db", [40.0, 40.0004]),
     "draws-fractional": ("draws", 2.7),
     "draws-bool": ("draws", True),
-    "draws-above-one-index-word": ("draws", 2**32 + 1),
+    "draws-above-2-pow-32": ("draws", 2**32 + 1),
     "seed-fractional": ("seed", 7.5),
     "seed-bool": ("seed", True),
     "workers-fractional": ("workers", 1.5),
     "workers-bool": ("workers", True),
     "schemes-duplicated": ("schemes", ["apzf", "apzf"]),
     "unknown-key": ("window", [45.0, 55.0]),
+    "unknown-key-100k-chars": ("k" * 100_000, 1),
+    "snr-100k-char-string": ("snr_db", [40.0, "x" * 100_000]),
+    "schemes-50000-repeated": ("schemes", ["apzf"] * 50_000),
 }

@@ -6,7 +6,8 @@ and enforces its tolerance and runtime budget:
 1. closed-form values on the reference configuration are exact,
 2. the two independently coded GDoF paths agree bit-exactly,
 3. layout rate exponents sum to the closed form within 1e-12,
-4. Monte Carlo sum-rate slopes over 40-60 dB match the closed forms,
+4. Monte Carlo sum-rate slopes over 40-60 and 100-120 dB match the
+   closed forms,
 5. fitted AP-ZF coefficient power exponents match their formulas,
 6. fitted received-power exponents match / respect their bounds,
 7. cancellation is exact under perfect CSIT with no regularizer,
@@ -73,33 +74,46 @@ def test_layout_rate_totals_match_closed_form():
     _timed_verdict(name, 1.0, checks.layout_totals, 3033, 1000)
 
 
-def test_simulated_slopes_match_closed_form_gdof():
+def _slopes(lo_db: float) -> dict:
+    """Slopes on the reference instance over [lo_db, lo_db + 20] dB, seed 23."""
     topo, csit = reference_instance()
     cfg = SweepConfig(
         topology=topo,
         csit=csit,
         schemes=("apzf", "centralized_zf", "naive_zf"),
-        snr_db=(40.0, 45.0, 50.0, 55.0, 60.0),
+        snr_db=tuple(lo_db + 5.0 * i for i in range(5)),
         draws=2000,
         seed=23,
-        window_db=(40.0, 60.0),
+        window_db=(lo_db, lo_db + 20.0),
         workers=1,
     )
+    return sweep(cfg).slopes
+
+
+def test_simulated_slopes_match_closed_form_gdof():
+    # At 40-60 dB apzf's slope has not yet reached its GDoF of 1.7 (1.58 to
+    # 1.62 over the seeds surveyed), so [1.6, 1.8] there would rest on the
+    # seed; at 100-120 dB it holds at every seed surveyed (CHANGES.md).
     t0 = time.perf_counter()
-    curve = sweep(cfg)
+    low, high = _slopes(40.0), _slopes(100.0)
     elapsed = time.perf_counter() - t0
-    s = curve.slopes
     ok = (
-        1.6 <= s["apzf"] <= 1.8
-        and abs(s["centralized_zf"] - s["apzf"]) <= 0.1
-        and 1.05 <= s["naive_zf"] <= 1.35
+        1.6 <= high["apzf"] <= 1.8
+        and all(
+            abs(s["centralized_zf"] - s["apzf"]) <= 0.1 and 1.05 <= s["naive_zf"] <= 1.35
+            for s in (low, high)
+        )
         and elapsed <= 300.0
     )
     _verdict(
         "sum-rate slopes match closed-form GDoF",
         ok,
-        f"apzf {s['apzf']:.4f}, centralized {s['centralized_zf']:.4f}, "
-        f"naive {s['naive_zf']:.4f}, {elapsed:.0f}s",
+        ", ".join(
+            f"{window}: apzf {s['apzf']:.4f}, centralized {s['centralized_zf']:.4f}, "
+            f"naive {s['naive_zf']:.4f}"
+            for window, s in (("40-60 dB", low), ("100-120 dB", high))
+        )
+        + f", {elapsed:.0f}s",
     )
 
 

@@ -182,7 +182,8 @@ def test_bad_config_value_exits_with_config_error(config_path, tmp_path, case, c
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and len(err) < 200
 
 
 def _nested(depth):

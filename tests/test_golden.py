@@ -1,9 +1,9 @@
 """Golden outputs of two small sweeps, pinned to the byte.
 
-The CSV texts and the per-(scheme, SNR) back-off counts were produced by
-the per-draw implementation that the batched kernel replaced, which ran
-one draw at a time through numpy scalars.  The kernel must reproduce
-every byte and every count: a change here means the simulated numbers
+The CSV texts and the per-(scheme, SNR) back-off counts are those of the
+substream contract in which each SNR point draws its normals in chunks of
+``harness._CHUNK_DRAWS`` draws, one generator per chunk.  Every byte and
+every count must stay: a change here means the simulated numbers
 changed, which must be a deliberate, announced decision.
 """
 
@@ -36,33 +36,33 @@ INSTANCES = {
 GOLDEN_CSV = {
     "reference": (
         'snr_db,scheme,sum_rate_mean,sum_rate_stderr\n'
-        '40,apzf,16.4266086146,0.241416800848\n'
-        '50,apzf,21.8243466805,0.269914413676\n'
-        '60,apzf,27.1818362298,0.274466347607\n'
-        '40,centralized_zf,16.6515078116,0.237472404999\n'
-        '50,centralized_zf,22.3120431914,0.267309404835\n'
-        '60,centralized_zf,27.730229516,0.268320469007\n'
-        '40,naive_zf,11.8331977006,0.179593163275\n'
-        '50,naive_zf,15.7929996761,0.195140522076\n'
-        '60,naive_zf,19.6453243972,0.185988868218\n'
-        '40,no_csit,10.5334177248,0.139414697042\n'
-        '50,no_csit,13.9208260399,0.137994345959\n'
-        '60,no_csit,17.2402551144,0.127654987828\n'
+        '40,apzf,16.4187827981,0.225366473104\n'
+        '50,apzf,21.7051063144,0.230783813064\n'
+        '60,apzf,26.3222871046,0.300160746962\n'
+        '40,centralized_zf,16.7409474772,0.229121042656\n'
+        '50,centralized_zf,22.2336634473,0.232226881956\n'
+        '60,centralized_zf,26.9881733746,0.298935826755\n'
+        '40,naive_zf,12.025124729,0.16116971488\n'
+        '50,naive_zf,15.7845733528,0.17112802503\n'
+        '60,naive_zf,19.0643597428,0.209149149747\n'
+        '40,no_csit,10.7661623904,0.125681429756\n'
+        '50,no_csit,13.9908950943,0.11434874784\n'
+        '60,no_csit,16.8835875766,0.138591958211\n'
     ),
     "z1_case2": (
         'snr_db,scheme,sum_rate_mean,sum_rate_stderr\n'
-        '20,apzf,5.80515004765,0.118443457645\n'
-        '40,apzf,13.2468452373,0.15076455243\n'
-        '60,apzf,21.7952750166,0.157634658476\n'
-        '20,centralized_zf,6.10622299974,0.118822315429\n'
-        '40,centralized_zf,13.7709953435,0.163197952568\n'
-        '60,centralized_zf,22.300920078,0.17103634094\n'
-        '20,naive_zf,3.99749848223,0.107577757895\n'
-        '40,naive_zf,9.84500151618,0.129329445408\n'
-        '60,naive_zf,15.7480177495,0.13331315818\n'
-        '20,no_csit,3.99749848223,0.107577757895\n'
-        '40,no_csit,9.84500151618,0.129329445408\n'
-        '60,no_csit,15.7480177495,0.13331315818\n'
+        '20,apzf,5.5501199938,0.125603733644\n'
+        '40,apzf,13.212888067,0.148528633362\n'
+        '60,apzf,21.6751594382,0.159312573369\n'
+        '20,centralized_zf,5.87166487759,0.12788885398\n'
+        '40,centralized_zf,13.7262462384,0.16116556596\n'
+        '60,centralized_zf,22.2840925213,0.175679912353\n'
+        '20,naive_zf,3.8313102668,0.10914632755\n'
+        '40,naive_zf,9.81683087703,0.139262996454\n'
+        '60,naive_zf,15.7444790734,0.136691462204\n'
+        '20,no_csit,3.8313102668,0.10914632755\n'
+        '40,no_csit,9.81683087703,0.139262996454\n'
+        '60,no_csit,15.7444790734,0.136691462204\n'
     ),
 }
 
@@ -70,14 +70,14 @@ GOLDEN_CSV = {
 # per scheme, one count per SNR point.
 GOLDEN_BACKOFF = {
     "reference": {
-        "apzf": [18, 16, 7],
+        "apzf": [25, 11, 7],
         "centralized_zf": [0, 0, 0],
         "naive_zf": [0, 0, 0],
         "no_csit": [0, 0, 0],
     },
     "z1_case2": {
-        "apzf": [200, 0, 0],
-        "centralized_zf": [42, 0, 0],
+        "apzf": [200, 4, 1],
+        "centralized_zf": [51, 0, 0],
         "naive_zf": [0, 0, 0],
         "no_csit": [0, 0, 0],
     },

@@ -31,7 +31,7 @@ from apzf import (
     write_summary,
 )
 import apzf.harness as harness
-from apzf.harness import _block_normals, _snr_key, _substream, config_from_dict, config_to_dict
+from apzf.harness import _CHUNK_DRAWS, _block_normals, _snr_key, _substream, config_from_dict, config_to_dict
 from conftest import BAD_CONFIG_VALUES, reference_instance
 
 
@@ -49,9 +49,15 @@ def _config(**overrides):
     return SweepConfig(**base)
 
 
+def _chunk_row(seed, snr_db, d):
+    """Draw d's normals: row d % _CHUNK_DRAWS of its chunk's substream."""
+    chunk, row = divmod(d, _CHUNK_DRAWS)
+    return _substream(seed, snr_db, chunk).standard_normal((row + 1, NORMALS_PER_DRAW))[row]
+
+
 def _draw_sum(cfg, canon, layout, p, snr_db, d):
-    """Sum rate of apzf on draw d of a point, from its substream alone."""
-    z = _substream(cfg.seed, snr_db, d).standard_normal((1, NORMALS_PER_DRAW))
+    """Sum rate of apzf on draw d of a point, from its chunk's substream alone."""
+    z = _chunk_row(cfg.seed, snr_db, d)[None, :]
     h = sample_channel(canon.topology, p, z)
     h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
     layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
@@ -62,7 +68,7 @@ def _draw_sum(cfg, canon, layout, p, snr_db, d):
 # ---------------------------------------------------------------- points
 
 
-def test_substream_key_is_seed_snr_millidb_draw():
+def test_substream_key_is_seed_snr_millidb_chunk():
     a = _substream(7, 45.0, 3).random(4)
     b = np.random.default_rng([7, 45000, 3]).random(4)
     np.testing.assert_array_equal(a, b)
@@ -71,25 +77,24 @@ def test_substream_key_is_seed_snr_millidb_draw():
 @pytest.mark.parametrize("seed", [0, 23, 2**32, 2**64 + 3])
 @pytest.mark.parametrize("snr_db", [0.0, -0.001])  # SNR keys 0 and 2**31 - 1
 def test_block_normals_match_substreams(seed, snr_db):
-    # The kernel's blocks for 4098 draws; rows at both block edges must be
-    # their draws' substreams bit for bit.  2**64 + 3 is three entropy
-    # words, so with the key and the draw index it overflows the 4-word pool.
-    key = _snr_key(snr_db)
-    assert key in (0, 2**31 - 1)
+    # The kernel's blocks for 4098 draws; rows at chunk and block edges
+    # must be their chunks' rows bit for bit.  2**64 + 3 is three entropy
+    # words, so with the key and the chunk index it overflows the 4-word pool.
+    assert _snr_key(snr_db) in (0, 2**31 - 1)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        first = _block_normals(seed, key, range(0, harness._BLOCK_DRAWS))
-        second = _block_normals(seed, key, range(harness._BLOCK_DRAWS, harness._BLOCK_DRAWS + 2))
+        first, gen = _block_normals(seed, snr_db, range(0, harness._BLOCK_DRAWS))
+        second, _ = _block_normals(seed, snr_db, range(harness._BLOCK_DRAWS, harness._BLOCK_DRAWS + 2), gen)
     assert first.shape == (4096, NORMALS_PER_DRAW) and second.shape == (2, NORMALS_PER_DRAW)
-    for d, row in ((0, first[0]), (4095, first[4095]), (4096, second[0]), (4097, second[1])):
-        expected = _substream(seed, snr_db, d).standard_normal(NORMALS_PER_DRAW)
-        np.testing.assert_array_equal(row, expected)
+    z = np.concatenate([first, second])
+    for d in (0, 1023, 1024, 4095, 4096, 4097):
+        np.testing.assert_array_equal(z[d], _chunk_row(seed, snr_db, d))
 
 
 def test_block_normals_cover_the_largest_draw_index():
-    z = _block_normals(5, 45000, range(2**32 - 2, 2**32))
+    z, _ = _block_normals(5, 45.0, range(2**32 - 2, 2**32))
     for i, d in enumerate((2**32 - 2, 2**32 - 1)):
-        np.testing.assert_array_equal(z[i], _substream(5, 45.0, d).standard_normal(NORMALS_PER_DRAW))
+        np.testing.assert_array_equal(z[i], _chunk_row(5, 45.0, d))
 
 
 def _apzf_point(cfg, snr_db):
@@ -112,8 +117,8 @@ def test_simulate_snr_reproducible_and_single_draw():
 
 
 def test_simulate_snr_mean_prefix_consistent():
-    # Substreams are keyed by draw index, so a longer run reuses the
-    # shorter run's draws exactly.
+    # A chunk's first rows do not depend on how many are drawn, so a
+    # longer run reuses the shorter run's draws exactly.
     m5 = _apzf_point(_config(draws=5), 40.0).mean
     cfg10 = _config(draws=10)
     m10 = _apzf_point(cfg10, 40.0).mean
@@ -190,7 +195,7 @@ def test_naive_zf_sends_what_no_csit_sends_when_its_s1_carries_no_rate():
         out = simulate_snr(cfg, snr)
         assert out["naive_zf"] == out["no_csit"]
         p = 10.0 ** (snr / 10.0)
-        z = _block_normals(cfg.seed, _snr_key(snr), range(cfg.draws))
+        z, _ = _block_normals(cfg.seed, snr, range(cfg.draws))
         h_hat = sample_csit(sample_channel(canon.topology, p, z), canon.topology, canon.csit, p, z)
         naive, _ = build_layers(canon, h_hat, plan_layout(canon, "naive_zf"), "naive_zf", p)
         blind, _ = build_layers(canon, h_hat, plan_layout(canon, "no_csit"), "no_csit", p)
