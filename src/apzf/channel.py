@@ -13,8 +13,14 @@ Every draw is made from one row of ``NORMALS_PER_DRAW`` standard normals:
 columns 0-3 and 4-7 are the real and imaginary parts of the channel,
 columns 8-15 and 16-23 those of the estimation errors.  A generator that
 fills the rows in order yields the same draws as one that makes the
-channel and then the estimates of each draw in turn.  Arrays carry a
-leading draw axis; a single draw is a batch of one.
+channel and then the estimates of each draw in turn.
+
+A complex quantity is a real float64 array whose axis 0 holds its real
+and imaginary parts, and whose last axis, C-contiguous, runs over the
+draws: the channels are ``h[c, i, k, d]``, the estimates
+``h_hat[c, j, i, k, d]``.  That is the normals' column order, transposed.
+A single draw is a batch of one, and a draw's value does not depend on
+the batch it is made in.
 """
 
 from __future__ import annotations
@@ -30,15 +36,20 @@ __all__ = ["NORMALS_PER_DRAW", "sample_channel", "sample_csit"]
 NORMALS_PER_DRAW = 24
 
 
-def _crandn(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussians."""
-    return (re + 1j * im) / math.sqrt(2.0)
+def _crandn(z: np.ndarray, *shape: int) -> np.ndarray:
+    """Unit-variance circularly symmetric complex Gaussians (2, *shape, draws)
+    from the columns ``z`` (draws, 2 * prod(shape)): real parts, then imaginary."""
+    # A contiguous copy, not a ``z.T`` view: ufuncs keep their input's
+    # memory order, so a view would carry draw-first strides throughout.
+    # numpy's complex division by sqrt(2) multiplies by this rounded
+    # reciprocal, so each part is that of (re + 1j*im) / sqrt(2), bit for bit.
+    return np.ascontiguousarray(z.T).reshape(2, *shape, len(z)) * (1.0 / math.sqrt(2.0))
 
 
 def sample_channel(topology: Topology, p: float, z: np.ndarray) -> np.ndarray:
-    """Channels ``h[d, i, k]`` (TX k -> RX i) from the normals ``z`` (draws, 24)."""
+    """Channels ``h[c, i, k, d]`` (TX k -> RX i) from the normals ``z`` (draws, 24)."""
     scale = np.sqrt(p ** (topology.gamma - 1.0))
-    return scale * _crandn(z[:, 0:4], z[:, 4:8]).reshape(-1, 2, 2)
+    return scale[..., None] * _crandn(z[:, 0:8], 2, 2)
 
 
 def sample_csit(
@@ -48,10 +59,9 @@ def sample_csit(
     p: float,
     z: np.ndarray,
 ) -> np.ndarray:
-    """Both transmitters' estimates ``h_hat[d, j]`` of the channels ``h``.
+    """Both transmitters' estimates ``h_hat[c, j, i, k, d]`` of the channels ``h``.
 
     ``z`` is the same (draws, 24) array the channels were made from.
     """
     err_scale = np.sqrt(p ** (-csit.alpha)) * np.sqrt(p ** (topology.gamma - 1.0))
-    err = _crandn(z[:, 8:16], z[:, 16:24]).reshape(-1, 2, 2, 2)
-    return h[:, np.newaxis, :, :] + err_scale * err
+    return h[:, None] + err_scale[..., None] * _crandn(z[:, 8:24], 2, 2, 2)

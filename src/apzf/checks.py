@@ -4,6 +4,11 @@ Each check draws its random instances from ``rng`` in a fixed order, so
 a seeded generator gives the same verdict every run, and returns
 ``(ok, detail)`` with a one-line description of what it measured.  The
 callers choose the seed and the size.
+
+The checks measure the kernel's outputs with plain complex numpy: they
+rebuild complex arrays with a leading draw axis from the kernel's
+(re, im)-first, draws-last arrays (``_complex``), so a fault in the
+kernel's own complex arithmetic cannot hide itself.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ from .topology import CsitQuality, Topology, canonicalize, dyadic_instance
 
 __all__ = ["cancellation", "closed_form_identity", "coefficient_exponents", "determinism",
            "layout_totals"]
+
+
+def _complex(x: np.ndarray) -> np.ndarray:
+    """The complex array, draw axis first, that the kernel array ``x`` holds."""
+    return np.moveaxis(x[0] + 1j * x[1], -1, 0)
 
 
 def closed_form_identity(rng, n):
@@ -49,10 +59,11 @@ def cancellation(rng, n):
     for _ in range(n):
         topo, _ = dyadic_instance(rng)
         h = sample_channel(topo, p, rng.standard_normal((1, 8)))
+        hc = _complex(h)
         for tgt in (0, 1):
-            t = apzf(h, tgt, 1.0, topo, p, regularize=False)
-            resid = abs((h @ t[..., None])[0, 1 - tgt, 0])
-            scale = np.linalg.norm(h[0, 1 - tgt]) * np.linalg.norm(t[0]) + 1e-300
+            t = _complex(apzf(h, tgt, 1.0, topo, p, regularize=False))
+            resid = abs((hc @ t[..., None])[0, 1 - tgt, 0])
+            scale = np.linalg.norm(hc[0, 1 - tgt]) * np.linalg.norm(t[0]) + 1e-300
             worst = max(worst, float(resid / scale))
     return worst < 1e-10, f"{n} draws, worst relative residual = {worst:.3g}"
 
@@ -72,7 +83,7 @@ def coefficient_exponents(rng, n_topologies, draws):
             z = rng.standard_normal((draws, NORMALS_PER_DRAW))
             h_hat = sample_csit(sample_channel(topo, p, z), topo, csit, p, z)
             for tgt in (0, 1):
-                t = apzf(h_hat[:, 0], tgt, tau, topo, p)
+                t = _complex(apzf(h_hat[:, 0], tgt, tau, topo, p))
                 acc[ip, tgt] = np.log(np.abs(t) ** 2).mean(axis=0)
         for tgt in (0, 1):
             victim = 1 - tgt

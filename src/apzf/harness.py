@@ -54,10 +54,11 @@ _CHUNK_DRAWS = 1024
 
 # Fewest draws a worker process must get before a sweep forks one.  Each
 # forked worker holds its own copy of the parent's pages (about 30 MB).
-# 20,000 draws of configs/parallel.json's four schemes are about 0.06 s
-# of kernel work (2 cores, numpy 2.4.6), near what starting the pool
-# costs: two such points ran in 0.12 s in one process and 0.15 s on two
-# workers, and two points of 40,000 draws in 0.30 s and 0.19 s.
+# Two points of configs/parallel.json's four schemes, one process against
+# two workers (2-core Xeon, numpy 2.4.6, medians of 10 interleaved runs):
+# 10,000 draws each 0.044 s against 0.046 s, 15,000 draws 0.072 s against
+# 0.062 s, 20,000 draws 0.082 s against 0.066 s (two workers faster in 9
+# of the 10 runs), and 40,000 draws 0.153 s against 0.112 s.
 _POOL_MIN_DRAWS = 20_000
 
 # log2(P) advances by this much per dB of SNR.

@@ -18,13 +18,13 @@ same computation done independently at each TX from its own local
 estimate (each TX then transmits only its own entry, so the two entries
 come from inconsistent matrix inverses).
 
-Every function works on a batch of draws: estimates carry a leading draw
-axis and a vector ``t[d, k]`` is applied at TX ``k`` on draw ``d``.  A
-draw's vector does not depend on the size of the batch it is in.  So
-complex products are taken on real and imaginary parts (``_cmul``):
-numpy's complex multiply rounds ``a * b`` and ``b * a`` differently on
-some values, and it swaps the operands when it reuses a temporary of
-256 KiB or more (16,384 entries, 8,192 draws of a 2-vector) in place.
+Every function works on a batch of draws, in the layout of
+``apzf.channel``: real float64 arrays with (re, im) on axis 0 and the
+draws on the last axis.  An estimate is ``[c, i, k, d]``, and a vector
+``t[c, k, d]`` is applied at TX ``k`` on draw ``d``.  Complex arithmetic
+is spelt out on the two parts (``_abs2``, ``_cmul``, ``_conj``), and a
+sum over an axis of length 2 is written as the sum of its two terms.  A
+draw's vector does not depend on the size of the batch it is in.
 """
 
 from __future__ import annotations
@@ -45,24 +45,27 @@ __all__ = [
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
-    """``|x|**2`` elementwise."""
-    return x.real * x.real + x.imag * x.imag
+    """``|x|**2`` elementwise; drops axis 0."""
+    return x[0] * x[0] + x[1] * x[1]
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` elementwise, from real products (see the module docstring)."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    """``a * b`` elementwise."""
+    return np.array((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
+
+
+def _conj(x: np.ndarray) -> np.ndarray:
+    """The complex conjugate of ``x``."""
+    return np.array((x[0], -x[1]))
 
 
 def _scaled(w: np.ndarray, tau: float, p: float) -> np.ndarray:
-    """Rows of ``w`` rescaled to norm sqrt(P**tau); all-zero rows stay zero."""
-    n = np.sqrt(_abs2(w).sum(axis=1))
+    """Vectors ``w`` rescaled to norm sqrt(P**tau); all-zero vectors stay zero."""
+    a = _abs2(w)
+    n = np.sqrt(a[0] + a[1])
     with np.errstate(divide="ignore"):
         s = np.where(n == 0.0, 0.0, math.sqrt(p**tau) / n)
-    return w * s[:, None]
+    return w * s
 
 
 def apzf(
@@ -74,9 +77,9 @@ def apzf(
     active_tx: int = 0,
     regularize: bool = True,
 ) -> np.ndarray:
-    """AP-ZF vectors (draws, 2) for ``target_rx``, cancelling at the other receiver.
+    """AP-ZF vectors (2, 2, draws) for ``target_rx``, cancelling at the other receiver.
 
-    ``estimate_active`` (draws, 2, 2) is the active transmitter's full
+    ``estimate_active`` (2, 2, 2, draws) is the active transmitter's full
     estimate.  With ``regularize=False`` the 1/P term is dropped; combined
     with a perfect estimate this cancels the unintended receiver exactly.
     """
@@ -88,27 +91,29 @@ def apzf(
     e_act = estimate_active[:, itf, active_tx]
     e_pas = estimate_active[:, itf, passive_tx]
     reg = 1.0 / p if regularize else 0.0
-    t = np.empty((len(e_act), 2), dtype=complex)
-    t[:, active_tx] = _cmul(-np.conj(e_act), e_pas) * (t_pas / (_abs2(e_act) + reg))
-    t[:, passive_tx] = t_pas
+    t = np.zeros((2, 2, e_act.shape[-1]))
+    t[:, active_tx] = _cmul(-_conj(e_act), e_pas) * (t_pas / (_abs2(e_act) + reg))
+    t[0, passive_tx] = t_pas
     return t
 
 
 def multicast(power: float) -> np.ndarray:
     """Common layer of total ``power``, split evenly across the two TXs.
 
-    The layer is the same on every draw, so it is one (2,) vector.
+    The layer is the same on every draw, so it is one (2, 2, 1) vector.
     """
-    return np.full(2, math.sqrt(power / 2.0), dtype=complex)
+    t = np.zeros((2, 2, 1))
+    t[0] = math.sqrt(power / 2.0)
+    return t
 
 
 def matched(estimate_active: np.ndarray, tau: float, p: float) -> np.ndarray:
-    """Matched-filter layer (draws, 2) for RX 1 riding below the interference floor.
+    """Matched-filter layer (2, 2, draws) for RX 1 riding below the interference floor.
 
     Beamforms along the active TX's estimate of RX 1's row, with norm
     sqrt(P**tau).
     """
-    return _scaled(np.conj(estimate_active[:, 0, :]), tau, p)
+    return _scaled(_conj(estimate_active[:, 0]), tau, p)
 
 
 def _regularized_zf(estimate: np.ndarray, target_rx: int, p: float) -> np.ndarray:
@@ -120,27 +125,29 @@ def _regularized_zf(estimate: np.ndarray, target_rx: int, p: float) -> np.ndarra
     the target's row ``r_t`` and the other receiver's row ``r_o``.
     """
     r_t, r_o = estimate[:, target_rx], estimate[:, 1 - target_rx]
-    inner = _cmul(r_t, np.conj(r_o)).sum(axis=1)
-    w = r_t * (_abs2(r_o).sum(axis=1) + 1.0 / p)[:, None] - _cmul(r_o, inner[:, None])
-    return np.conj(w)
+    c = _cmul(r_t, _conj(r_o))
+    inner = c[:, 0] + c[:, 1]
+    a = _abs2(r_o)
+    w = r_t * (a[0] + a[1] + 1.0 / p) - _cmul(r_o, inner[:, None])
+    return _conj(w)
 
 
 def centralized_zf(
     shared_estimate: np.ndarray, target_rx: int, tau: float, p: float
 ) -> np.ndarray:
-    """Regularized ZF vectors (draws, 2) from one shared estimate, norm sqrt(P**tau)."""
+    """Regularized ZF vectors (2, 2, draws) from one shared estimate, norm sqrt(P**tau)."""
     return _scaled(_regularized_zf(shared_estimate, target_rx, p), tau, p)
 
 
 def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p: float) -> np.ndarray:
     """Each TX runs the centralized computation on its own estimate.
 
-    ``estimates`` is (draws, 2, 2, 2), TX j's estimate at ``[:, j]``.  TX j
-    normalizes its locally computed full vector to sqrt(P**tau) and
+    ``estimates`` is (2, 2, 2, 2, draws), TX j's estimate at ``[:, j]``.
+    TX j normalizes its locally computed full vector to sqrt(P**tau) and
     transmits entry j of it; the entries generally do not cohere because
     the two estimates differ.
     """
-    t = np.empty((len(estimates), 2), dtype=complex)
+    t = np.empty((2, 2, estimates.shape[-1]))
     for j in range(2):
         t[:, j] = _scaled(_regularized_zf(estimates[:, j], target_rx, p), tau, p)[:, j]
     return t

@@ -4,11 +4,13 @@ A layout is instantiated as a dict of layers, keyed by tag in decoding
 order: a common layer ``s0`` on top, the two private layers ``s1``/``s2``
 underneath, and (when the layout carries it) the below-the-floor z layer
 ``z1`` for RX 1.  Each layer holds its vectors for every draw, shape
-(draws, 2); the common layer is the same on every draw and is one (2,)
-vector.  Decoding is successive: both receivers decode the common layer
-treating everything else as noise, each then strips it and decodes its
-private layer; RX 1 finally strips its private layer and decodes the z
-layer with only the other private layer left as noise.
+(2, 2, draws) in the layout of ``apzf.channel`` (real and imaginary
+parts on axis 0, draws last); the common layer is the same on every draw
+and is one (2, 2, 1) vector.  Decoding is successive: both receivers
+decode the common layer treating everything else as noise, each then
+strips it and decodes its private layer; RX 1 finally strips its private
+layer and decodes the z layer with only the other private layer left as
+noise.
 
 Scheme kinds differ in how the private vectors are produced, and only
 ``apzf`` sends ``z1``; a band takes power only if it is sent:
@@ -31,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .gdof import SchemeLayout, scheme_layout
-from .precoders import _abs2, apzf, centralized_zf, matched, multicast, naive_zf
+from .precoders import _abs2, _cmul, apzf, centralized_zf, matched, multicast, naive_zf
 from .topology import CanonicalForm, CsitQuality
 
 __all__ = [
@@ -69,7 +71,7 @@ def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
     """
     kind = SchemeKind(scheme_kind)
     if kind is SchemeKind.NAIVE_ZF:
-        worst = canonical.csit.alpha.min(axis=0)
+        worst = np.minimum(*canonical.csit.alpha)
         canonical = dataclasses.replace(canonical, csit=CsitQuality(np.stack([worst, worst])))
     return scheme_layout(canonical)
 
@@ -100,17 +102,18 @@ def _cap_to_budget(layers: dict, p: float, draws: int) -> np.ndarray:
     budget = p - tx_power(common)
     totals = tx_power(adaptive)
     over = totals > budget
-    backed_off = over.any(axis=1)
+    backed_off = over[0] | over[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(over, budget / totals, np.inf).min(axis=1)
+        b = np.where(over, budget / totals, np.inf)
+    beta = np.minimum(b[0], b[1])
     scale = np.where(backed_off, np.sqrt(np.maximum(beta, 0.0)), 1.0)
     for tag in adaptive:
-        layers[tag] = layers[tag] * scale[:, None]
+        layers[tag] = layers[tag] * scale
     return backed_off
 
 
 def tx_power(layers: dict) -> np.ndarray:
-    """Per-transmitter power summed over the layers, (draws, 2); 0 for no layers."""
+    """Per-transmitter power summed over the layers, (2, draws); 0 for no layers."""
     return sum(_abs2(t) for t in layers.values())
 
 
@@ -121,7 +124,7 @@ def build_layers(
     scheme_kind,
     p: float,
 ) -> tuple[dict, np.ndarray]:
-    """Instantiate ``layout`` on every draw of the estimates ``h_hat`` (draws, 2, 2, 2).
+    """Instantiate ``layout`` on every draw of the estimates ``h_hat`` (2, 2, 2, 2, draws).
 
     A band is sent, and takes P**power_exp of the power, only if the
     scheme sends it and it carries rate: ``apzf`` sends ``s1`` and ``z1``,
@@ -146,14 +149,19 @@ def build_layers(
     if "z1" in bands:
         layers["z1"] = matched(h_hat[:, canonical.active_tx], tau["z1"], p)
 
-    backed_off = _cap_to_budget(layers, p, len(h_hat))
+    backed_off = _cap_to_budget(layers, p, h_hat.shape[-1])
     if np.any(tx_power(layers) > p * (1.0 + _POWER_TOL)):
         raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
     return layers, backed_off
 
 
 def _received(h: np.ndarray, layers: dict) -> dict:
-    return {tag: _abs2((h @ t[..., None])[..., 0]) for tag, t in layers.items()}
+    """Per-layer received power ``|h_i t|**2``, (2, draws) indexed [rx, d]."""
+    out = {}
+    for tag, t in layers.items():
+        y = _cmul(h, t[:, None])
+        out[tag] = _abs2(y[:, :, 0] + y[:, :, 1])
+    return out
 
 
 def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
@@ -165,11 +173,11 @@ def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
     layers carry 0.  Rates are in bits per channel use.
     """
     q = _received(h, layers)
-    zero = np.zeros(len(h))
+    zero = np.zeros(h.shape[-1])
 
     def at(tag: str, rx: int) -> np.ndarray:
         v = q.get(tag)
-        return v[:, rx] if v is not None else zero
+        return v[rx] if v is not None else zero
 
     r0 = r1 = r2 = rz = zero
     if "s0" in q:
@@ -194,8 +202,8 @@ def interference_power(h: np.ndarray, layers: dict, rx: int) -> np.ndarray:
     decoding order, not by cancellation).
     """
     q = _received(h, layers)
-    total = np.zeros(len(h))
+    total = np.zeros(h.shape[-1])
     for tag, target in (("s1", 0), ("s2", 1)):
         if tag in q and target != rx:
-            total = total + q[tag][:, rx]
+            total = total + q[tag][rx]
     return total

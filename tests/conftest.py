@@ -1,6 +1,9 @@
 """Shared helpers for the test suite."""
 
+import numpy as np
+
 from apzf import CsitQuality, Topology
+from apzf.checks import _complex as as_complex  # noqa: F401  (see as_kernel)
 from apzf.topology import dyadic_instance  # noqa: F401  (shared by the test modules)
 
 
@@ -8,6 +11,18 @@ def reference_instance():
     """The symmetric benchmark configuration used throughout the tests:
     unit direct links, 0.8 cross links, TX 1 quality 0.5, TX 2 quality 0."""
     return Topology.parallel(0.8), CsitQuality.uniform(0.5, 0.0)
+
+
+def as_kernel(c):
+    """The kernel array of a complex array whose leading axis runs over draws.
+
+    The kernel keeps a complex quantity as real float64 with (re, im) on
+    axis 0 and the draws on the last axis; the tests state their
+    expectations on plain complex arrays with a leading draw axis, and
+    ``as_complex`` (the self-checks' converter) is the inverse of this.
+    """
+    c = np.moveaxis(np.asarray(c, dtype=complex), 0, -1)
+    return np.ascontiguousarray(np.stack((c.real, c.imag)))
 
 
 # Each case must be a ConfigError, so the CLI exits with code 2 and one

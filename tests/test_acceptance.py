@@ -33,7 +33,7 @@ from apzf import (
 )
 import apzf.checks as checks
 import apzf.harness as harness
-from conftest import reference_instance
+from conftest import as_complex, reference_instance
 
 P_GRID = np.logspace(4, 8, 5)
 
@@ -143,8 +143,8 @@ def test_received_power_exponents():
             h = sample_channel(topo, p, z)
             h_hat = sample_csit(h, topo, csit, p, z)
             for tgt in (0, 1):
-                t = apzf(h_hat[:, 0], tgt, tau, topo, p)
-                received = np.log(np.abs((h @ t[..., None])[..., 0]) ** 2).mean(axis=0)
+                t = as_complex(apzf(h_hat[:, 0], tgt, tau, topo, p))
+                received = np.log(np.abs((as_complex(h) @ t[..., None])[..., 0]) ** 2).mean(axis=0)
                 acc_int[ip, tgt] = received[tgt]
                 acc_itf[ip, tgt] = received[1 - tgt]
         for tgt in (0, 1):

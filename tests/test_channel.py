@@ -1,12 +1,36 @@
+import math
+
 import numpy as np
 
 from apzf import NORMALS_PER_DRAW, CsitQuality, Topology, sample_channel, sample_csit
+from conftest import as_complex
 
 
 def _draws(topology, csit, p, n, seed):
+    """Channels and estimates as complex arrays with a leading draw axis."""
     z = np.random.default_rng(seed).standard_normal((n, NORMALS_PER_DRAW))
     h = sample_channel(topology, p, z)
-    return h, sample_csit(h, topology, csit, p, z)
+    return as_complex(h), as_complex(sample_csit(h, topology, csit, p, z))
+
+
+def test_draws_are_the_complex_formula_bit_for_bit():
+    # Each part of the kernel's arrays is bit-equal to the complex draws
+    # scale * ((re + 1j*im) / sqrt(2)), with the draw axis moved last.
+    topo = Topology(np.array([[1.0, 0.8], [0.6, 0.3]]))
+    csit = CsitQuality([[[0.5, 0.7], [0.2, 0.3]], [[0.1, 0.0], [0.2, 0.3]]])
+    p = 10.0**4.5
+    z = np.random.default_rng(6).standard_normal((5000, NORMALS_PER_DRAW))
+    scale = np.sqrt(p ** (topo.gamma - 1.0))
+    ref_h = scale * ((z[:, 0:4] + 1j * z[:, 4:8]) / math.sqrt(2.0)).reshape(-1, 2, 2)
+    err_scale = np.sqrt(p ** (-csit.alpha)) * scale
+    err = ((z[:, 8:16] + 1j * z[:, 16:24]) / math.sqrt(2.0)).reshape(-1, 2, 2, 2)
+    ref_h_hat = ref_h[:, np.newaxis] + err_scale * err
+    h = sample_channel(topo, p, z)
+    h_hat = sample_csit(h, topo, csit, p, z)
+    for got, ref in ((h, ref_h), (h_hat, ref_h_hat)):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got[0], np.moveaxis(ref.real, 0, -1))
+        assert np.array_equal(got[1], np.moveaxis(ref.imag, 0, -1))
 
 
 def test_channel_moments_match_pathloss():
@@ -76,12 +100,12 @@ def test_seeded_determinism():
     eb = sample_csit(b, topo, csit, 1e4, zb)
     assert np.array_equal(ea, eb)
     # A draw does not depend on the batch it is made in.
-    assert np.array_equal(sample_channel(topo, 1e4, za[1:2]), a[1:2])
-    assert np.array_equal(sample_csit(a[1:2], topo, csit, 1e4, za[1:2]), ea[1:2])
+    assert np.array_equal(sample_channel(topo, 1e4, za[1:2]), a[..., 1:2])
+    assert np.array_equal(sample_csit(a[..., 1:2], topo, csit, 1e4, za[1:2]), ea[..., 1:2])
 
 
 def test_channel_full_rank():
     z = np.random.default_rng(5).standard_normal((100, 8))
     topo = Topology.parallel(0.8)
-    h = sample_channel(topo, 1e4, z)
+    h = as_complex(sample_channel(topo, 1e4, z))
     assert np.all(np.linalg.matrix_rank(h) == 2)

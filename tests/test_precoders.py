@@ -16,6 +16,7 @@ from apzf import (
     sample_channel,
     sample_csit,
 )
+from conftest import as_complex, as_kernel
 
 P_GRID = np.logspace(4, 8, 5)
 
@@ -25,8 +26,8 @@ def _power(t):
 
 
 def _one(est):
-    """A single 2x2 estimate as a batch of one."""
-    return np.asarray(est)[np.newaxis]
+    """A single complex 2x2 estimate as a kernel batch of one."""
+    return as_kernel(np.asarray(est)[np.newaxis])
 
 
 def _geomean_exponent(per_draw_power, draws, seed):
@@ -51,21 +52,21 @@ def test_apzf_passive_coefficient_is_deterministic():
     topo = Topology(np.array([[1.0, 0.8], [1.0, 0.8]]))
     est = (np.ones((2, 2)) + 1j * np.ones((2, 2))) * 0.3
     p = 1e6
-    t = apzf(_one(est), 0, 1.0, topo, p)[0]
+    t = as_complex(apzf(_one(est), 0, 1.0, topo, p))[0]
     assert t[1] == pytest.approx(math.sqrt(p))
     assert t[1].imag == 0.0
 
     # Interfered row (0.6, 0.9): passive link stronger by 0.3, so the
     # passive power backs off to P^(tau - 0.3).
     topo2 = Topology(np.array([[1.0, 0.9], [0.6, 0.9]]))
-    t2 = apzf(_one(est), 0, 0.7, topo2, p)[0]
+    t2 = as_complex(apzf(_one(est), 0, 0.7, topo2, p))[0]
     assert abs(t2[1]) ** 2 == pytest.approx(p**0.4)
 
 
 def test_apzf_respects_active_tx_argument():
     topo = Topology.parallel(0.8)
     est = np.array([[0.3 + 0.1j, 0.2 - 0.4j], [0.5 + 0.2j, -0.1 + 0.3j]])
-    t = apzf(_one(est), 0, 0.7, topo, 1e6, active_tx=1)[0]
+    t = as_complex(apzf(_one(est), 0, 0.7, topo, 1e6, active_tx=1))[0]
     # TX 0 is passive now: real constant; TX 1 adapts.
     assert t[0].imag == 0.0 and t[0].real > 0.0
     assert t[1].imag != 0.0
@@ -75,17 +76,18 @@ def test_apzf_zero_active_estimate_is_finite():
     topo = Topology.parallel(0.8)
     est = np.zeros((2, 2), dtype=complex)
     est[1, 1] = 0.5
-    t = apzf(_one(est), 0, 0.7, topo, 1e6)[0]
+    t = as_complex(apzf(_one(est), 0, 0.7, topo, 1e6))[0]
     assert t[0] == 0.0 and np.isfinite(t).all()
 
 
 def test_apzf_exact_cancellation_with_perfect_csit():
     rng = np.random.default_rng(21)
     topo = Topology(np.array([[1.0, 0.7], [0.9, 0.6]]))
-    h = sample_channel(topo, 1e6, rng.standard_normal((300, 8)))
+    h_kernel = sample_channel(topo, 1e6, rng.standard_normal((300, 8)))
+    h = as_complex(h_kernel)
     for target in (0, 1):
         for act in (0, 1):
-            t = apzf(h, target, 0.8, topo, 1e6, active_tx=act, regularize=False)
+            t = as_complex(apzf(h_kernel, target, 0.8, topo, 1e6, active_tx=act, regularize=False))
             resid = np.abs((h @ t[..., None])[:, 1 - target, 0])
             scale = np.linalg.norm(h[:, 1 - target], axis=-1) * np.linalg.norm(t, axis=-1)
             assert np.all(resid <= 1e-12 * scale)
@@ -99,7 +101,7 @@ def test_apzf_active_coefficient_exponents():
 
     def case_a(p, z):
         h_hat = sample_csit(sample_channel(topo, p, z), topo, csit, p, z)
-        return np.abs(apzf(h_hat[:, 0], 0, 1.0, topo, p)[:, 0]) ** 2
+        return np.abs(as_complex(apzf(h_hat[:, 0], 0, 1.0, topo, p))[:, 0]) ** 2
 
     assert _geomean_exponent(case_a, 1500, 10) == pytest.approx(0.8, abs=0.05)
 
@@ -107,7 +109,7 @@ def test_apzf_active_coefficient_exponents():
 
     def case_b(p, z):
         h_hat = sample_csit(sample_channel(topo_b, p, z), topo_b, csit, p, z)
-        return np.abs(apzf(h_hat[:, 0], 0, 0.7, topo_b, p)[:, 0]) ** 2
+        return np.abs(as_complex(apzf(h_hat[:, 0], 0, 0.7, topo_b, p))[:, 0]) ** 2
 
     assert _geomean_exponent(case_b, 1500, 11) == pytest.approx(0.7, abs=0.05)
 
@@ -129,27 +131,27 @@ def test_apzf_exactly_one_coefficient_reaches_budget():
         draws = 3000
         z = rng.standard_normal((draws, NORMALS_PER_DRAW))
         h_hat = sample_csit(sample_channel(topo, p, z), topo, csit, p, z)
-        acc = np.log(np.abs(apzf(h_hat[:, 0], 0, tau, topo, p)) ** 2).sum(axis=0)
+        acc = np.log(np.abs(as_complex(apzf(h_hat[:, 0], 0, tau, topo, p))) ** 2).sum(axis=0)
         c = np.exp(acc / draws) / p**tau
         assert sum(0.5 <= ci <= 2.0 for ci in c) == 1
 
 
 def test_multicast_residual_power():
     p = 1e6
-    t = multicast(p - p**0.7 - p**0.2)
+    t = as_complex(multicast(p - p**0.7 - p**0.2))[0]
     assert _power(t) == pytest.approx(p - p**0.7 - p**0.2)
     assert t[0] == t[1]
 
 
 def test_multicast_dominates_at_high_snr():
     p = 1e12
-    assert _power(multicast(p - p**0.7)) / p == pytest.approx(1.0, abs=1e-3)
+    assert _power(as_complex(multicast(p - p**0.7))[0]) / p == pytest.approx(1.0, abs=1e-3)
 
 
 def test_matched_power_and_direction():
     p = 1e6
     est = np.array([[0.3 + 0.4j, -0.2 + 0.1j], [0.7 - 0.2j, 0.5 + 0.5j]])
-    t = matched(_one(est), 0.2, p)[0]
+    t = as_complex(matched(_one(est), 0.2, p))[0]
     assert _power(t) == pytest.approx(p**0.2)
     direction = np.conj(est[0]) / np.linalg.norm(est[0])
     cos = abs(np.vdot(direction, t)) / np.linalg.norm(t)
@@ -159,10 +161,10 @@ def test_matched_power_and_direction():
 def test_centralized_zf_norm_and_consistency():
     est = np.array([[0.9 + 0.2j, -0.3 + 0.6j], [0.1 - 0.5j, 0.8 + 0.1j]])
     p = 1e6
-    t = centralized_zf(_one(est), 1, 0.7, p)[0]
+    t = as_complex(centralized_zf(_one(est), 1, 0.7, p))[0]
     assert _power(t) == pytest.approx(p**0.7)
     # Naive with both TXs holding the same estimate collapses to it.
-    same = naive_zf(_one(np.stack([est, est])), 1, 0.7, p)[0]
+    same = as_complex(naive_zf(_one(np.stack([est, est])), 1, 0.7, p))[0]
     np.testing.assert_allclose(same, t, rtol=1e-12)
 
 
@@ -174,8 +176,8 @@ def test_centralized_zf_residual_on_noise_floor():
 
     def resid(p, z):
         h = sample_channel(topo, p, z)
-        t = centralized_zf(sample_csit(h, topo, csit, p, z)[:, 0], 0, 0.7, p)
-        return np.abs((h @ t[..., None])[:, 1, 0]) ** 2
+        t = as_complex(centralized_zf(sample_csit(h, topo, csit, p, z)[:, 0], 0, 0.7, p))
+        return np.abs((as_complex(h) @ t[..., None])[:, 1, 0]) ** 2
 
     bound = 0.7 - 1.0 + 0.8 - 0.5
     assert _geomean_exponent(resid, 1500, 12) <= bound + 0.1
@@ -189,8 +191,8 @@ def test_naive_zf_keeps_full_strength_interference():
 
     def resid(p, z):
         h = sample_channel(topo, p, z)
-        t = naive_zf(sample_csit(h, topo, csit, p, z), 1, 0.7, p)
-        return np.abs((h @ t[..., None])[:, 0, 0]) ** 2
+        t = as_complex(naive_zf(sample_csit(h, topo, csit, p, z), 1, 0.7, p))
+        return np.abs((as_complex(h) @ t[..., None])[:, 0, 0]) ** 2
 
     assert _geomean_exponent(resid, 1500, 13) == pytest.approx(0.5, abs=0.15)
 
@@ -210,10 +212,10 @@ def test_zf_matches_matrix_inverse_reference(p):
     scale = math.sqrt(p**tau)
     for target in (0, 1):
         ref = _zf_reference(est[:, 0], target, tau, p)
-        err = np.abs(centralized_zf(est[:, 0], target, tau, p) - ref).max()
+        err = np.abs(as_complex(centralized_zf(as_kernel(est[:, 0]), target, tau, p)) - ref).max()
         assert err / scale <= 1e-10
         # TX j transmits entry j of the vector computed from its own estimate.
-        t = naive_zf(est, target, tau, p)
+        t = as_complex(naive_zf(as_kernel(est), target, tau, p))
         for j in (0, 1):
             ref = _zf_reference(est[:, j], target, tau, p)
             assert np.abs(t[:, j] - ref[:, j]).max() / scale <= 1e-10
@@ -225,19 +227,19 @@ def test_golden_regression_vectors():
     z = np.random.default_rng(2026).standard_normal((1, NORMALS_PER_DRAW))
     h_hat = sample_csit(sample_channel(topo, 1e6, z), topo, csit, 1e6, z)
 
-    v_apzf = apzf(h_hat[:, 0], 0, 0.7, topo, 1e6)[0]
+    v_apzf = as_complex(apzf(h_hat[:, 0], 0, 0.7, topo, 1e6))[0]
     np.testing.assert_allclose(
         v_apzf,
         [95.12514703598615 + 1.4474593168881225j, 31.622776601683793 + 0j],
         rtol=1e-12,
     )
-    v_czf = centralized_zf(h_hat[:, 0], 0, 0.7, 1e6)[0]
+    v_czf = as_complex(centralized_zf(h_hat[:, 0], 0, 0.7, 1e6))[0]
     np.testing.assert_allclose(
         v_czf,
         [-94.66732437361846 - 72.8710465604468j, -31.831505806735176 - 23.740164949136506j],
         rtol=1e-12,
     )
-    v_naive = naive_zf(h_hat, 0, 0.7, 1e6)[0]
+    v_naive = as_complex(naive_zf(h_hat, 0, 0.7, 1e6))[0]
     np.testing.assert_allclose(
         v_naive,
         [-94.66732437361846 - 72.8710465604468j, -58.614033753141264 - 22.001206363366776j],

@@ -22,7 +22,8 @@ from apzf import (
     scheme_layout,
     tx_power,
 )
-from conftest import reference_instance
+from conftest import as_complex, as_kernel, reference_instance
+from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
 def _canon_reference():
@@ -51,7 +52,9 @@ def _draw_layers(canon, kind, p, rng, draws=1):
 
 
 def _received(h, layers):
-    return {tag: np.abs((h @ t[..., None])[..., 0]) ** 2 for tag, t in layers.items()}
+    """Per-layer received power ``|h_i t|**2``, (draws, 2), from complex matmuls."""
+    h = as_complex(h)
+    return {tag: np.abs((h @ as_complex(t)[..., None])[..., 0]) ** 2 for tag, t in layers.items()}
 
 
 def test_scheme_kind_values():
@@ -166,7 +169,7 @@ def test_achievable_rates_zero_channel():
     canon = _canon_reference()
     rng = np.random.default_rng(3)
     _, layers = _draw_layers(canon, "apzf", 1e4, rng)
-    silent = np.zeros((1, 2, 2), dtype=complex)
+    silent = as_kernel(np.zeros((1, 2, 2), dtype=complex))
     r0, r1, r2, rz = achievable_rates(silent, layers)
     assert r0 == r1 == r2 == rz == r0 + r1 + r2 + rz == 0.0
 
@@ -177,14 +180,47 @@ def test_achievable_rates_diagonal_shannon():
     p = 1e4
     h = np.diag([0.9 + 0.3j, -0.4 + 1.1j])
     layers = {
-        "s1": np.array([[math.sqrt(p), 0j]]),
-        "s2": np.array([[0j, math.sqrt(p)]]),
+        "s1": as_kernel(np.array([[math.sqrt(p), 0j]])),
+        "s2": as_kernel(np.array([[0j, math.sqrt(p)]])),
     }
-    r0, r1, r2, rz = (float(r[0]) for r in achievable_rates(h[np.newaxis], layers))
+    r0, r1, r2, rz = (float(r[0]) for r in achievable_rates(as_kernel(h[np.newaxis]), layers))
     assert r0 == 0.0 and rz == 0.0
     assert r1 == pytest.approx(math.log2(1 + p * abs(h[0, 0]) ** 2))
     assert r2 == pytest.approx(math.log2(1 + p * abs(h[1, 1]) ** 2))
     assert r0 + r1 + r2 + rz == pytest.approx(r1 + r2)
+
+
+def _einsum_rates(h, layers):
+    """The decoding chain's rates from complex received amplitudes, by np.einsum."""
+    h = as_complex(h)
+    none = np.zeros((len(h), 2))
+    q = {
+        tag: np.abs(np.einsum("dik,dk->di", h, np.broadcast_to(as_complex(t), (len(h), 2)))) ** 2
+        for tag, t in layers.items()
+    }
+    s0, s1, s2, z1 = (q.get(tag, none) for tag in ("s0", "s1", "s2", "z1"))
+    sinr0 = np.minimum(*(s0[:, rx] / (1.0 + s1[:, rx] + s2[:, rx] + z1[:, rx]) for rx in (0, 1)))
+    return (
+        np.log2(1.0 + sinr0),
+        np.log2(1.0 + s1[:, 0] / (1.0 + z1[:, 0] + s2[:, 0])),
+        np.log2(1.0 + s2[:, 1] / (1.0 + s1[:, 1] + z1[:, 1])),
+        np.log2(1.0 + z1[:, 0] / (1.0 + s2[:, 0])),
+    )
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
+@pytest.mark.parametrize("instance", sorted(GOLDEN_INSTANCES))
+def test_achievable_rates_match_complex_einsum_reference(instance, snr_db):
+    # The kernel's split-real received powers against plain complex
+    # arithmetic, on the golden sweeps' instances and SNR range.
+    gamma, alpha, _ = GOLDEN_INSTANCES[instance]
+    canon = canonicalize(Topology(gamma), CsitQuality(alpha))
+    p = 10.0 ** (snr_db / 10.0)
+    h, h_hat = _draw(canon, p, np.random.default_rng(17), draws=1000)
+    for kind in ("apzf", "centralized_zf", "naive_zf", "no_csit"):
+        layers, _ = build_layers(canon, h_hat, plan_layout(canon, kind), kind, p)
+        for got, ref in zip(achievable_rates(h, layers), _einsum_rates(h, layers)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 def test_rates_nonnegative_and_additive():
@@ -221,7 +257,9 @@ def test_backoff_scales_private_pairs_uniformly():
     _, h_hat = _draw(canon, p, rng, draws=300)
     layers, backed_off = build_layers(canon, h_hat, layout, "apzf", p)
     raw = [apzf(h_hat[:, 0], rx, tau, canon.topology, p, active_tx=0) for rx in (0, 1)]
-    ratios = np.concatenate([layers[tag] / raw[i] for i, tag in enumerate(("s1", "s2"))], axis=1)
+    ratios = np.concatenate(
+        [as_complex(layers[tag]) / as_complex(raw[i]) for i, tag in enumerate(("s1", "s2"))], axis=1
+    )
     beta = ratios[:, :1]
     np.testing.assert_allclose(beta.imag, 0.0, atol=1e-12)
     assert np.all((0.0 < beta.real) & (beta.real <= 1.0 + 1e-12))
@@ -283,7 +321,7 @@ def test_interference_power_accounting():
     h, layers = _draw_layers(canon, "apzf", 1e5, rng)
     for rx in (0, 1):
         other = layers["s2" if rx == 0 else "s1"]
-        manual = abs(h[0, rx] @ other[0]) ** 2
+        manual = abs(as_complex(h)[0, rx] @ as_complex(other)[0]) ** 2
         assert interference_power(h, layers, rx)[0] == pytest.approx(manual)
 
 
