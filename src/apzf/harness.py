@@ -56,9 +56,9 @@ _CHUNK_DRAWS = 1024
 # forked worker holds its own copy of the parent's pages (about 30 MB).
 # Two points of configs/parallel.json's four schemes, one process against
 # two workers (2-core Xeon, numpy 2.4.6, medians of 10 interleaved runs):
-# 10,000 draws each 0.044 s against 0.046 s, 15,000 draws 0.072 s against
-# 0.062 s, 20,000 draws 0.082 s against 0.066 s (two workers faster in 9
-# of the 10 runs), and 40,000 draws 0.153 s against 0.112 s.
+# 10,000 draws each 0.049 s against 0.051 s, 15,000 draws 0.064 s against
+# 0.059 s, 20,000 draws 0.086 s against 0.072 s (two workers faster in 7
+# of the 10 runs), and 40,000 draws 0.165 s against 0.110 s.
 _POOL_MIN_DRAWS = 20_000
 
 # log2(P) advances by this much per dB of SNR.
@@ -215,33 +215,44 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
     blocks.  The per-draw sums take 8 bytes per draw per scheme.  Returns
     ``{scheme: PointStats}``.
     """
-    p = _snr_power(snr_db)
+    return _simulate(config, snr_db, *_plan(config))
+
+
+def _plan(config: SweepConfig) -> tuple:
+    """The config's canonical form and ``{scheme: layout}`` on it."""
     canon = canonicalize(config.topology, config.csit)
-    layouts = {s: plan_layout(canon, s) for s in config.schemes}
-    sums = {s: np.empty(config.draws) for s in config.schemes}
-    backed_off = dict.fromkeys(config.schemes, 0)
+    return canon, {s: plan_layout(canon, s) for s in config.schemes}
+
+
+def _simulate(config: SweepConfig, snr_db: float, canon, layouts: dict) -> dict:
+    """``simulate_snr`` with the config's ``_plan`` already made."""
+    p = _snr_power(snr_db)
+    sums = np.empty((len(config.schemes), config.draws))
+    backed_off = [0] * len(config.schemes)
     gen = None
     for start in range(0, config.draws, _BLOCK_DRAWS):
         block = range(start, min(start + _BLOCK_DRAWS, config.draws))
         z, gen = _block_normals(config.seed, snr_db, block, gen)
         h = sample_channel(canon.topology, p, z)
         h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
-        for s in config.schemes:
+        for i, s in enumerate(config.schemes):
             layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
             r0, r1, r2, rz = achievable_rates(h, layers)
-            sums[s][block.start : block.stop] = r0 + r1 + r2 + rz
-            backed_off[s] += int(mask.sum())
-    out = {}
-    for s in config.schemes:
-        mean = float(sums[s].mean())
-        stderr = float(sums[s].std(ddof=1) / math.sqrt(config.draws)) if config.draws > 1 else 0.0
-        out[s] = PointStats(mean, stderr, backed_off[s] / config.draws)
-    return out
+            sums[i, block.start : block.stop] = r0 + r1 + r2 + rz
+            backed_off[i] += int(mask.sum())
+    means = sums.mean(axis=-1)
+    if config.draws > 1:
+        stderrs = sums.std(axis=-1, ddof=1) / math.sqrt(config.draws)
+    else:
+        stderrs = np.zeros(len(config.schemes))
+    return {
+        s: PointStats(float(means[i]), float(stderrs[i]), backed_off[i] / config.draws)
+        for i, s in enumerate(config.schemes)
+    }
 
 
 def _point_task(args):
-    config, snr = args
-    return simulate_snr(config, snr)
+    return _simulate(*args)
 
 
 def _pool_size(config: SweepConfig) -> int:
@@ -269,10 +280,12 @@ def sweep(config: SweepConfig) -> SweepCurve:
     With ``config.workers > 1`` and enough draws (see ``_pool_size``),
     SNR points are farmed out to processes, one task per point covering
     all schemes; the per-point substreams make the result identical for
-    any worker count.  Schemes whose window holds fewer than two grid
-    points get slope None.
+    any worker count.  The canonical form and the layouts are planned
+    once here and sent with every task.  Schemes whose window holds fewer
+    than two grid points get slope None.
     """
-    tasks = [(config, snr) for snr in config.snr_db]
+    plan = _plan(config)
+    tasks = [(config, snr, *plan) for snr in config.snr_db]
     workers = _pool_size(config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

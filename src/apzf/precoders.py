@@ -50,8 +50,15 @@ def _abs2(x: np.ndarray) -> np.ndarray:
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` elementwise."""
-    return np.array((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
+    """``a * b`` elementwise: ``a0*b0 - a1*b1`` and ``a0*b1 + a1*b0``, each
+    written straight into its half of one output array."""
+    out = np.empty((2,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), np.result_type(a, b))
+    re, im = out
+    np.multiply(a[0], b[0], out=re)
+    re -= a[1] * b[1]
+    np.multiply(a[0], b[1], out=im)
+    im += a[1] * b[0]
+    return out
 
 
 def _conj(x: np.ndarray) -> np.ndarray:

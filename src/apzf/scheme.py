@@ -6,11 +6,13 @@ underneath, and (when the layout carries it) the below-the-floor z layer
 ``z1`` for RX 1.  Each layer holds its vectors for every draw, shape
 (2, 2, draws) in the layout of ``apzf.channel`` (real and imaginary
 parts on axis 0, draws last); the common layer is the same on every draw
-and is one (2, 2, 1) vector.  Decoding is successive: both receivers
-decode the common layer treating everything else as noise, each then
-strips it and decodes its private layer; RX 1 finally strips its private
-layer and decodes the z layer with only the other private layer left as
-noise.
+and is one (2, 2, 1) vector, one real amplitude on both TXs, so its
+received power is formed from that amplitude and the two TX entries of
+the channel, without a complex product (see ``_received``).  Decoding
+is successive: both receivers decode the common layer treating
+everything else as noise, each then strips it and decodes its private
+layer; RX 1 finally strips its private layer and decodes the z layer
+with only the other private layer left as noise.
 
 Scheme kinds differ in how the private vectors are produced, and only
 ``apzf`` sends ``z1``; a band takes power only if it is sent:
@@ -103,6 +105,8 @@ def _cap_to_budget(layers: dict, p: float, draws: int) -> np.ndarray:
     totals = tx_power(adaptive)
     over = totals > budget
     backed_off = over[0] | over[1]
+    if not backed_off.any():
+        return backed_off
     with np.errstate(divide="ignore", invalid="ignore"):
         b = np.where(over, budget / totals, np.inf)
     beta = np.minimum(b[0], b[1])
@@ -156,11 +160,22 @@ def build_layers(
 
 
 def _received(h: np.ndarray, layers: dict) -> dict:
-    """Per-layer received power ``|h_i t|**2``, (2, draws) indexed [rx, d]."""
+    """Per-layer received power ``|h_i t|**2``, (2, draws) indexed [rx, d].
+
+    The common layer ``s0`` is ``multicast``'s vector, one real amplitude
+    ``c`` on both TXs, so its received signal is ``h[:, :, 0]*c +
+    h[:, :, 1]*c``.  That is bit-identical to the general complex product:
+    the terms it leaves out are products with the vector's zero imaginary
+    parts, which are exact zeros.
+    """
     out = {}
     for tag, t in layers.items():
-        y = _cmul(h, t[:, None])
-        out[tag] = _abs2(y[:, :, 0] + y[:, :, 1])
+        if tag == "s0":
+            c = t[0, 0, 0]
+            out[tag] = _abs2(h[:, :, 0] * c + h[:, :, 1] * c)
+        else:
+            y = _cmul(h, t[:, None])
+            out[tag] = _abs2(y[:, :, 0] + y[:, :, 1])
     return out
 
 

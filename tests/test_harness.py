@@ -151,8 +151,9 @@ def _point_with_draw_sums(monkeypatch, cfg, snr_db):
 def test_block_size_does_not_change_results(monkeypatch, draws, block):
     # A point's draws are evaluated in blocks; a draw's sum rate, and so
     # every statistic of the point, must not depend on the block it is in.
-    # Blocks of 8,192 draws or more catch numpy's complex multiply, which
-    # is not bit-commutative and has its operands swapped on large arrays.
+    # The blocks of 4,097 and 8,203 draws span several chunks of
+    # _CHUNK_DRAWS, and 4,097 also splits a chunk between two blocks, so
+    # each chunk's generator must carry on from one block to the next.
     cfg = _config(schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"), draws=draws)
     whole, whole_sums = _point_with_draw_sums(monkeypatch, cfg, 40.0)
     monkeypatch.setattr(harness, "_BLOCK_DRAWS", block)
@@ -160,6 +161,17 @@ def test_block_size_does_not_change_results(monkeypatch, draws, block):
     assert out == whole
     for a, b in zip(sums, whole_sums):
         np.testing.assert_array_equal(a, b)
+
+
+def test_point_stats_are_each_schemes_own_reductions(monkeypatch):
+    # The per-draw sums of all schemes are reduced together along the
+    # draw axis; each scheme's row must reduce as it would on its own.
+    cfg = _config(schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"), draws=8203)
+    out, sums = _point_with_draw_sums(monkeypatch, cfg, 40.0)
+    for s, row in zip(cfg.schemes, sums):
+        np.testing.assert_array_equal(
+            [out[s].mean, out[s].stderr], [row.mean(), row.std(ddof=1) / math.sqrt(cfg.draws)]
+        )
 
 
 def _z1_case2_config():
@@ -267,6 +279,26 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
     write_csv(serial, f1)
     write_csv(parallel, f2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_sweep_plans_once(monkeypatch):
+    # The canonical form and the layouts do not depend on the SNR point.
+    calls = {"canonicalize": 0, "plan_layout": 0}
+
+    def counted(name):
+        real = getattr(harness, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    schemes = ("apzf", "centralized_zf", "naive_zf", "no_csit")
+    sweep(_config(schemes=schemes, snr_db=(40.0, 45.0, 50.0, 55.0, 60.0), draws=5))
+    assert calls == {"canonicalize": 1, "plan_layout": len(schemes)}
 
 
 def test_pool_size_needs_enough_draws_per_worker(monkeypatch):

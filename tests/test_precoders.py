@@ -16,6 +16,7 @@ from apzf import (
     sample_channel,
     sample_csit,
 )
+from apzf.precoders import _cmul
 from conftest import as_complex, as_kernel
 
 P_GRID = np.logspace(4, 8, 5)
@@ -44,6 +45,27 @@ def _geomean_exponent(per_draw_power, draws, seed):
         z = rng.standard_normal((draws, NORMALS_PER_DRAW))
         acc[ip] = np.mean(np.log(per_draw_power(p, z)))
     return fit_exponent(list(zip(P_GRID, np.exp(acc))))
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((2, 5), (2, 5)), ((2, 2, 5), (2, 1, 5)), ((2, 2, 2, 5), (2, 2, 1, 5)), ((2, 2, 2, 5), (2, 2, 2, 1))],
+)
+def test_cmul_is_the_two_expression_formula_bit_for_bit(a_shape, b_shape):
+    # About half the parts are signed zeros and the rest Gaussian, so
+    # both the rounding and the sign of every zero result are compared.
+    rng = np.random.default_rng(31)
+
+    def parts(shape):
+        zeros = rng.choice([0.0, -0.0], shape)
+        return np.where(rng.random(shape) < 0.5, zeros, rng.standard_normal(shape))
+
+    a, b = parts(a_shape), parts(b_shape)
+    ref = np.array((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
+    got = _cmul(a, b)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_apzf_passive_coefficient_is_deterministic():

@@ -22,6 +22,8 @@ from apzf import (
     scheme_layout,
     tx_power,
 )
+import apzf.scheme as scheme
+from apzf.precoders import _abs2, _cmul
 from conftest import as_complex, as_kernel, reference_instance
 from test_golden import INSTANCES as GOLDEN_INSTANCES
 
@@ -221,6 +223,20 @@ def test_achievable_rates_match_complex_einsum_reference(instance, snr_db):
         layers, _ = build_layers(canon, h_hat, plan_layout(canon, kind), kind, p)
         for got, ref in zip(achievable_rates(h, layers), _einsum_rates(h, layers)):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
+@pytest.mark.parametrize("instance", ["reference", "z1_case2"])
+def test_common_layer_power_is_the_general_product_bit_for_bit(instance, snr_db):
+    # _received forms s0's power from its one real amplitude; the general
+    # complex product differs from it only in terms that are exact zeros.
+    gamma, alpha, _ = GOLDEN_INSTANCES[instance]
+    canon = canonicalize(Topology(gamma), CsitQuality(alpha))
+    p = 10.0 ** (snr_db / 10.0)
+    h, h_hat = _draw(canon, p, np.random.default_rng(19), draws=5000)
+    layers, _ = build_layers(canon, h_hat, plan_layout(canon, "apzf"), "apzf", p)
+    y = _cmul(h, layers["s0"][:, None])
+    np.testing.assert_array_equal(scheme._received(h, layers)["s0"], _abs2(y[:, :, 0] + y[:, :, 1]))
 
 
 def test_rates_nonnegative_and_additive():
