@@ -3,10 +3,11 @@
 Each SNR point splits its draws into chunks of ``_CHUNK_DRAWS``, and
 each (SNR point, chunk) pair gets its own RNG substream derived from the
 config seed, so results are independent of evaluation order and of how
-points are distributed across worker processes.  One kernel call per SNR
-point draws every chunk's normals once and evaluates all schemes on
-those draws as array operations, so all schemes see the same fading
-draws (common random numbers).
+points are distributed across worker processes.  A point's draws are
+evaluated in blocks of at most ``_BLOCK_DRAWS`` (4,096 draws, four whole
+chunks): each block draws its chunks' normals once and evaluates all
+schemes on those draws as array operations, so all schemes see the same
+fading draws (common random numbers).
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ __all__ = [
     "load_config",
 ]
 
-# Draws per block of the per-point kernel: large enough that numpy's
-# per-call overhead is spread thin, small enough that a block's arrays
-# stay at a few MB whatever the configured draw count.
-_BLOCK_DRAWS = 4096
-
 # Draws per substream (see ``_substream``).  Part of the substream
 # contract: changing it changes every simulated number.
 _CHUNK_DRAWS = 1024
+
+# Draws per block of the per-point kernel, in whole chunks: large enough
+# that numpy's per-call overhead is spread thin, small enough that a
+# block's arrays stay at a few MB whatever the configured draw count.
+_BLOCK_DRAWS = 4 * _CHUNK_DRAWS
 
 # Fewest draws a worker process must get before a sweep forks one.  Each
 # forked worker holds its own copy of the parent's pages (about 30 MB).
@@ -185,24 +186,20 @@ def _substream(seed: int, snr_db: float, chunk: int) -> np.random.Generator:
     return np.random.default_rng([seed, _snr_key(snr_db), chunk])
 
 
-def _block_normals(seed: int, snr_db: float, block: range, gen=None) -> tuple:
-    """Normals of the draws in ``block`` (row i: draw block[i]'s row of its
-    chunk's ``_substream``), and the generator to go on with.
+def _block_normals(seed: int, snr_db: float, block: range) -> np.ndarray:
+    """Normals of the draws in ``block``: row i is draw block[i]'s row of
+    its chunk's ``_substream``.
 
-    ``gen`` is what the call for the draws just before ``block`` returned;
-    without it, a block starting inside a chunk drops the chunk's earlier rows.
+    ``block`` must start on a chunk boundary (a multiple of
+    ``_CHUNK_DRAWS``); each chunk in it is drawn from a fresh substream.
     """
     z = np.empty((len(block), NORMALS_PER_DRAW))
-    d = block.start
-    while d < block.stop:
-        chunk, row = divmod(d, _CHUNK_DRAWS)
-        if gen is None or row == 0:
-            gen = _substream(seed, snr_db, chunk)
-            gen.standard_normal((row, NORMALS_PER_DRAW))
-        end = min(block.stop, (chunk + 1) * _CHUNK_DRAWS)
-        gen.standard_normal(out=z[d - block.start : end - block.start])
-        d = end
-    return z, gen
+    for start in range(block.start, block.stop, _CHUNK_DRAWS):
+        end = min(block.stop, start + _CHUNK_DRAWS)
+        _substream(seed, snr_db, start // _CHUNK_DRAWS).standard_normal(
+            out=z[start - block.start : end - block.start]
+        )
+    return z
 
 
 def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
@@ -210,10 +207,9 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
 
     Draw d is always the same row of substream (seed, snr, d // _CHUNK_DRAWS),
     whichever draws and schemes run with it.  Draws are evaluated in
-    blocks of at most ``_BLOCK_DRAWS``, which bounds the memory of the
-    channel and layer arrays; each chunk's generator carries on across
-    blocks.  The per-draw sums take 8 bytes per draw per scheme.  Returns
-    ``{scheme: PointStats}``.
+    blocks of at most ``_BLOCK_DRAWS`` (whole chunks), which bounds the
+    memory of the channel and layer arrays.  The per-draw sums take 8
+    bytes per draw per scheme.  Returns ``{scheme: PointStats}``.
     """
     return _simulate(config, snr_db, *_plan(config))
 
@@ -229,10 +225,9 @@ def _simulate(config: SweepConfig, snr_db: float, canon, layouts: dict) -> dict:
     p = _snr_power(snr_db)
     sums = np.empty((len(config.schemes), config.draws))
     backed_off = [0] * len(config.schemes)
-    gen = None
     for start in range(0, config.draws, _BLOCK_DRAWS):
         block = range(start, min(start + _BLOCK_DRAWS, config.draws))
-        z, gen = _block_normals(config.seed, snr_db, block, gen)
+        z = _block_normals(config.seed, snr_db, block)
         h = sample_channel(canon.topology, p, z)
         h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
         for i, s in enumerate(config.schemes):

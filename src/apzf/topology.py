@@ -116,13 +116,11 @@ class CsitQuality:
 class EffectiveExponents:
     """Reduced CSIT exponents used by the closed forms.
 
-    alpha_rx[j, i]   worst quality at TX j about RX i's row (min over columns)
     alpha_max[i, k]  best quality about link (i, k) across the two TXs
     alpha_prime[i]   min over columns of alpha_max, the network-wide
                      effective quality about RX i
     """
 
-    alpha_rx: np.ndarray
     alpha_max: np.ndarray
     alpha_prime: np.ndarray
 
@@ -239,9 +237,9 @@ def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:
 def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponents:
     """Reduce the 2x2x2 quality tensor to the exponents the closed forms use.
 
-    A transmitter cancelling interference caused at RX i is limited by its
-    worst estimate in row i (min over columns); the network is limited by
-    the best-informed transmitter for each link (max over TXs).
+    The network is limited by the best-informed transmitter for each link
+    (max over TXs), and its quality about RX i by the worse of RX i's two
+    links (min over columns).
 
     It does not check its input.  ``distributed_gdof`` and
     ``genie_outer_bound`` validate before they call it, and
@@ -251,10 +249,9 @@ def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponent
     every instance of a GDoF map.
     """
     a = csit.alpha
-    alpha_rx = np.minimum(a[:, :, 0], a[:, :, 1])
     alpha_max = np.maximum(a[0], a[1])
     alpha_prime = np.minimum(alpha_max[:, 0], alpha_max[:, 1])
-    return EffectiveExponents(alpha_rx, alpha_max, alpha_prime)
+    return EffectiveExponents(alpha_max, alpha_prime)
 
 
 def dyadic_instance(rng: np.random.Generator, grid: int = 1024):

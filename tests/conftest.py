@@ -4,7 +4,6 @@ import numpy as np
 
 from apzf import CsitQuality, Topology
 from apzf.checks import _complex as as_complex  # noqa: F401  (see as_kernel)
-from apzf.topology import dyadic_instance  # noqa: F401  (shared by the test modules)
 
 
 def reference_instance():

@@ -1,8 +1,9 @@
 """Golden pins of the closed forms, the canonical relabelling and the domain checks.
 
 The digests below were produced by the implementation that read every
-2x2 entry as a numpy scalar.  They cover every field of
-``distributed_gdof``, ``genie_outer_bound``, ``canonicalize``,
+2x2 entry as a numpy scalar, and re-made from the same values when an
+unused ``EffectiveExponents`` field was deleted.  They cover every
+field of ``distributed_gdof``, ``genie_outer_bound``, ``canonicalize``,
 ``effective_alphas`` and ``scheme_layout(canonicalize(...))``, with each
 float pinned to the bit through ``float.hex`` and the layer dicts pinned
 in insertion order (``SchemeLayout.rate_total`` sums in that order).  A
@@ -30,7 +31,7 @@ from apzf import (
     scheme_layout,
     validate,
 )
-from conftest import dyadic_instance
+from apzf.topology import dyadic_instance
 
 N_INSTANCES = 2000
 
@@ -54,9 +55,9 @@ INSTANCE_SETS = {
 }
 
 GOLDEN_SHA256 = {
-    "dyadic": "0ad8cdae0c1432cc213c8225fdcc90ed9984057cd73308334d4199cd38f6cf7f",
-    "coarse": "591bfc7b3b97f743087016278f607e592cc5c0bd0091a627b4573dc409fc0ced",
-    "off_lattice": "e9ea490ba62f056c5fcdb7840a594e7f75f9edb7dd2a39c8538736bd5b22a296",
+    "dyadic": "44de9a42467244584b2c64a9d3b2c587b58279d76d3195363c85cccc5266b2ef",
+    "coarse": "acf28363811952dad094f85a5d71cfe4b699cdf2e5acc7e119458c5b01075cc7",
+    "off_lattice": "95911fbbe2b34aa9a100fc0047b222dff7cdc0df3be6f18897196058f490fd97",
 }
 
 
@@ -83,7 +84,7 @@ def _instance_record(topo, csit):
         _gdof_fields(genie_outer_bound(topo, csit)),
         (canon.rx_swap, canon.tx_swap, canon.active_tx,
          _arr(canon.topology.gamma), _arr(canon.csit.alpha)),
-        (_arr(eff.alpha_rx), _arr(eff.alpha_max), _arr(eff.alpha_prime)),
+        (_arr(eff.alpha_max), _arr(eff.alpha_prime)),
         (layout.case_id, layout.parallel, _f(layout.rho),
          [(k, _f(v)) for k, v in layout.power_exp.items()],
          [(k, _f(v)) for k, v in layout.rate_exp.items()]),

@@ -14,7 +14,8 @@ from apzf import (
     scheme_layout,
 )
 import apzf.checks as checks
-from conftest import dyadic_instance, reference_instance
+from apzf.topology import dyadic_instance
+from conftest import reference_instance
 
 
 def test_centralized_perfect_csit_full_gdof():

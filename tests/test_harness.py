@@ -83,8 +83,8 @@ def test_block_normals_match_substreams(seed, snr_db):
     assert _snr_key(snr_db) in (0, 2**31 - 1)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        first, gen = _block_normals(seed, snr_db, range(0, harness._BLOCK_DRAWS))
-        second, _ = _block_normals(seed, snr_db, range(harness._BLOCK_DRAWS, harness._BLOCK_DRAWS + 2), gen)
+        first = _block_normals(seed, snr_db, range(0, harness._BLOCK_DRAWS))
+        second = _block_normals(seed, snr_db, range(harness._BLOCK_DRAWS, harness._BLOCK_DRAWS + 2))
     assert first.shape == (4096, NORMALS_PER_DRAW) and second.shape == (2, NORMALS_PER_DRAW)
     z = np.concatenate([first, second])
     for d in (0, 1023, 1024, 4095, 4096, 4097):
@@ -92,9 +92,10 @@ def test_block_normals_match_substreams(seed, snr_db):
 
 
 def test_block_normals_cover_the_largest_draw_index():
-    z, _ = _block_normals(5, 45.0, range(2**32 - 2, 2**32))
-    for i, d in enumerate((2**32 - 2, 2**32 - 1)):
-        np.testing.assert_array_equal(z[i], _chunk_row(5, 45.0, d))
+    # The last chunk of the largest allowed draw count; its last two rows.
+    z = _block_normals(5, 45.0, range(2**32 - _CHUNK_DRAWS, 2**32))
+    for d in (2**32 - 2, 2**32 - 1):
+        np.testing.assert_array_equal(z[d - (2**32 - _CHUNK_DRAWS)], _chunk_row(5, 45.0, d))
 
 
 def _apzf_point(cfg, snr_db):
@@ -145,15 +146,12 @@ def _point_with_draw_sums(monkeypatch, cfg, snr_db):
     return out, [np.concatenate(sums[i::n]) for i in range(n)]
 
 
-@pytest.mark.parametrize(
-    "draws, block", [(23, 1), (23, 5), (23, 7), (8203, 4097), (8203, 8203)]
-)
+@pytest.mark.parametrize("draws, block", [(8203, 1024), (8203, 2048), (8203, 8192)])
 def test_block_size_does_not_change_results(monkeypatch, draws, block):
-    # A point's draws are evaluated in blocks; a draw's sum rate, and so
-    # every statistic of the point, must not depend on the block it is in.
-    # The blocks of 4,097 and 8,203 draws span several chunks of
-    # _CHUNK_DRAWS, and 4,097 also splits a chunk between two blocks, so
-    # each chunk's generator must carry on from one block to the next.
+    # A point's draws are evaluated in blocks of whole chunks; a draw's sum
+    # rate, and so every statistic of the point, must not depend on the
+    # block it is in.  8,203 draws end in a partial chunk, so the last
+    # block is short.
     cfg = _config(schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"), draws=draws)
     whole, whole_sums = _point_with_draw_sums(monkeypatch, cfg, 40.0)
     monkeypatch.setattr(harness, "_BLOCK_DRAWS", block)
@@ -207,12 +205,40 @@ def test_naive_zf_sends_what_no_csit_sends_when_its_s1_carries_no_rate():
         out = simulate_snr(cfg, snr)
         assert out["naive_zf"] == out["no_csit"]
         p = 10.0 ** (snr / 10.0)
-        z, _ = _block_normals(cfg.seed, snr, range(cfg.draws))
+        z = _block_normals(cfg.seed, snr, range(cfg.draws))
         h_hat = sample_csit(sample_channel(canon.topology, p, z), canon.topology, canon.csit, p, z)
         naive, _ = build_layers(canon, h_hat, plan_layout(canon, "naive_zf"), "naive_zf", p)
         blind, _ = build_layers(canon, h_hat, plan_layout(canon, "no_csit"), "no_csit", p)
         assert list(naive) == list(blind) == ["s0"]
         np.testing.assert_array_equal(naive["s0"], blind["s0"])
+
+
+@pytest.mark.parametrize("batch", [1, 5, 7])
+def test_a_draw_does_not_depend_on_its_batch(batch):
+    # The kernel works on a batch of draws as array operations; each draw's
+    # sum rate and back-off must be what it is in any other batch.  At
+    # 20 dB apzf backs off on every draw, centralized_zf on some of them.
+    cfg = _z1_case2_config()
+    canon, layouts = harness._plan(cfg)
+    p = 10.0 ** (20.0 / 10.0)
+    z = _block_normals(cfg.seed, 20.0, range(23))
+
+    def kernel(normals):
+        h = sample_channel(canon.topology, p, normals)
+        h_hat = sample_csit(h, canon.topology, canon.csit, p, normals)
+        out = {}
+        for s in cfg.schemes:
+            layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
+            out[s] = (sum(achievable_rates(h, layers)), mask)
+        return out
+
+    whole = kernel(z)
+    parts = [kernel(z[i : i + batch]) for i in range(0, len(z), batch)]
+    assert whole["apzf"][1].all()
+    assert whole["centralized_zf"][1].any() and not whole["centralized_zf"][1].all()
+    for s in cfg.schemes:
+        for k in range(2):
+            np.testing.assert_array_equal(np.concatenate([part[s][k] for part in parts]), whole[s][k])
 
 
 def test_stderr_shrinks_like_sqrt_draws():

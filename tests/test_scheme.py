@@ -94,7 +94,7 @@ def test_naive_layout_is_the_weaker_tx_layout(dominant):
     assert list(build_layers(canon, h_hat, naive, "naive_zf", 1e4)[0]) == ["s0"]
 
 
-def test_build_plan_reference_has_three_layers():
+def test_build_layers_reference_has_three_layers():
     canon = _canon_reference()
     rng = np.random.default_rng(0)
     h, h_hat = _draw(canon, 1e6, rng)
@@ -108,7 +108,7 @@ def test_build_plan_reference_has_three_layers():
     np.testing.assert_array_equal(layers["s1"], aimed)
 
 
-def test_build_plan_four_layer_case():
+def test_build_layers_four_layer_case():
     canon = _canon_four_band()
     layout = plan_layout(canon, "apzf")
     assert layout.power_exp["s1"] == pytest.approx(0.7)
@@ -120,7 +120,7 @@ def test_build_plan_four_layer_case():
     assert list(layers_czf) == ["s0", "s1", "s2"]
 
 
-def test_build_plan_no_csit_single_full_power_layer():
+def test_build_layers_no_csit_single_full_power_layer():
     canon = _canon_reference()
     rng = np.random.default_rng(2)
     _, layers = _draw_layers(canon, "no_csit", 1e6, rng)
@@ -250,7 +250,7 @@ def test_rates_nonnegative_and_additive():
         np.testing.assert_allclose(r[0] + r[1] + r[2] + r[3], r.sum(axis=0), rtol=1e-6)
 
 
-def test_per_tx_power_within_budget():
+def test_tx_power_within_budget():
     # The adaptive coefficient occasionally overshoots at moderate SNR;
     # the back-off must keep every draw feasible.
     canon = _canon_reference()
