@@ -13,11 +13,13 @@ kernel's own complex arithmetic cannot hide itself.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
 from .gdof import distributed_gdof, genie_outer_bound, scheme_layout
-from .harness import fit_exponent, simulate_snr
+from .harness import fit_exponent, simulate_snr, sweep
 from .precoders import apzf
 from .topology import CsitQuality, Topology, canonicalize, dyadic_instance
 
@@ -95,7 +97,17 @@ def coefficient_exponents(rng, n_topologies, draws):
 
 
 def determinism(config):
-    """Simulating the first SNR point twice gives identical results."""
-    a = simulate_snr(config, config.snr_db[0])
-    b = simulate_snr(config, config.snr_db[0])
-    return a == b, f"{len(a)} schemes, repeated point identical: {a == b}"
+    """Simulating the first SNR point twice gives identical results, and
+    they equal that point's in a two-point sweep (draws do not depend on
+    the grid).  The other point is 10 dB away, on the side where P stays
+    a normal float."""
+    first = config.snr_db[0]
+    a = simulate_snr(config, first)
+    b = simulate_snr(config, first)
+    pair = (first - 10.0, first) if first > 0 else (first, first + 10.0)
+    swept = sweep(dataclasses.replace(config, snr_db=pair))
+    in_sweep = {s: pts[pair.index(first)] for s, pts in swept.points.items()}
+    return a == b == in_sweep, (
+        f"{len(a)} schemes, repeated point identical: {a == b}, "
+        f"equal to it in a two-point sweep: {a == in_sweep}"
+    )

@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path (summary goes to .json)")
     p.add_argument("--scheme", default=None, help="comma-separated subset of config schemes")
     p.add_argument("--window", default=None, help="slope-fit window, lo:hi in dB")
-    p.add_argument("--workers", type=int, default=None, help="most processes for point evaluation")
+    p.add_argument("--workers", type=int, default=None,
+                   help="most processes; each takes a contiguous slice of the SNR grid")
 
     p = sub.add_parser("validate", help="run identity/cancellation/exponent self-checks")
     add_common(p, config_required=False)
@@ -149,7 +150,7 @@ def _cmd_sweep(args) -> int:
     write_summary(config, curve, summary_path)
     for s in config.schemes:
         slope = curve.slopes[s]
-        shown = f"{slope:.4f}" if slope is not None else "n/a (fewer than 2 window points)"
+        shown = f"{slope:.4f}" if slope is not None else "n/a (fewer than 2 distinct window points)"
         print(f"{s:15s} slope over {config.window_db[0]:g}-{config.window_db[1]:g} dB: {shown}")
     print(f"wrote {out} and {summary_path}")
     return EXIT_OK

@@ -1,13 +1,14 @@
 """Monte Carlo sum-rate sweeps, slope fitting, and result serialization.
 
-Each SNR point splits its draws into chunks of ``_CHUNK_DRAWS``, and
-each (SNR point, chunk) pair gets its own RNG substream derived from the
-config seed, so results are independent of evaluation order and of how
-points are distributed across worker processes.  A point's draws are
-evaluated in blocks of at most ``_BLOCK_DRAWS`` (4,096 draws, four whole
-chunks): each block draws its chunks' normals once and evaluates all
-schemes on those draws as array operations, so all schemes see the same
-fading draws (common random numbers).
+A config's draws are split into chunks of ``_CHUNK_DRAWS``, and each
+chunk gets its own RNG substream derived from the config seed and the
+chunk index alone, so draw d is the same fading draw at every SNR point
+and for every scheme (common random numbers across points and schemes).
+Draws are evaluated in blocks of at most ``_BLOCK_DRAWS`` (4,096 draws,
+four whole chunks), blocks first: each block draws its chunks' normals
+once and evaluates every SNR point and scheme on them as array
+operations.  A point's result therefore depends neither on the other
+points in its grid nor on how the grid is split across worker processes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import numbers
 import reprlib
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -81,11 +83,6 @@ class InsufficientPoints(ValueError):
     """Not enough points to fit a slope."""
 
 
-def _snr_key(snr_db: float) -> int:
-    """The SNR's part of a substream key: the SNR in milli-dB."""
-    return int(round(snr_db * 1000.0)) % (2**31)
-
-
 def _snr_power(snr_db: float) -> float:
     """P = 10**(snr_db / 10); ConfigError unless it is a finite normal float."""
     try:
@@ -134,15 +131,14 @@ class SweepConfig:
             raise ConfigError("snr_db grid must be strictly increasing")
         if not self.snr_db:
             raise ConfigError("snr_db grid must be non-empty")
-        if len({_snr_key(s) for s in self.snr_db}) < len(self.snr_db):
-            raise ConfigError("snr_db points closer than 0.5 milli-dB would share draws")
         self.draws = _integer("draws", self.draws)
         self.seed = _integer("seed", self.seed)
         self.workers = _integer("workers", self.workers)
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
         if self.draws > 2**32:
-            # simulate_snr keeps 8 bytes per draw per scheme: 32 GiB each here
+            # a sweep task keeps 8 bytes per draw per scheme per SNR point
+            # it holds: 32 GiB each here
             raise ConfigError("draws must be <= 2**32")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
@@ -177,26 +173,29 @@ class SweepCurve:
     gdof: dict
 
 
-def _substream(seed: int, snr_db: float, chunk: int) -> np.random.Generator:
-    """The generator of one chunk of draws at one SNR point: the substream contract.
+def _substream(seed: int, chunk: int) -> np.random.Generator:
+    """The generator of one chunk of draws: the substream contract.
 
     Draw d is row ``d % _CHUNK_DRAWS`` of this generator's
-    ``standard_normal((n, NORMALS_PER_DRAW))`` for chunk ``d // _CHUNK_DRAWS``.
+    ``standard_normal((n, NORMALS_PER_DRAW))`` for chunk ``d // _CHUNK_DRAWS``,
+    at every SNR point.
     """
-    return np.random.default_rng([seed, _snr_key(snr_db), chunk])
+    return np.random.default_rng([seed, chunk])
 
 
-def _block_normals(seed: int, snr_db: float, block: range) -> np.ndarray:
+def _block_normals(seed: int, block: range) -> np.ndarray:
     """Normals of the draws in ``block``: row i is draw block[i]'s row of
     its chunk's ``_substream``.
 
     ``block`` must start on a chunk boundary (a multiple of
     ``_CHUNK_DRAWS``); each chunk in it is drawn from a fresh substream.
+    A sweep task calls this once per block and shares the normals across
+    all of its SNR points.
     """
     z = np.empty((len(block), NORMALS_PER_DRAW))
     for start in range(block.start, block.stop, _CHUNK_DRAWS):
         end = min(block.stop, start + _CHUNK_DRAWS)
-        _substream(seed, snr_db, start // _CHUNK_DRAWS).standard_normal(
+        _substream(seed, start // _CHUNK_DRAWS).standard_normal(
             out=z[start - block.start : end - block.start]
         )
     return z
@@ -205,13 +204,12 @@ def _block_normals(seed: int, snr_db: float, block: range) -> np.ndarray:
 def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
     """Every config scheme at one SNR point, all on the same draws.
 
-    Draw d is always the same row of substream (seed, snr, d // _CHUNK_DRAWS),
-    whichever draws and schemes run with it.  Draws are evaluated in
-    blocks of at most ``_BLOCK_DRAWS`` (whole chunks), which bounds the
-    memory of the channel and layer arrays.  The per-draw sums take 8
-    bytes per draw per scheme.  Returns ``{scheme: PointStats}``.
+    Draw d is always the same row of substream (seed, d // _CHUNK_DRAWS),
+    whichever SNR points, draws and schemes run with it, so the result
+    equals this point's in any ``sweep`` of the config.  The per-draw
+    sums take 8 bytes per draw per scheme.  Returns ``{scheme: PointStats}``.
     """
-    return _simulate(config, snr_db, *_plan(config))
+    return _simulate(config, (snr_db,), *_plan(config))[0]
 
 
 def _plan(config: SweepConfig) -> tuple:
@@ -220,30 +218,40 @@ def _plan(config: SweepConfig) -> tuple:
     return canon, {s: plan_layout(canon, s) for s in config.schemes}
 
 
-def _simulate(config: SweepConfig, snr_db: float, canon, layouts: dict) -> dict:
-    """``simulate_snr`` with the config's ``_plan`` already made."""
-    p = _snr_power(snr_db)
-    sums = np.empty((len(config.schemes), config.draws))
-    backed_off = [0] * len(config.schemes)
+def _simulate(config: SweepConfig, snr_db: tuple, canon, layouts: dict) -> list:
+    """``{scheme: PointStats}`` for each point of ``snr_db``, with the
+    config's ``_plan`` already made.
+
+    Blocks run first and SNR points second: each block's normals are
+    drawn once and evaluated at every point.
+    """
+    powers = [_snr_power(snr) for snr in snr_db]
+    sums = np.empty((len(powers), len(config.schemes), config.draws))
+    backed_off = np.zeros((len(powers), len(config.schemes)), dtype=np.int64)
     for start in range(0, config.draws, _BLOCK_DRAWS):
         block = range(start, min(start + _BLOCK_DRAWS, config.draws))
-        z = _block_normals(config.seed, snr_db, block)
-        h = sample_channel(canon.topology, p, z)
-        h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
-        for i, s in enumerate(config.schemes):
-            layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
-            r0, r1, r2, rz = achievable_rates(h, layers)
-            sums[i, block.start : block.stop] = r0 + r1 + r2 + rz
-            backed_off[i] += int(mask.sum())
+        z = _block_normals(config.seed, block)
+        for j, p in enumerate(powers):
+            h = sample_channel(canon.topology, p, z)
+            h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
+            for i, s in enumerate(config.schemes):
+                layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
+                r0, r1, r2, rz = achievable_rates(h, layers)
+                sums[j, i, block.start : block.stop] = r0 + r1 + r2 + rz
+                backed_off[j, i] += int(mask.sum())
     means = sums.mean(axis=-1)
     if config.draws > 1:
         stderrs = sums.std(axis=-1, ddof=1) / math.sqrt(config.draws)
     else:
-        stderrs = np.zeros(len(config.schemes))
-    return {
-        s: PointStats(float(means[i]), float(stderrs[i]), backed_off[i] / config.draws)
-        for i, s in enumerate(config.schemes)
-    }
+        stderrs = np.zeros(sums.shape[:2])
+    fracs = backed_off / config.draws
+    return [
+        {
+            s: PointStats(float(means[j, i]), float(stderrs[j, i]), float(fracs[j, i]))
+            for i, s in enumerate(config.schemes)
+        }
+        for j in range(len(powers))
+    ]
 
 
 def _point_task(args):
@@ -253,8 +261,9 @@ def _point_task(args):
 def _pool_size(config: SweepConfig) -> int:
     """Worker processes a sweep uses; 1 means it runs in this process.
 
-    At most ``config.workers`` and one per SNR point, and no more than
-    give each worker ``_POOL_MIN_DRAWS`` draws.
+    At most ``config.workers`` and one per SNR point (each worker gets a
+    contiguous slice of the grid), and no more than give each worker
+    ``_POOL_MIN_DRAWS`` point-draws.
     """
     total = config.draws * len(config.snr_db)
     return max(1, min(config.workers, len(config.snr_db), total // _POOL_MIN_DRAWS))
@@ -272,23 +281,26 @@ def closed_forms(config: SweepConfig) -> dict:
 def sweep(config: SweepConfig) -> SweepCurve:
     """Simulate every (scheme, SNR) point and fit per-scheme slopes.
 
-    With ``config.workers > 1`` and enough draws (see ``_pool_size``),
-    SNR points are farmed out to processes, one task per point covering
-    all schemes; the per-point substreams make the result identical for
-    any worker count.  The canonical form and the layouts are planned
+    Without a pool the whole grid is one task.  With ``config.workers > 1``
+    and enough draws (see ``_pool_size``), the grid is cut into one
+    contiguous slice per worker, each a task covering all schemes and all
+    draws; since draws are keyed by chunk alone, the result is identical
+    for any worker count.  The canonical form and the layouts are planned
     once here and sent with every task.  Schemes whose window holds fewer
     than two grid points get slope None.
     """
     plan = _plan(config)
-    tasks = [(config, snr, *plan) for snr in config.snr_db]
     workers = _pool_size(config)
+    cuts = [len(config.snr_db) * k // workers for k in range(workers + 1)]
+    tasks = [(config, config.snr_db[a:b], *plan) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_point_task, tasks))
+            slices = list(pool.map(_point_task, tasks))
     else:
-        results = [_point_task(t) for t in tasks]
+        slices = [_point_task(t) for t in tasks]
 
     # pool.map keeps task order, so results[i] is the point at snr_db[i].
+    results = [stats for part in slices for stats in part]
     points = {s: [stats[s] for stats in results] for s in config.schemes}
     slopes = {}
     for s, pts in points.items():
@@ -305,7 +317,10 @@ def estimate_slope(points, window_db) -> float:
     """Least-squares slope of sum rate against log2(P) inside a dB window.
 
     ``points`` is a sequence of (snr_db, mean_rate) pairs; both window
-    edges are inclusive.
+    edges are inclusive.  Raises InsufficientPoints when fewer than two
+    points lie inside, or when they are too close together for a line
+    (numpy warns that the fit is poorly conditioned, or a squared x
+    underflows to 0 and it divides by zero).
     """
     lo, hi = window_db
     sel = [(snr, y) for snr, y in points if lo <= snr <= hi]
@@ -315,7 +330,14 @@ def estimate_slope(points, window_db) -> float:
         )
     x = np.array([snr * _LOG2P_PER_DB for snr, _ in sel])
     y = np.array([y for _, y in sel])
-    return float(np.polyfit(x, y, 1)[0])
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise", over="raise"):
+        warnings.simplefilter("error")
+        try:
+            return float(np.polyfit(x, y, 1)[0])
+        except (Warning, FloatingPointError) as exc:
+            raise InsufficientPoints(
+                f"points inside [{lo}, {hi}] dB are too close together to fit a slope"
+            ) from exc
 
 
 def fit_exponent(samples) -> float:

@@ -33,7 +33,6 @@ BAD_CONFIG_VALUES = {
     "snr-minus-inf": ("snr_db", [float("-inf"), 40.0]),
     "snr-power-overflows": ("snr_db", [40.0, 4000.0]),
     "snr-power-underflows": ("snr_db", [-4000.0, 40.0]),
-    "snr-same-millidb-key": ("snr_db", [40.0, 40.0004]),
     "draws-fractional": ("draws", 2.7),
     "draws-bool": ("draws", True),
     "draws-above-2-pow-32": ("draws", 2**32 + 1),

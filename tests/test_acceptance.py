@@ -91,9 +91,10 @@ def _slopes(lo_db: float) -> dict:
 
 
 def test_simulated_slopes_match_closed_form_gdof():
-    # At 40-60 dB apzf's slope has not yet reached its GDoF of 1.7 (1.58 to
-    # 1.62 over the seeds surveyed), so [1.6, 1.8] there would rest on the
-    # seed; at 100-120 dB it holds at every seed surveyed (CHANGES.md).
+    # At 40-60 dB apzf's slope has not yet reached its GDoF of 1.7 (1.599 to
+    # 1.610 over seeds 1-12 and 23), so [1.6, 1.8] there would rest on the
+    # seed; at 100-120 dB (1.696 to 1.700) it holds at every seed surveyed
+    # (CHANGES.md).
     t0 = time.perf_counter()
     low, high = _slopes(40.0), _slopes(100.0)
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import argparse
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -289,6 +290,17 @@ def test_validate_with_config_adds_determinism_check(config_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5
     assert lines[-1].startswith("PASS  deterministic re-simulation: 2 schemes")
+
+
+def test_determinism_check_fails_when_a_sweep_point_differs(config_path, monkeypatch, capsys):
+    # A sweep whose points depended on the grid would disagree with the
+    # point simulated on its own; stand one in by shifting the sweep's seed.
+    real = checks.sweep
+    monkeypatch.setattr(checks, "sweep", lambda cfg: real(dataclasses.replace(cfg, seed=cfg.seed + 1)))
+    assert main(["validate", "--config", config_path]) == EXIT_CHECK_FAILED
+    last = capsys.readouterr().out.strip().split("\n")[-1]
+    assert last.startswith("FAIL  deterministic re-simulation: 2 schemes")
+    assert last.endswith("equal to it in a two-point sweep: False")
 
 
 def test_failed_check_exits_one_and_the_rest_still_run(monkeypatch, capsys):

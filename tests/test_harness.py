@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +32,10 @@ from apzf import (
     write_summary,
 )
 import apzf.harness as harness
-from apzf.harness import _CHUNK_DRAWS, _block_normals, _snr_key, _substream, config_from_dict, config_to_dict
+from apzf.harness import _CHUNK_DRAWS, _block_normals, _substream, config_from_dict, config_to_dict
 from conftest import BAD_CONFIG_VALUES, reference_instance
+
+_PARALLEL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "parallel.json"
 
 
 def _config(**overrides):
@@ -49,15 +52,15 @@ def _config(**overrides):
     return SweepConfig(**base)
 
 
-def _chunk_row(seed, snr_db, d):
+def _chunk_row(seed, d):
     """Draw d's normals: row d % _CHUNK_DRAWS of its chunk's substream."""
     chunk, row = divmod(d, _CHUNK_DRAWS)
-    return _substream(seed, snr_db, chunk).standard_normal((row + 1, NORMALS_PER_DRAW))[row]
+    return _substream(seed, chunk).standard_normal((row + 1, NORMALS_PER_DRAW))[row]
 
 
-def _draw_sum(cfg, canon, layout, p, snr_db, d):
-    """Sum rate of apzf on draw d of a point, from its chunk's substream alone."""
-    z = _chunk_row(cfg.seed, snr_db, d)[None, :]
+def _draw_sum(cfg, canon, layout, p, d):
+    """Sum rate of apzf on draw d at power p, from its chunk's substream alone."""
+    z = _chunk_row(cfg.seed, d)[None, :]
     h = sample_channel(canon.topology, p, z)
     h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
     layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
@@ -68,34 +71,45 @@ def _draw_sum(cfg, canon, layout, p, snr_db, d):
 # ---------------------------------------------------------------- points
 
 
-def test_substream_key_is_seed_snr_millidb_chunk():
-    a = _substream(7, 45.0, 3).random(4)
-    b = np.random.default_rng([7, 45000, 3]).random(4)
+def test_substream_key_is_seed_chunk():
+    a = _substream(7, 3).random(4)
+    b = np.random.default_rng([7, 3]).random(4)
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("seed", [0, 23, 2**32, 2**64 + 3])
-@pytest.mark.parametrize("snr_db", [0.0, -0.001])  # SNR keys 0 and 2**31 - 1
-def test_block_normals_match_substreams(seed, snr_db):
+@pytest.mark.parametrize("seed", [0, 23, 2**32, 2**64 + 3, 2**96 + 3])
+@pytest.mark.parametrize("snr_db", [0.0, -0.001])
+def test_block_normals_match_substreams(seed, snr_db, monkeypatch):
     # The kernel's blocks for 4098 draws; rows at chunk and block edges
     # must be their chunks' rows bit for bit.  2**64 + 3 is three entropy
-    # words, so with the key and the chunk index it overflows the 4-word pool.
-    assert _snr_key(snr_db) in (0, 2**31 - 1)
+    # words, so with the chunk index it fills the 4-word pool; 2**96 + 3
+    # is four, so it overflows it.
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        first = _block_normals(seed, snr_db, range(0, harness._BLOCK_DRAWS))
-        second = _block_normals(seed, snr_db, range(harness._BLOCK_DRAWS, harness._BLOCK_DRAWS + 2))
+        first = _block_normals(seed, range(0, harness._BLOCK_DRAWS))
+        second = _block_normals(seed, range(harness._BLOCK_DRAWS, harness._BLOCK_DRAWS + 2))
     assert first.shape == (4096, NORMALS_PER_DRAW) and second.shape == (2, NORMALS_PER_DRAW)
     z = np.concatenate([first, second])
     for d in (0, 1023, 1024, 4095, 4096, 4097):
-        np.testing.assert_array_equal(z[d], _chunk_row(seed, snr_db, d))
+        np.testing.assert_array_equal(z[d], _chunk_row(seed, d))
+    # The SNR is not in the key: a point at 0 dB and one at -0.001 dB (once
+    # the keys 0 and 2**31 - 1) are both simulated on exactly these rows.
+    seen = []
+
+    def recorded(topology, p, normals):
+        seen.append(normals)
+        return sample_channel(topology, p, normals)
+
+    monkeypatch.setattr(harness, "sample_channel", recorded)
+    simulate_snr(_config(schemes=("apzf",), snr_db=(snr_db,), seed=seed, draws=4098), snr_db)
+    np.testing.assert_array_equal(np.concatenate(seen), z)
 
 
 def test_block_normals_cover_the_largest_draw_index():
     # The last chunk of the largest allowed draw count; its last two rows.
-    z = _block_normals(5, 45.0, range(2**32 - _CHUNK_DRAWS, 2**32))
+    z = _block_normals(5, range(2**32 - _CHUNK_DRAWS, 2**32))
     for d in (2**32 - 2, 2**32 - 1):
-        np.testing.assert_array_equal(z[d - (2**32 - _CHUNK_DRAWS)], _chunk_row(5, 45.0, d))
+        np.testing.assert_array_equal(z[d - (2**32 - _CHUNK_DRAWS)], _chunk_row(5, d))
 
 
 def _apzf_point(cfg, snr_db):
@@ -113,7 +127,7 @@ def test_simulate_snr_reproducible_and_single_draw():
     canon = canonicalize(cfg.topology, cfg.csit)
     layout = plan_layout(canon, "apzf")
     p = 10.0 ** (50.0 / 10.0)
-    manual = _draw_sum(cfg, canon, layout, p, 50.0, 0)
+    manual = _draw_sum(cfg, canon, layout, p, 0)
     assert pt.mean == pytest.approx(manual, rel=1e-15)
 
 
@@ -127,7 +141,7 @@ def test_simulate_snr_mean_prefix_consistent():
     canon = canonicalize(cfg10.topology, cfg10.csit)
     layout = plan_layout(canon, "apzf")
     p = 10.0 ** (40.0 / 10.0)
-    tail = [_draw_sum(cfg10, canon, layout, p, 40.0, d) for d in range(5, 10)]
+    tail = [_draw_sum(cfg10, canon, layout, p, d) for d in range(5, 10)]
     assert m10 == pytest.approx((5 * m5 + sum(tail)) / 10.0, rel=1e-12)
 
 
@@ -205,7 +219,7 @@ def test_naive_zf_sends_what_no_csit_sends_when_its_s1_carries_no_rate():
         out = simulate_snr(cfg, snr)
         assert out["naive_zf"] == out["no_csit"]
         p = 10.0 ** (snr / 10.0)
-        z = _block_normals(cfg.seed, snr, range(cfg.draws))
+        z = _block_normals(cfg.seed, range(cfg.draws))
         h_hat = sample_csit(sample_channel(canon.topology, p, z), canon.topology, canon.csit, p, z)
         naive, _ = build_layers(canon, h_hat, plan_layout(canon, "naive_zf"), "naive_zf", p)
         blind, _ = build_layers(canon, h_hat, plan_layout(canon, "no_csit"), "no_csit", p)
@@ -221,7 +235,7 @@ def test_a_draw_does_not_depend_on_its_batch(batch):
     cfg = _z1_case2_config()
     canon, layouts = harness._plan(cfg)
     p = 10.0 ** (20.0 / 10.0)
-    z = _block_normals(cfg.seed, 20.0, range(23))
+    z = _block_normals(cfg.seed, range(23))
 
     def kernel(normals):
         h = sample_channel(canon.topology, p, normals)
@@ -296,15 +310,46 @@ def test_sweep_single_point_window_gives_none_slope():
 
 
 def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
-    # Let a sweep this small use the pool, so both paths are compared.
+    # Let a sweep this small use the pool, so both paths are compared.  Two
+    # and three workers cut the 5-point grid into uneven slices (2 + 3 and
+    # 1 + 2 + 2 points).
     monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
-    serial = sweep(_config(draws=15, seed=11))
-    parallel = sweep(_config(draws=15, seed=11, workers=2))
-    assert serial.points == parallel.points
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(serial, f1)
-    write_csv(parallel, f2)
-    assert f1.read_bytes() == f2.read_bytes()
+    grid = (40.0, 45.0, 50.0, 55.0, 60.0)
+    curves = {w: sweep(_config(snr_db=grid, draws=15, seed=11, workers=w)) for w in (1, 2, 3)}
+    for w, curve in curves.items():
+        assert curve.points == curves[1].points
+        write_csv(curve, tmp_path / f"{w}.csv")
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+    assert (tmp_path / "3.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+
+def test_a_point_does_not_depend_on_its_grid():
+    # Draws are keyed by chunk alone, so a point's stats are the same
+    # simulated on its own, in the full grid, or in a sub-grid.
+    cfg = load_config(_PARALLEL_CONFIG)
+    cfg = dataclasses.replace(cfg, draws=5000)
+    full = sweep(cfg)
+    for i, snr in enumerate(cfg.snr_db):
+        alone = simulate_snr(cfg, snr)
+        assert {s: full.points[s][i] for s in cfg.schemes} == alone
+    odd = sweep(dataclasses.replace(cfg, snr_db=cfg.snr_db[1::2]))
+    for s in cfg.schemes:
+        assert odd.points[s] == full.points[s][1::2]
+
+
+def test_a_sweep_draws_each_block_once(monkeypatch):
+    # Blocks run first, SNR points second: 2 full blocks and a 3-draw
+    # block give 3 calls for the whole 5-point grid, not 3 per point.
+    calls = []
+
+    def counted(seed, block):
+        calls.append(block)
+        return _block_normals(seed, block)
+
+    monkeypatch.setattr(harness, "_block_normals", counted)
+    b = harness._BLOCK_DRAWS
+    sweep(_config(snr_db=(40.0, 45.0, 50.0, 55.0, 60.0), draws=2 * b + 3))
+    assert calls == [range(0, b), range(b, 2 * b), range(2 * b, 2 * b + 3)]
 
 
 def test_sweep_plans_once(monkeypatch):
@@ -380,6 +425,21 @@ def test_estimate_slope_window_edges_inclusive():
     assert estimate_slope(pts, (40.0, 60.0)) == pytest.approx(1.0 / dx, rel=1e-12)
     with pytest.raises(InsufficientPoints):
         estimate_slope([(39.999, 1.0), (60.001, 4.0)], (40.0, 60.0))
+
+
+@pytest.mark.parametrize(
+    "snrs", [(40.0, math.nextafter(40.0, 41.0)), (0.0, 1e-200)], ids=["one-ulp-apart", "squares-underflow"]
+)
+def test_estimate_slope_rejects_points_too_close_to_fit(snrs):
+    # Grid points need only be distinct; a line through two that are this
+    # close is poorly conditioned, or divides by a squared x that underflowed.
+    with pytest.raises(InsufficientPoints, match="too close together"):
+        estimate_slope([(snrs[0], 1.0), (snrs[1], 2.0)], (-1.0, 100.0))
+
+
+def test_sweep_with_points_too_close_to_fit_gives_none_slope():
+    cfg = _config(schemes=("apzf",), snr_db=(0.0, 1.2673671092276572e-278), draws=1, window_db=(0.0, 1.0))
+    assert sweep(cfg).slopes == {"apzf": None}
 
 
 def test_fit_exponent_power_law_and_constant():
