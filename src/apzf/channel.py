@@ -21,6 +21,15 @@ draws: the channels are ``h[c, i, k, d]``, the estimates
 ``h_hat[c, j, i, k, d]``.  That is the normals' column order, transposed.
 A single draw is a batch of one, and a draw's value does not depend on
 the batch it is made in.
+
+The power ``p`` of every function here and in ``apzf.precoders`` and
+``apzf.scheme`` is one SNR point's P, a float, or several points' as a
+``(points, 1)`` float64 column.  A column puts a points axis just before
+the draws, ``h[c, i, k, point, d]``, on every array it reaches, and
+each point's slice is, bit for bit, what its float P gives.  So that
+holds, a per-point value that involves a power of P is computed by
+``_per_point`` with Python floats, one point at a time; ``np.power`` on a
+column of powers may round differently.
 """
 
 from __future__ import annotations
@@ -36,32 +45,60 @@ __all__ = ["NORMALS_PER_DRAW", "sample_channel", "sample_csit"]
 NORMALS_PER_DRAW = 24
 
 
-def _crandn(z: np.ndarray, *shape: int) -> np.ndarray:
+def _per_point(f, p):
+    """``f`` at each SNR point of ``p``, shaped to broadcast against draws-last arrays.
+
+    ``f`` maps a float P to a float, an array of shape S, or a tuple of
+    floats (then S is the tuple's length).  For a float ``p`` this is
+    ``f(p)``, with a trailing axis of length 1 added if it is an array;
+    for a ``(points, 1)`` column it is each point's ``f(P)`` stacked into
+    an array of shape ``S + (points, 1)``.
+    """
+    if isinstance(p, np.ndarray):
+        values = np.array([f(q) for q in p[:, 0].tolist()])  # (points, *S)
+        return values.transpose(*range(1, values.ndim), 0)[..., None]
+    value = f(p)
+    return value[..., None] if isinstance(value, np.ndarray) else value
+
+
+def _crandn(z: np.ndarray, p, *shape: int) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussians (2, *shape, draws)
-    from the columns ``z`` (draws, 2 * prod(shape)): real parts, then imaginary."""
+    from the columns ``z`` (draws, 2 * prod(shape)): real parts, then imaginary.
+
+    For a column ``p`` the shape is (2, *shape, 1, draws), one set for every point.
+    """
     # A contiguous copy, not a ``z.T`` view: ufuncs keep their input's
     # memory order, so a view would carry draw-first strides throughout.
-    # numpy's complex division by sqrt(2) multiplies by this rounded
-    # reciprocal, so each part is that of (re + 1j*im) / sqrt(2), bit for bit.
-    return np.ascontiguousarray(z.T).reshape(2, *shape, len(z)) * (1.0 / math.sqrt(2.0))
+    # Always a copy (``ascontiguousarray`` returns a one-draw ``z.T`` as
+    # is), so scaling it in place leaves ``z`` alone.  numpy's complex
+    # division by sqrt(2) multiplies by this rounded reciprocal, so each
+    # part is that of (re + 1j*im) / sqrt(2), bit for bit.
+    points = (1,) if isinstance(p, np.ndarray) else ()
+    x = np.array(z.T, order="C").reshape(2, *shape, *points, len(z))
+    x *= 1.0 / math.sqrt(2.0)
+    return x
 
 
-def sample_channel(topology: Topology, p: float, z: np.ndarray) -> np.ndarray:
+def sample_channel(topology: Topology, p, z: np.ndarray) -> np.ndarray:
     """Channels ``h[c, i, k, d]`` (TX k -> RX i) from the normals ``z`` (draws, 24)."""
-    scale = np.sqrt(p ** (topology.gamma - 1.0))
-    return scale[..., None] * _crandn(z[:, 0:8], 2, 2)
+    exponent = topology.gamma - 1.0
+    scale = _per_point(lambda q: np.sqrt(q**exponent), p)
+    return scale * _crandn(z[:, 0:8], p, 2, 2)
 
 
 def sample_csit(
     h: np.ndarray,
     topology: Topology,
     csit: CsitQuality,
-    p: float,
+    p,
     z: np.ndarray,
 ) -> np.ndarray:
     """Both transmitters' estimates ``h_hat[c, j, i, k, d]`` of the channels ``h``.
 
     ``z`` is the same (draws, 24) array the channels were made from.
     """
-    err_scale = np.sqrt(p ** (-csit.alpha)) * np.sqrt(p ** (topology.gamma - 1.0))
-    return h[:, None] + err_scale[..., None] * _crandn(z[:, 8:24], 2, 2, 2)
+    quality, exponent = -csit.alpha, topology.gamma - 1.0
+    err_scale = _per_point(lambda q: np.sqrt(q**quality) * np.sqrt(q**exponent), p)
+    h_hat = err_scale * _crandn(z[:, 8:24], p, 2, 2, 2)
+    h_hat += h[:, None]  # in place: one estimate-sized array fewer at the peak
+    return h_hat

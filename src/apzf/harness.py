@@ -7,8 +7,13 @@ and for every scheme (common random numbers across points and schemes).
 Draws are evaluated in blocks of at most ``_BLOCK_DRAWS`` (4,096 draws,
 four whole chunks), blocks first: each block draws its chunks' normals
 once and evaluates every SNR point and scheme on them as array
-operations.  A point's result therefore depends neither on the other
-points in its grid nor on how the grid is split across worker processes.
+operations.  A block's points run in passes of up to
+``_BLOCK_DRAWS // len(block)`` points each (at least one), with the
+powers of a pass's points on an axis just before the draws (see
+``apzf.channel``), so a pass never holds more than ``_BLOCK_DRAWS``
+point-draws.  A point's result therefore depends neither on the other
+points in its grid or its pass nor on how the grid is split across
+worker processes.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import numbers
 import reprlib
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +54,22 @@ __all__ = [
 # contract: changing it changes every simulated number.
 _CHUNK_DRAWS = 1024
 
-# Draws per block of the per-point kernel, in whole chunks: large enough
-# that numpy's per-call overhead is spread thin, small enough that a
-# block's arrays stay at a few MB whatever the configured draw count.
+# Draws per block of the kernel, in whole chunks, and the most
+# point-draws one pass over a block evaluates: large enough that numpy's
+# per-call overhead is spread thin, small enough that a pass's arrays
+# stay at a few MB whatever the configured draw count and grid.
 _BLOCK_DRAWS = 4 * _CHUNK_DRAWS
 
-# Fewest draws a worker process must get before a sweep forks one.  Each
-# forked worker holds its own copy of the parent's pages (about 30 MB).
-# Two points of configs/parallel.json's four schemes, one process against
-# two workers (2-core Xeon, numpy 2.4.6, medians of 10 interleaved runs):
-# 10,000 draws each 0.049 s against 0.051 s, 15,000 draws 0.064 s against
-# 0.059 s, 20,000 draws 0.086 s against 0.072 s (two workers faster in 7
-# of the 10 runs), and 40,000 draws 0.165 s against 0.110 s.
+# Fewest point-draws a worker process must get before a sweep forks one.
+# Each forked worker holds its own copy of the parent's pages (about
+# 30 MB) and draws every block again.  Two points of configs/parallel.json's
+# four schemes, one process against two workers (2-core Xeon shared with
+# other load, numpy 2.4.6, medians of 10 interleaved pairs, two rounds):
+# 10,000 draws each 0.038/0.038 s against 0.071/0.081 s (two workers
+# faster in 1 and 1 pairs), 20,000 draws 0.075/0.096 s against
+# 0.141/0.119 s (0 and 4), 40,000 draws 0.130/0.134 s against
+# 0.137/0.269 s (7 and 1).  No break-even up to 40,000 is clear, so the
+# value stays where quieter runs of earlier kernels put it.
 _POOL_MIN_DRAWS = 20_000
 
 # log2(P) advances by this much per dB of SNR.
@@ -138,7 +146,8 @@ class SweepConfig:
             raise ConfigError("draws must be >= 1")
         if self.draws > 2**32:
             # a sweep task keeps 8 bytes per draw per scheme per SNR point
-            # it holds: 32 GiB each here
+            # it holds: 32 GiB each here.  A pass's working arrays do not
+            # grow with draws (at most _BLOCK_DRAWS point-draws at once).
             raise ConfigError("draws must be <= 2**32")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
@@ -223,7 +232,12 @@ def _simulate(config: SweepConfig, snr_db: tuple, canon, layouts: dict) -> list:
     config's ``_plan`` already made.
 
     Blocks run first and SNR points second: each block's normals are
-    drawn once and evaluated at every point.
+    drawn once and evaluated at every point.  A block's points are cut
+    into the fewest near-equal contiguous groups of at most
+    ``_BLOCK_DRAWS // len(block)`` points (at least one), and each group
+    is one pass: one call per scheme of ``build_layers`` and
+    ``achievable_rates`` on a ``(points, 1)`` column of powers, or on the
+    float P of a lone point.
     """
     powers = [_snr_power(snr) for snr in snr_db]
     sums = np.empty((len(powers), len(config.schemes), config.draws))
@@ -231,14 +245,18 @@ def _simulate(config: SweepConfig, snr_db: tuple, canon, layouts: dict) -> list:
     for start in range(0, config.draws, _BLOCK_DRAWS):
         block = range(start, min(start + _BLOCK_DRAWS, config.draws))
         z = _block_normals(config.seed, block)
-        for j, p in enumerate(powers):
+        passes = -(-len(powers) // max(1, _BLOCK_DRAWS // len(block)))
+        cuts = [len(powers) * k // passes for k in range(passes + 1)]
+        for a, b in zip(cuts, cuts[1:]):
+            # a lone point runs on its float P, several on a (points, 1) column
+            p = powers[a] if b - a == 1 else np.array(powers[a:b])[:, None]
             h = sample_channel(canon.topology, p, z)
             h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
             for i, s in enumerate(config.schemes):
                 layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
                 r0, r1, r2, rz = achievable_rates(h, layers)
-                sums[j, i, block.start : block.stop] = r0 + r1 + r2 + rz
-                backed_off[j, i] += int(mask.sum())
+                sums[a:b, i, block.start : block.stop] = r0 + r1 + r2 + rz
+                backed_off[a:b, i] += mask.sum(axis=-1)
     means = sums.mean(axis=-1)
     if config.draws > 1:
         stderrs = sums.std(axis=-1, ddof=1) / math.sqrt(config.draws)
@@ -294,6 +312,10 @@ def sweep(config: SweepConfig) -> SweepCurve:
     cuts = [len(config.snr_db) * k // workers for k in range(workers + 1)]
     tasks = [(config, config.snr_db[a:b], *plan) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
+        # imported here: concurrent.futures.process costs about 1.7 MB of
+        # RSS and tens of ms of import time, which runs without a pool save
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             slices = list(pool.map(_point_task, tasks))
     else:

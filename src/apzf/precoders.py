@@ -25,6 +25,11 @@ draws on the last axis.  An estimate is ``[c, i, k, d]``, and a vector
 is spelt out on the two parts (``_abs2``, ``_cmul``, ``_conj``), and a
 sum over an axis of length 2 is written as the sum of its two terms.  A
 draw's vector does not depend on the size of the batch it is in.
+
+``p`` is a float, or a ``(points, 1)`` column of several SNR points'
+powers; estimates made at a column carry a points axis just before the
+draws (``[c, i, k, point, d]``), and so does every vector made from them
+(see ``apzf.channel``).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import math
 
 import numpy as np
 
+from .channel import _per_point
 from .topology import Topology
 
 __all__ = [
@@ -66,12 +72,12 @@ def _conj(x: np.ndarray) -> np.ndarray:
     return np.array((x[0], -x[1]))
 
 
-def _scaled(w: np.ndarray, tau: float, p: float) -> np.ndarray:
+def _scaled(w: np.ndarray, tau: float, p) -> np.ndarray:
     """Vectors ``w`` rescaled to norm sqrt(P**tau); all-zero vectors stay zero."""
     a = _abs2(w)
     n = np.sqrt(a[0] + a[1])
     with np.errstate(divide="ignore"):
-        s = np.where(n == 0.0, 0.0, math.sqrt(p**tau) / n)
+        s = np.where(n == 0.0, 0.0, _per_point(lambda q: math.sqrt(q**tau), p) / n)
     return w * s
 
 
@@ -80,7 +86,7 @@ def apzf(
     target_rx: int,
     tau: float,
     topology: Topology,
-    p: float,
+    p,
     active_tx: int = 0,
     regularize: bool = True,
 ) -> np.ndarray:
@@ -94,27 +100,29 @@ def apzf(
     passive_tx = 1 - active_tx
     g = topology.gamma
     x = tau - max(float(g[itf, passive_tx] - g[itf, active_tx]), 0.0)
-    t_pas = math.sqrt(p**x)
+    t_pas = _per_point(lambda q: math.sqrt(q**x), p)
     e_act = estimate_active[:, itf, active_tx]
     e_pas = estimate_active[:, itf, passive_tx]
     reg = 1.0 / p if regularize else 0.0
-    t = np.zeros((2, 2, e_act.shape[-1]))
+    t = np.zeros((2, 2) + e_act.shape[1:])
     t[:, active_tx] = _cmul(-_conj(e_act), e_pas) * (t_pas / (_abs2(e_act) + reg))
     t[0, passive_tx] = t_pas
     return t
 
 
-def multicast(power: float) -> np.ndarray:
+def multicast(power) -> np.ndarray:
     """Common layer of total ``power``, split evenly across the two TXs.
 
-    The layer is the same on every draw, so it is one (2, 2, 1) vector.
+    The layer is the same on every draw, so it is one (2, 2, 1) vector for
+    a float ``power``, and (2, 2, points, 1) for a ``(points, 1)`` column.
     """
-    t = np.zeros((2, 2, 1))
-    t[0] = math.sqrt(power / 2.0)
+    amplitude = np.sqrt(power / 2.0)
+    t = np.zeros((2, 2) + (amplitude.shape or (1,)))
+    t[0] = amplitude
     return t
 
 
-def matched(estimate_active: np.ndarray, tau: float, p: float) -> np.ndarray:
+def matched(estimate_active: np.ndarray, tau: float, p) -> np.ndarray:
     """Matched-filter layer (2, 2, draws) for RX 1 riding below the interference floor.
 
     Beamforms along the active TX's estimate of RX 1's row, with norm
@@ -123,30 +131,46 @@ def matched(estimate_active: np.ndarray, tau: float, p: float) -> np.ndarray:
     return _scaled(_conj(estimate_active[:, 0]), tau, p)
 
 
-def _regularized_zf(estimate: np.ndarray, target_rx: int, p: float) -> np.ndarray:
+def _zf_scales(p: float) -> tuple:
+    """``(c, c**2 / P)`` for ``_regularized_zf``: c is a power of two with
+    c**2 within a factor 2 of P when P < 1/2, and 1 otherwise."""
+    c = math.ldexp(1.0, min(math.frexp(p)[1], 0) // 2)
+    return c, c * c / p
+
+
+def _regularized_zf(estimate: np.ndarray, target_rx: int, p) -> np.ndarray:
     """Directions of the regularized channel-inverse column for ``target_rx``.
 
     Column ``target_rx`` of ``H^H (H H^H + I/P)^-1``, with ``H`` the
     estimate, up to the positive factor ``1/det`` of the 2x2 matrix, which
     ``_scaled`` removes: ``conj(r_t (|r_o|^2 + 1/P) - r_o <r_t, r_o>)`` for
     the target's row ``r_t`` and the other receiver's row ``r_o``.
+
+    At low P the rows are large and 1/P is huge, and their product
+    overflows.  So ``r_o`` is scaled by the c of ``_zf_scales`` and 1/P
+    by c**2, which scales the result by c**2: an exact power of two, so
+    no rounding changes, and ``_scaled`` removes it.  At P >= 1/2, c is 1
+    (a float P then skips the multiplication).
     """
+    c, reg = _per_point(_zf_scales, p)
     r_t, r_o = estimate[:, target_rx], estimate[:, 1 - target_rx]
-    c = _cmul(r_t, _conj(r_o))
-    inner = c[:, 0] + c[:, 1]
+    if isinstance(c, np.ndarray) or c != 1.0:
+        r_o = r_o * c
+    prod = _cmul(r_t, _conj(r_o))
+    inner = prod[:, 0] + prod[:, 1]
     a = _abs2(r_o)
-    w = r_t * (a[0] + a[1] + 1.0 / p) - _cmul(r_o, inner[:, None])
+    w = r_t * (a[0] + a[1] + reg) - _cmul(r_o, inner[:, None])
     return _conj(w)
 
 
 def centralized_zf(
-    shared_estimate: np.ndarray, target_rx: int, tau: float, p: float
+    shared_estimate: np.ndarray, target_rx: int, tau: float, p
 ) -> np.ndarray:
     """Regularized ZF vectors (2, 2, draws) from one shared estimate, norm sqrt(P**tau)."""
     return _scaled(_regularized_zf(shared_estimate, target_rx, p), tau, p)
 
 
-def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p: float) -> np.ndarray:
+def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p) -> np.ndarray:
     """Each TX runs the centralized computation on its own estimate.
 
     ``estimates`` is (2, 2, 2, 2, draws), TX j's estimate at ``[:, j]``.
@@ -154,7 +178,7 @@ def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p: float) -> np.
     transmits entry j of it; the entries generally do not cohere because
     the two estimates differ.
     """
-    t = np.empty((2, 2, estimates.shape[-1]))
+    t = np.empty((2, 2) + estimates.shape[4:])
     for j in range(2):
         t[:, j] = _scaled(_regularized_zf(estimates[:, j], target_rx, p), tau, p)[:, j]
     return t

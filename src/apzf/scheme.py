@@ -14,6 +14,14 @@ everything else as noise, each then strips it and decodes its private
 layer; RX 1 finally strips its private layer and decodes the z layer
 with only the other private layer left as noise.
 
+``p`` is a float, or a ``(points, 1)`` column of several SNR points'
+powers (see ``apzf.channel``); at a column every layer, mask and rate
+has a points axis just before the draws, and each point's slice equals
+what its float P gives, bit for bit.  A column's points may disagree on
+whether ``s0`` has power left: it is then sent at every point, with
+amplitude 0 where none is left, which leaves the budget and ``r0 = 0``
+exactly as at a point that does not send it.
+
 Scheme kinds differ in how the private vectors are produced, and only
 ``apzf`` sends ``z1``; a band takes power only if it is sent:
 
@@ -34,6 +42,7 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import _per_point
 from .gdof import SchemeLayout, scheme_layout
 from .precoders import _abs2, _cmul, apzf, centralized_zf, matched, multicast, naive_zf
 from .topology import CanonicalForm, CsitQuality
@@ -87,7 +96,7 @@ def _private_pair(canonical, h_hat, tau, kind, p):
     return [naive_zf(h_hat, rx, tau, p) for rx in (0, 1)]
 
 
-def _cap_to_budget(layers: dict, p: float, draws: int) -> np.ndarray:
+def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
     """Scale adaptive layers down on draws that overshoot a TX's power budget.
 
     The active AP-ZF coefficient is a ratio of Gaussians, so a small
@@ -95,12 +104,12 @@ def _cap_to_budget(layers: dict, p: float, draws: int) -> np.ndarray:
     draw all non-common layers are scaled by one common factor (both
     coefficients of each pair together), which preserves their
     cancellation directions and their relative power split.  Returns the
-    (draws,) mask of the draws it scaled.
+    ``shape`` ([points,] draws) mask of the draws it scaled.
     """
     common = {tag: t for tag, t in layers.items() if tag == "s0"}
     adaptive = {tag: t for tag, t in layers.items() if tag != "s0"}
     if not adaptive:
-        return np.zeros(draws, dtype=bool)
+        return np.zeros(shape, dtype=bool)
     budget = p - tx_power(common)
     totals = tx_power(adaptive)
     over = totals > budget
@@ -117,7 +126,7 @@ def _cap_to_budget(layers: dict, p: float, draws: int) -> np.ndarray:
 
 
 def tx_power(layers: dict) -> np.ndarray:
-    """Per-transmitter power summed over the layers, (2, draws); 0 for no layers."""
+    """Per-transmitter power summed over the layers, (2, [points,] draws); 0 for no layers."""
     return sum(_abs2(t) for t in layers.values())
 
 
@@ -126,44 +135,53 @@ def build_layers(
     h_hat: np.ndarray,
     layout: SchemeLayout,
     scheme_kind,
-    p: float,
+    p,
 ) -> tuple[dict, np.ndarray]:
-    """Instantiate ``layout`` on every draw of the estimates ``h_hat`` (2, 2, 2, 2, draws).
+    """Instantiate ``layout`` on every draw of the estimates ``h_hat``.
+
+    ``h_hat`` is (2, 2, 2, 2, draws), or (2, 2, 2, 2, points, draws) at a
+    column ``p``.
 
     A band is sent, and takes P**power_exp of the power, only if the
     scheme sends it and it carries rate: ``apzf`` sends ``s1`` and ``z1``,
     the ZF baselines ``s1`` alone, ``no_csit`` neither.  ``s0`` takes the
     power that is left whenever some is, even at rate exponent 0.  Per-TX
     power never exceeds P: a back-off scales the adaptive layers of the
-    draws that overshoot.  Returns the layers and the (draws,) back-off mask.
+    draws that overshoot.  Returns the layers and the ([points,] draws)
+    back-off mask.
     """
     kind = SchemeKind(scheme_kind)
     tau = layout.power_exp
     sent = {SchemeKind.APZF: ("s1", "z1"), SchemeKind.NO_CSIT: ()}.get(kind, ("s1",))
     bands = [tag for tag in sent if layout.rate_exp.get(tag, 0.0) > 0.0]
-    residual = p
-    for tag in bands:
-        residual -= p ** tau[tag]
 
+    def s0_power(q: float) -> float:
+        """The power left for s0 at P = q; 0.0 where none is."""
+        left = q
+        for tag in bands:
+            left -= q ** tau[tag]
+        return max(left, 0.0)
+
+    power = _per_point(s0_power, p)
     layers = {}
-    if residual > 0.0:
-        layers["s0"] = multicast(residual)
+    if np.count_nonzero(power):
+        layers["s0"] = multicast(power)
     if "s1" in bands:
         layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, tau["s1"], kind, p)
     if "z1" in bands:
         layers["z1"] = matched(h_hat[:, canonical.active_tx], tau["z1"], p)
 
-    backed_off = _cap_to_budget(layers, p, h_hat.shape[-1])
+    backed_off = _cap_to_budget(layers, p, h_hat.shape[4:])
     if np.any(tx_power(layers) > p * (1.0 + _POWER_TOL)):
         raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
     return layers, backed_off
 
 
 def _received(h: np.ndarray, layers: dict) -> dict:
-    """Per-layer received power ``|h_i t|**2``, (2, draws) indexed [rx, d].
+    """Per-layer received power ``|h_i t|**2``, (2, [points,] draws) indexed [rx, d].
 
     The common layer ``s0`` is ``multicast``'s vector, one real amplitude
-    ``c`` on both TXs, so its received signal is ``h[:, :, 0]*c +
+    ``c`` per point on both TXs, so its received signal is ``h[:, :, 0]*c +
     h[:, :, 1]*c``.  That is bit-identical to the general complex product:
     the terms it leaves out are products with the vector's zero imaginary
     parts, which are exact zeros.
@@ -171,7 +189,7 @@ def _received(h: np.ndarray, layers: dict) -> dict:
     out = {}
     for tag, t in layers.items():
         if tag == "s0":
-            c = t[0, 0, 0]
+            c = t[0, 0]
             out[tag] = _abs2(h[:, :, 0] * c + h[:, :, 1] * c)
         else:
             y = _cmul(h, t[:, None])
@@ -180,7 +198,7 @@ def _received(h: np.ndarray, layers: dict) -> dict:
 
 
 def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
-    """Rates ``(r0, r1, r2, rz)`` of the successive-decoding chain, each (draws,).
+    """Rates ``(r0, r1, r2, rz)`` of the successive-decoding chain, each ([points,] draws).
 
     ``r0`` is the common layer's rate, the worse of the two receivers'
     mutual informations with all lower layers as noise; ``r1``/``r2``
@@ -188,7 +206,7 @@ def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
     layers carry 0.  Rates are in bits per channel use.
     """
     q = _received(h, layers)
-    zero = np.zeros(h.shape[-1])
+    zero = np.zeros(h.shape[3:])
 
     def at(tag: str, rx: int) -> np.ndarray:
         v = q.get(tag)
@@ -210,14 +228,14 @@ def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
 
 
 def interference_power(h: np.ndarray, layers: dict, rx: int) -> np.ndarray:
-    """Received power (draws,) of the private layer aimed at the other receiver.
+    """Received power ([points,] draws) of the private layer aimed at the other receiver.
 
     This is the quantity the zero-forcing pair is supposed to suppress;
     the common and z layers are excluded (they are handled by the
     decoding order, not by cancellation).
     """
     q = _received(h, layers)
-    total = np.zeros(h.shape[-1])
+    total = np.zeros(h.shape[3:])
     for tag, target in (("s1", 0), ("s2", 1)):
         if tag in q and target != rx:
             total = total + q[tag][rx]

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from apzf import NORMALS_PER_DRAW, CsitQuality, Topology, sample_channel, sample_csit
 from conftest import as_complex
@@ -31,6 +32,19 @@ def test_draws_are_the_complex_formula_bit_for_bit():
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert np.array_equal(got[0], np.moveaxis(ref.real, 0, -1))
         assert np.array_equal(got[1], np.moveaxis(ref.imag, 0, -1))
+
+
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize("p", [1e3, np.array([[1e3], [1e5]])], ids=["float", "column"])
+def test_sampling_leaves_the_normals_alone(draws, p):
+    # The normals are scaled in a copy of them; a one-draw batch, whose
+    # transpose is already C-contiguous, must not be scaled in place.
+    topo = Topology(np.array([[1.0, 0.8], [0.6, 0.3]]))
+    csit = CsitQuality([[[0.5, 0.7], [0.2, 0.3]], [[0.1, 0.0], [0.2, 0.3]]])
+    z = np.random.default_rng(8).standard_normal((draws, NORMALS_PER_DRAW))
+    before = z.copy()
+    sample_csit(sample_channel(topo, p, z), topo, csit, p, z)
+    np.testing.assert_array_equal(z, before)
 
 
 def test_channel_moments_match_pathloss():

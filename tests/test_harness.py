@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -32,6 +36,7 @@ from apzf import (
     write_summary,
 )
 import apzf.harness as harness
+from apzf import checks
 from apzf.harness import _CHUNK_DRAWS, _block_normals, _substream, config_from_dict, config_to_dict
 from conftest import BAD_CONFIG_VALUES, reference_instance
 
@@ -352,6 +357,54 @@ def test_a_sweep_draws_each_block_once(monkeypatch):
     assert calls == [range(0, b), range(b, 2 * b), range(2 * b, 2 * b + 3)]
 
 
+def test_a_pass_covers_a_group_of_points(monkeypatch):
+    # A pass holds at most _BLOCK_DRAWS point-draws: 4 points of a
+    # 1,000-draw block, so 9 points run in 3 passes of 3, each building
+    # every scheme's layers once on a (3, 1) column of powers: 3 x 4
+    # calls, not 9 x 4.
+    calls = []
+
+    def counted(canonical, h_hat, layout, scheme_kind, p):
+        calls.append(np.shape(p))
+        return build_layers(canonical, h_hat, layout, scheme_kind, p)
+
+    monkeypatch.setattr(harness, "build_layers", counted)
+    schemes = ("apzf", "centralized_zf", "naive_zf", "no_csit")
+    grid = tuple(np.arange(20.0, 61.0, 5.0))
+    sweep(_config(schemes=schemes, snr_db=grid, draws=1000))
+    assert calls == [(3, 1)] * (3 * len(schemes))
+
+
+@pytest.mark.parametrize("draws", [1, 1000, 4097])
+@pytest.mark.parametrize("instance", ["reference", "z1_case2"])
+def test_grouped_points_equal_points_run_alone(instance, draws):
+    # A sweep runs several points per pass on a (points, 1) column of
+    # powers; simulate_snr runs its one point on a float P.  Their
+    # PointStats, back-off fractions included, must be equal bit for bit.
+    # The grid crosses 0 dB, so at some passes s0 has power left at some
+    # points and none at others.
+    grid = (-20.0, -3.0, 0.0, 0.5, 10.0, 30.0)
+    schemes = ("apzf", "centralized_zf", "naive_zf", "no_csit")
+    if instance == "reference":
+        cfg = _config(schemes=schemes, snr_db=grid, draws=draws)
+    else:
+        cfg = dataclasses.replace(_z1_case2_config(), snr_db=grid, draws=draws)
+    curve = sweep(cfg)
+    for i, snr in enumerate(grid):
+        assert {s: curve.points[s][i] for s in schemes} == simulate_snr(cfg, snr)
+
+
+def test_rates_are_finite_at_minus_3000_db():
+    # At P = 1e-300 the ZF rows are large and 1/P is 1e300; their product
+    # overflowed, and centralized_zf and naive_zf came out nan.
+    cfg = dataclasses.replace(load_config(_PARALLEL_CONFIG), snr_db=(-3000.0,), draws=300)
+    out = simulate_snr(cfg, -3000.0)
+    for s, pt in out.items():
+        assert math.isfinite(pt.mean) and math.isfinite(pt.stderr), s
+    ok, detail = checks.determinism(cfg)
+    assert ok, detail
+
+
 def test_sweep_plans_once(monkeypatch):
     # The canonical form and the layouts do not depend on the SNR point.
     calls = {"canonicalize": 0, "plan_layout": 0}
@@ -387,9 +440,23 @@ def test_small_sweep_forks_no_workers(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a small sweep started a process pool")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     curve = sweep(_config(draws=5, workers=2))
     assert len(curve.points["apzf"]) == 3
+
+
+def test_importing_apzf_loads_no_process_pool():
+    # The pool's module is imported only by a sweep that forks workers.
+    code = "import sys, apzf; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_repeat_is_byte_identical(tmp_path):

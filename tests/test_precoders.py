@@ -16,7 +16,7 @@ from apzf import (
     sample_channel,
     sample_csit,
 )
-from apzf.precoders import _cmul
+from apzf.precoders import _abs2, _cmul, _conj, _scaled
 from conftest import as_complex, as_kernel
 
 P_GRID = np.logspace(4, 8, 5)
@@ -241,6 +241,23 @@ def test_zf_matches_matrix_inverse_reference(p):
         for j in (0, 1):
             ref = _zf_reference(est[:, j], target, tau, p)
             assert np.abs(t[:, j] - ref[:, j]).max() / scale <= 1e-10
+
+
+@pytest.mark.parametrize("p", [0.49, 1e-2, 1e-30])
+def test_zf_row_scale_changes_no_bit(p):
+    # Below P = 1/2 the regularized ZF scales a row by a power of two and
+    # 1/P by its square; the normalized vectors must equal those of the
+    # unscaled formula bit for bit.
+    rng = np.random.default_rng(77)
+    est = as_kernel(rng.standard_normal((500, 2, 2, 2)) + 1j * rng.standard_normal((500, 2, 2, 2)))
+    for target in (0, 1):
+        r_t, r_o = est[:, 0, target], est[:, 0, 1 - target]
+        c = _cmul(r_t, _conj(r_o))
+        a = _abs2(r_o)
+        w = r_t * (a[0] + a[1] + 1.0 / p) - _cmul(r_o, (c[:, 0] + c[:, 1])[:, None])
+        np.testing.assert_array_equal(
+            centralized_zf(est[:, 0], target, 0.7, p), _scaled(_conj(w), 0.7, p)
+        )
 
 
 def test_golden_regression_vectors():
