@@ -246,16 +246,14 @@ def _simulate(config: SweepConfig, snr_db: tuple, canon, layouts: dict) -> list:
         block = range(start, min(start + _BLOCK_DRAWS, config.draws))
         z = _block_normals(config.seed, block)
         passes = -(-len(powers) // max(1, _BLOCK_DRAWS // len(block)))
-        cuts = [len(powers) * k // passes for k in range(passes + 1)]
-        for a, b in zip(cuts, cuts[1:]):
+        for a, b in _cuts(len(powers), passes):
             # a lone point runs on its float P, several on a (points, 1) column
             p = powers[a] if b - a == 1 else np.array(powers[a:b])[:, None]
             h = sample_channel(canon.topology, p, z)
             h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
             for i, s in enumerate(config.schemes):
                 layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
-                r0, r1, r2, rz = achievable_rates(h, layers)
-                sums[a:b, i, block.start : block.stop] = r0 + r1 + r2 + rz
+                sums[a:b, i, block.start : block.stop] = sum(achievable_rates(h, layers).values())
                 backed_off[a:b, i] += mask.sum(axis=-1)
     means = sums.mean(axis=-1)
     if config.draws > 1:
@@ -270,6 +268,12 @@ def _simulate(config: SweepConfig, snr_db: tuple, canon, layouts: dict) -> list:
         }
         for j in range(len(powers))
     ]
+
+
+def _cuts(n: int, parts: int) -> list:
+    """``(start, stop)`` of ``parts`` near-equal contiguous slices of ``range(n)``."""
+    edges = [n * k // parts for k in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _point_task(args):
@@ -309,8 +313,7 @@ def sweep(config: SweepConfig) -> SweepCurve:
     """
     plan = _plan(config)
     workers = _pool_size(config)
-    cuts = [len(config.snr_db) * k // workers for k in range(workers + 1)]
-    tasks = [(config, config.snr_db[a:b], *plan) for a, b in zip(cuts, cuts[1:])]
+    tasks = [(config, config.snr_db[a:b], *plan) for a, b in _cuts(len(config.snr_db), workers)]
     if workers > 1:
         # imported here: concurrent.futures.process costs about 1.7 MB of
         # RSS and tens of ms of import time, which runs without a pool save
@@ -341,8 +344,7 @@ def estimate_slope(points, window_db) -> float:
     ``points`` is a sequence of (snr_db, mean_rate) pairs; both window
     edges are inclusive.  Raises InsufficientPoints when fewer than two
     points lie inside, or when they are too close together for a line
-    (numpy warns that the fit is poorly conditioned, or a squared x
-    underflows to 0 and it divides by zero).
+    (see ``_line_slope``).
     """
     lo, hi = window_db
     sel = [(snr, y) for snr, y in points if lo <= snr <= hi]
@@ -351,29 +353,33 @@ def estimate_slope(points, window_db) -> float:
             f"need >= 2 points inside [{lo}, {hi}] dB, found {len(sel)}"
         )
     x = np.array([snr * _LOG2P_PER_DB for snr, _ in sel])
-    y = np.array([y for _, y in sel])
-    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise", over="raise"):
-        warnings.simplefilter("error")
-        try:
-            return float(np.polyfit(x, y, 1)[0])
-        except (Warning, FloatingPointError) as exc:
-            raise InsufficientPoints(
-                f"points inside [{lo}, {hi}] dB are too close together to fit a slope"
-            ) from exc
+    return _line_slope(x, np.array([y for _, y in sel]), f"points inside [{lo}, {hi}] dB")
 
 
 def fit_exponent(samples) -> float:
     """Log-log slope of (P, power) pairs.
 
     Reliable only when the P values span a couple of decades; raises
-    InsufficientPoints below two distinct P values.
+    InsufficientPoints below two distinct P values, or when they are too
+    close together for a line (see ``_line_slope``).
     """
     pts = [(p, v) for p, v in samples]
     if len({p for p, _ in pts}) < 2:
         raise InsufficientPoints("need >= 2 distinct P values")
     x = np.log([p for p, _ in pts])
-    y = np.log([v for _, v in pts])
-    return float(np.polyfit(x, y, 1)[0])
+    return _line_slope(x, np.log([v for _, v in pts]), "the P values")
+
+
+def _line_slope(x: np.ndarray, y: np.ndarray, what: str) -> float:
+    """Least-squares slope of ``y`` against ``x``; InsufficientPoints, naming
+    ``what``, when numpy warns that the fit is poorly conditioned or a
+    squared x underflows to 0 and it divides by zero."""
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise", over="raise"):
+        warnings.simplefilter("error")
+        try:
+            return float(np.polyfit(x, y, 1)[0])
+        except (Warning, FloatingPointError) as exc:
+            raise InsufficientPoints(f"{what} are too close together to fit a slope") from exc
 
 
 def write_csv(curve: SweepCurve, path) -> None:

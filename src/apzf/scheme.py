@@ -12,15 +12,14 @@ the channel, without a complex product (see ``_received``).  Decoding
 is successive: both receivers decode the common layer treating
 everything else as noise, each then strips it and decodes its private
 layer; RX 1 finally strips its private layer and decodes the z layer
-with only the other private layer left as noise.
+with only the other private layer left as noise (``_DECODING``).  Every
+scheme sends ``s0``, with amplitude 0 where no power is left for it, so
+the layers sent depend on the scheme and the layout, never on P.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers (see ``apzf.channel``); at a column every layer, mask and rate
 has a points axis just before the draws, and each point's slice equals
-what its float P gives, bit for bit.  A column's points may disagree on
-whether ``s0`` has power left: it is then sent at every point, with
-amplitude 0 where none is left, which leaves the budget and ``r0 = 0``
-exactly as at a point that does not send it.
+what its float P gives, bit for bit.
 
 Scheme kinds differ in how the private vectors are produced, and only
 ``apzf`` sends ``z1``; a band takes power only if it is sent:
@@ -38,6 +37,7 @@ Scheme kinds differ in how the private vectors are produced, and only
 from __future__ import annotations
 
 import dataclasses
+import functools
 from enum import Enum
 
 import numpy as np
@@ -58,6 +58,15 @@ __all__ = [
 ]
 
 _POWER_TOL = 1e-9
+
+# The successive-decoding chain in decoding order: {tag: (receivers that
+# decode it, layers still undecoded there, summed as noise in this order)}.
+_DECODING = {
+    "s0": ((0, 1), ("s1", "s2", "z1")),
+    "s1": ((0,), ("z1", "s2")),
+    "s2": ((1,), ("s1", "z1")),
+    "z1": ((0,), ("s2",)),
+}
 
 
 class PowerInfeasible(RuntimeError):
@@ -106,12 +115,11 @@ def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
     cancellation directions and their relative power split.  Returns the
     ``shape`` ([points,] draws) mask of the draws it scaled.
     """
-    common = {tag: t for tag, t in layers.items() if tag == "s0"}
-    adaptive = {tag: t for tag, t in layers.items() if tag != "s0"}
+    adaptive = [tag for tag in layers if tag != "s0"]
     if not adaptive:
         return np.zeros(shape, dtype=bool)
-    budget = p - tx_power(common)
-    totals = tx_power(adaptive)
+    budget = p - _abs2(layers["s0"])
+    totals = sum(_abs2(layers[tag]) for tag in adaptive)
     over = totals > budget
     backed_off = over[0] | over[1]
     if not backed_off.any():
@@ -144,11 +152,11 @@ def build_layers(
 
     A band is sent, and takes P**power_exp of the power, only if the
     scheme sends it and it carries rate: ``apzf`` sends ``s1`` and ``z1``,
-    the ZF baselines ``s1`` alone, ``no_csit`` neither.  ``s0`` takes the
-    power that is left whenever some is, even at rate exponent 0.  Per-TX
-    power never exceeds P: a back-off scales the adaptive layers of the
-    draws that overshoot.  Returns the layers and the ([points,] draws)
-    back-off mask.
+    the ZF baselines ``s1`` alone, ``no_csit`` neither.  ``s0`` is always
+    sent, first, with the power that is left (0.0 where none is), even at
+    rate exponent 0.  Per-TX power never exceeds P: a back-off scales the
+    adaptive layers of the draws that overshoot.  Returns the layers and
+    the ([points,] draws) back-off mask.
     """
     kind = SchemeKind(scheme_kind)
     tau = layout.power_exp
@@ -162,10 +170,7 @@ def build_layers(
             left -= q ** tau[tag]
         return max(left, 0.0)
 
-    power = _per_point(s0_power, p)
-    layers = {}
-    if np.count_nonzero(power):
-        layers["s0"] = multicast(power)
+    layers = {"s0": multicast(_per_point(s0_power, p))}
     if "s1" in bands:
         layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, tau["s1"], kind, p)
     if "z1" in bands:
@@ -197,34 +202,21 @@ def _received(h: np.ndarray, layers: dict) -> dict:
     return out
 
 
-def achievable_rates(h: np.ndarray, layers: dict) -> tuple:
-    """Rates ``(r0, r1, r2, rz)`` of the successive-decoding chain, each ([points,] draws).
+def achievable_rates(h: np.ndarray, layers: dict) -> dict:
+    """``{tag: rate}`` of the successive-decoding chain, each ([points,] draws).
 
-    ``r0`` is the common layer's rate, the worse of the two receivers'
-    mutual informations with all lower layers as noise; ``r1``/``r2``
-    are the private rates and ``rz`` the z layer's at RX 1.  Absent
-    layers carry 0.  Rates are in bits per channel use.
+    The keys are those of ``layers``, in decoding order.  A layer's rate
+    is the worst, over the receivers that decode it, of its mutual
+    information with the sent layers still undecoded there as noise
+    (``_DECODING``).  Rates are in bits per channel use.
     """
     q = _received(h, layers)
-    zero = np.zeros(h.shape[3:])
-
-    def at(tag: str, rx: int) -> np.ndarray:
-        v = q.get(tag)
-        return v[rx] if v is not None else zero
-
-    r0 = r1 = r2 = rz = zero
-    if "s0" in q:
-        sinr0 = np.minimum(
-            *(at("s0", rx) / (1.0 + at("s1", rx) + at("s2", rx) + at("z1", rx)) for rx in (0, 1))
-        )
-        r0 = np.log2(1.0 + sinr0)
-    if "s1" in q:
-        r1 = np.log2(1.0 + at("s1", 0) / (1.0 + at("z1", 0) + at("s2", 0)))
-    if "s2" in q:
-        r2 = np.log2(1.0 + at("s2", 1) / (1.0 + at("s1", 1) + at("z1", 1)))
-    if "z1" in q:
-        rz = np.log2(1.0 + at("z1", 0) / (1.0 + at("s2", 0)))
-    return r0, r1, r2, rz
+    rates = {}
+    for tag, (receivers, noise) in _DECODING.items():
+        if tag in q:
+            sinr = (q[tag][rx] / sum((q[n][rx] for n in noise if n in q), 1.0) for rx in receivers)
+            rates[tag] = np.log2(1.0 + functools.reduce(np.minimum, sinr))
+    return rates
 
 
 def interference_power(h: np.ndarray, layers: dict, rx: int) -> np.ndarray:

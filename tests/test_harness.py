@@ -69,8 +69,7 @@ def _draw_sum(cfg, canon, layout, p, d):
     h = sample_channel(canon.topology, p, z)
     h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
     layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
-    r0, r1, r2, rz = achievable_rates(h, layers)
-    return float((r0 + r1 + r2 + rz)[0])
+    return float(sum(achievable_rates(h, layers).values())[0])
 
 
 # ---------------------------------------------------------------- points
@@ -156,7 +155,7 @@ def _point_with_draw_sums(monkeypatch, cfg, snr_db):
 
     def recording(h, layers):
         rates = achievable_rates(h, layers)
-        sums.append(sum(rates))
+        sums.append(sum(rates.values()))
         return rates
 
     monkeypatch.setattr(harness, "achievable_rates", recording)
@@ -248,7 +247,7 @@ def test_a_draw_does_not_depend_on_its_batch(batch):
         out = {}
         for s in cfg.schemes:
             layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
-            out[s] = (sum(achievable_rates(h, layers)), mask)
+            out[s] = (sum(achievable_rates(h, layers).values()), mask)
         return out
 
     whole = kernel(z)
@@ -515,6 +514,13 @@ def test_fit_exponent_power_law_and_constant():
     assert fit_exponent([(p, 2.5) for p in grid]) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InsufficientPoints):
         fit_exponent([(1e4, 1.0), (1e4, 2.0)])
+
+
+def test_fit_exponent_rejects_p_values_too_close_to_fit():
+    # Two distinct P values one ulp apart: the log-log fit is poorly
+    # conditioned, which estimate_slope's guard turns into InsufficientPoints.
+    with pytest.raises(InsufficientPoints, match="too close together"):
+        fit_exponent([(1e4, 1.0), (1e4 * (1 + 2**-52), 3.0), (1e4, 2.0)])
 
 
 # ---------------------------------------------------------------- files

@@ -141,8 +141,8 @@ _P4 = 1e6 - 1e6**0.7 - 1e6**0.1  # s0's power when s1 and z1 both carry rate
         ("apzf", ("z1",), 1e6, ["s0", "s1", "s2"], 1e6 - 1e6**0.7),
         ("apzf", ("s1", "s2", "z1"), 1e6, ["s0"], 1e6),
         ("no_csit", (), 1e6, ["s0"], 1e6),
-        # 1.5 - 1.5**0.7 - 1.5**0.1 < 0: no power is left for s0.
-        ("apzf", (), 1.5, ["s1", "s2", "z1"], None),
+        # 1.5 - 1.5**0.7 - 1.5**0.1 < 0: no power is left, so s0 is sent at 0.
+        ("apzf", (), 1.5, ["s0", "s1", "s2", "z1"], 0.0),
     ],
     ids=[
         "four-band",
@@ -163,8 +163,20 @@ def test_build_layers_tags_and_common_power(kind, zero_rates, p, tags, s0_power)
     _, h_hat = _draw(canon, p, np.random.default_rng(11), draws=20)
     layers, _ = build_layers(canon, h_hat, layout, kind, p)
     assert list(layers) == tags
-    if s0_power is not None:
-        assert np.sum(np.abs(layers["s0"]) ** 2) == pytest.approx(s0_power, rel=1e-12)
+    assert np.sum(np.abs(layers["s0"]) ** 2) == pytest.approx(s0_power, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["apzf", "centralized_zf", "naive_zf", "no_csit"])
+def test_build_layers_tags_do_not_depend_on_p(kind):
+    # At P = 1.5 no power is left for s0; it is sent anyway, at amplitude 0.
+    canon = _canon_four_band()
+    layout = plan_layout(canon, kind)
+    tags = {}
+    for p in (1.5, 1e6):
+        _, h_hat = _draw(canon, p, np.random.default_rng(11), draws=20)
+        tags[p] = list(build_layers(canon, h_hat, layout, kind, p)[0])
+    assert tags[1.5] == tags[1e6]
+    assert tags[1.5][0] == "s0"
 
 
 def test_achievable_rates_zero_channel():
@@ -172,8 +184,10 @@ def test_achievable_rates_zero_channel():
     rng = np.random.default_rng(3)
     _, layers = _draw_layers(canon, "apzf", 1e4, rng)
     silent = as_kernel(np.zeros((1, 2, 2), dtype=complex))
-    r0, r1, r2, rz = achievable_rates(silent, layers)
-    assert r0 == r1 == r2 == rz == r0 + r1 + r2 + rz == 0.0
+    rates = achievable_rates(silent, layers)
+    assert list(rates) == ["s0", "s1", "s2"]
+    r0, r1, r2 = rates.values()
+    assert r0 == r1 == r2 == sum(rates.values()) == 0.0
 
 
 def test_achievable_rates_diagonal_shannon():
@@ -185,15 +199,17 @@ def test_achievable_rates_diagonal_shannon():
         "s1": as_kernel(np.array([[math.sqrt(p), 0j]])),
         "s2": as_kernel(np.array([[0j, math.sqrt(p)]])),
     }
-    r0, r1, r2, rz = (float(r[0]) for r in achievable_rates(as_kernel(h[np.newaxis]), layers))
-    assert r0 == 0.0 and rz == 0.0
-    assert r1 == pytest.approx(math.log2(1 + p * abs(h[0, 0]) ** 2))
-    assert r2 == pytest.approx(math.log2(1 + p * abs(h[1, 1]) ** 2))
-    assert r0 + r1 + r2 + rz == pytest.approx(r1 + r2)
+    rates = {tag: float(r[0]) for tag, r in achievable_rates(as_kernel(h[np.newaxis]), layers).items()}
+    # no s0 or z1 is sent, so neither has a rate
+    assert list(rates) == ["s1", "s2"]
+    assert rates["s1"] == pytest.approx(math.log2(1 + p * abs(h[0, 0]) ** 2))
+    assert rates["s2"] == pytest.approx(math.log2(1 + p * abs(h[1, 1]) ** 2))
+    assert sum(rates.values()) == pytest.approx(rates["s1"] + rates["s2"])
 
 
 def _einsum_rates(h, layers):
-    """The decoding chain's rates from complex received amplitudes, by np.einsum."""
+    """The decoding chain's rates ``{tag: rate}`` from complex received
+    amplitudes, by np.einsum; a layer not sent has power 0."""
     h = as_complex(h)
     none = np.zeros((len(h), 2))
     q = {
@@ -202,27 +218,30 @@ def _einsum_rates(h, layers):
     }
     s0, s1, s2, z1 = (q.get(tag, none) for tag in ("s0", "s1", "s2", "z1"))
     sinr0 = np.minimum(*(s0[:, rx] / (1.0 + s1[:, rx] + s2[:, rx] + z1[:, rx]) for rx in (0, 1)))
-    return (
-        np.log2(1.0 + sinr0),
-        np.log2(1.0 + s1[:, 0] / (1.0 + z1[:, 0] + s2[:, 0])),
-        np.log2(1.0 + s2[:, 1] / (1.0 + s1[:, 1] + z1[:, 1])),
-        np.log2(1.0 + z1[:, 0] / (1.0 + s2[:, 0])),
-    )
+    return {
+        "s0": np.log2(1.0 + sinr0),
+        "s1": np.log2(1.0 + s1[:, 0] / (1.0 + z1[:, 0] + s2[:, 0])),
+        "s2": np.log2(1.0 + s2[:, 1] / (1.0 + s1[:, 1] + z1[:, 1])),
+        "z1": np.log2(1.0 + z1[:, 0] / (1.0 + s2[:, 0])),
+    }
 
 
 @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
 @pytest.mark.parametrize("instance", sorted(GOLDEN_INSTANCES))
 def test_achievable_rates_match_complex_einsum_reference(instance, snr_db):
     # The kernel's split-real received powers against plain complex
-    # arithmetic, on the golden sweeps' instances and SNR range.
+    # arithmetic, on the golden sweeps' instances and SNR range; the
+    # rates are keyed exactly like the layers.
     gamma, alpha, _ = GOLDEN_INSTANCES[instance]
     canon = canonicalize(Topology(gamma), CsitQuality(alpha))
     p = 10.0 ** (snr_db / 10.0)
     h, h_hat = _draw(canon, p, np.random.default_rng(17), draws=1000)
     for kind in ("apzf", "centralized_zf", "naive_zf", "no_csit"):
         layers, _ = build_layers(canon, h_hat, plan_layout(canon, kind), kind, p)
-        for got, ref in zip(achievable_rates(h, layers), _einsum_rates(h, layers)):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        got, ref = achievable_rates(h, layers), _einsum_rates(h, layers)
+        assert list(got) == list(layers)
+        for tag in layers:
+            np.testing.assert_allclose(got[tag], ref[tag], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
@@ -244,10 +263,11 @@ def test_rates_nonnegative_and_additive():
     rng = np.random.default_rng(4)
     for kind in ("apzf", "centralized_zf", "naive_zf", "no_csit"):
         h, layers = _draw_layers(canon, kind, 1e5, rng, draws=50)
-        r = np.array(achievable_rates(h, layers))
-        assert r.shape == (4, 50)
+        rates = achievable_rates(h, layers)
+        r = np.array(list(rates.values()))
+        assert r.shape == (len(layers), 50)
         assert r.min() >= 0.0
-        np.testing.assert_allclose(r[0] + r[1] + r[2] + r[3], r.sum(axis=0), rtol=1e-6)
+        np.testing.assert_allclose(sum(rates.values()), r.sum(axis=0), rtol=1e-6)
 
 
 def test_tx_power_within_budget():
@@ -295,7 +315,7 @@ def test_decode_order_monotonicity():
         full = got["s0"][:, rx] / (1.0 + got["s1"][:, rx] + got["s2"][:, rx])
         partial = got["s0"][:, rx] / (1.0 + got["s2"][:, rx])
         assert np.all(full <= partial)
-    r0 = achievable_rates(h, layers)[0]
+    r0 = achievable_rates(h, layers)["s0"]
     assert np.all(r0 <= np.log2(1.0 + np.minimum(
         *(got["s0"][:, rx] / (1.0 + got["s2"][:, rx]) for rx in (0, 1))
     )))
@@ -326,8 +346,7 @@ def test_apzf_outrates_naive_at_high_snr():
     means = {}
     for kind in ("apzf", "naive_zf"):
         h, layers = _draw_layers(canon, kind, p, np.random.default_rng(8), draws=2000)
-        r0, r1, r2, rz = achievable_rates(h, layers)
-        means[kind] = np.mean(r0 + r1 + r2 + rz)
+        means[kind] = np.mean(sum(achievable_rates(h, layers).values()))
     assert means["apzf"] > means["naive_zf"]
 
 
