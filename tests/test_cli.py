@@ -52,6 +52,32 @@ def test_gdof_prints_closed_forms_and_layout(config_path, capsys):
     assert "z1" not in out
 
 
+def test_gdof_output_on_a_case2_layout_with_z1(tmp_path, capsys):
+    # The sweep-z1-pool benchmark instance: its layout carries a z1 row.
+    raw = {
+        "gamma": [[1.0, 0.6], [0.9, 0.5]],
+        "alpha": [[[0.6, 0.4], [0.5, 0.3]], [[0.2, 0.1], [0.1, 0.0]]],
+        "schemes": ["apzf", "centralized_zf", "naive_zf", "no_csit"],
+        "snr_db": [20.0, 60.0],
+        "draws": 1000,
+        "seed": 23,
+    }
+    path = tmp_path / "z1.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["gdof", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "distributed GDoF : 1.3  (branch d1: d1=1.3, d2=1.3)\n"
+        "centralized GDoF : 1.3  (branch d1: d1=1.3, d2=1.3)\n"
+        "no-CSIT GDoF     : 1\n"
+        "layout           : case2, rho = 0.3\n"
+        "  layer  rate_exp  power_exp\n"
+        "  s0     0.6       1\n"
+        "  s1     0.3       0.8\n"
+        "  s2     0.3       0.8\n"
+        "  z1     0.1       0.1\n"
+    )
+
+
 def test_simulate_prints_each_scheme(config_path, capsys):
     assert main([
         "simulate", "--config", config_path, "--snr-db", "50",
