@@ -99,8 +99,8 @@ def coefficient_exponents(rng, n_topologies, draws):
 def determinism(config):
     """Simulating the first SNR point twice gives identical results, and
     they equal that point's in a two-point sweep (draws do not depend on
-    the grid).  The other point is 10 dB away, on the side where P stays
-    a normal float."""
+    the grid).  The other point is 10 dB away, on the side that stays in
+    the accepted SNR range."""
     first = config.snr_db[0]
     a = simulate_snr(config, first)
     b = simulate_snr(config, first)

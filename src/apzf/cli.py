@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .gdof import centralized_gdof, distributed_gdof, genie_outer_bound, scheme_layout
+from .gdof import scheme_layout
 from .harness import (
     ConfigError,
+    closed_forms,
     load_config,
     simulate_snr,
     sweep,
@@ -109,22 +110,19 @@ def _apply_overrides(config, args):
 
 def _cmd_gdof(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    dist = distributed_gdof(config.topology, config.csit)
-    genie = genie_outer_bound(config.topology, config.csit)
-    no_csit = centralized_gdof(config.topology, np.zeros((2, 2)))
+    forms = closed_forms(config)
     layout = scheme_layout(canonicalize(config.topology, config.csit))
-    print(f"distributed GDoF : {dist.value:g}  "
-          f"(branch {dist.branch}: d1={dist.d1:g}, d2={dist.d2:g})")
-    print(f"centralized GDoF : {genie.value:g}  "
-          f"(branch {genie.branch}: d1={genie.d1:g}, d2={genie.d2:g})")
-    print(f"no-CSIT GDoF     : {no_csit.value:g}")
+    for name in ("distributed", "centralized"):
+        form = forms[name]
+        print(f"{name} GDoF : {form.value:g}  "
+              f"(branch {form.branch}: d1={form.d1:g}, d2={form.d2:g})")
+    print(f"no-CSIT GDoF     : {forms['no_csit'].value:g}")
     print(f"layout           : {layout.case_id}"
           + (" (parallel)" if layout.parallel else "")
           + f", rho = {layout.rho:g}")
     print("  layer  rate_exp  power_exp")
-    for tag in ("s0", "s1", "s2", "z1"):
-        if tag in layout.rate_exp:
-            print(f"  {tag:5s}  {layout.rate_exp[tag]:<8g}  {layout.power_exp[tag]:g}")
+    for tag, rate in layout.rate_exp.items():
+        print(f"  {tag:5s}  {rate:<8g}  {layout.power_exp[tag]:g}")
     return EXIT_OK
 
 
@@ -140,6 +138,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
+    if not out.name:
+        raise ConfigError(f"--out {args.out!r} names no file")
     summary_path = out.with_suffix(".json")
     if out.resolve() == summary_path.resolve():
         raise ConfigError(f"--out {out}: its .json summary would overwrite the CSV itself")

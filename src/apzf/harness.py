@@ -92,13 +92,19 @@ class InsufficientPoints(ValueError):
 
 
 def _snr_power(snr_db: float) -> float:
-    """P = 10**(snr_db / 10); ConfigError unless it is a finite normal float."""
+    """P = 10**(snr_db / 10); ConfigError unless P is a normal float and
+    P*P is finite (about -3076 to 1541 dB)."""
     try:
         p = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         p = math.inf
-    if not sys.float_info.min <= p < math.inf:
-        raise ConfigError(f"snr_db {snr_db!r} does not give a finite normal P = 10**(snr_db/10)")
+    # The 1/P regularizer bounds the active AP-ZF coefficient's power by
+    # about P**2 times a squared Gaussian, so P*P must not overflow.
+    if not (sys.float_info.min <= p and p * p < math.inf):
+        raise ConfigError(
+            f"snr_db {snr_db!r} is out of range: P = 10**(snr_db/10) must be "
+            "a normal float with P*P finite"
+        )
     return p
 
 
@@ -218,27 +224,24 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
     equals this point's in any ``sweep`` of the config.  The per-draw
     sums take 8 bytes per draw per scheme.  Returns ``{scheme: PointStats}``.
     """
-    return _simulate(config, (snr_db,), *_plan(config))[0]
+    return {s: pts[0] for s, pts in _simulate(config, (snr_db,)).items()}
 
 
-def _plan(config: SweepConfig) -> tuple:
-    """The config's canonical form and ``{scheme: layout}`` on it."""
-    canon = canonicalize(config.topology, config.csit)
-    return canon, {s: plan_layout(canon, s) for s in config.schemes}
+def _simulate(config: SweepConfig, snr_db: tuple) -> dict:
+    """``{scheme: [PointStats per point of snr_db]}``, the shape of
+    ``SweepCurve.points``.
 
-
-def _simulate(config: SweepConfig, snr_db: tuple, canon, layouts: dict) -> list:
-    """``{scheme: PointStats}`` for each point of ``snr_db``, with the
-    config's ``_plan`` already made.
-
-    Blocks run first and SNR points second: each block's normals are
-    drawn once and evaluated at every point.  A block's points are cut
-    into the fewest near-equal contiguous groups of at most
+    Plans the config's canonical form and each scheme's layout, then runs
+    blocks first and SNR points second: each block's normals are drawn
+    once and evaluated at every point.  A block's points are cut into the
+    fewest near-equal contiguous groups of at most
     ``_BLOCK_DRAWS // len(block)`` points (at least one), and each group
     is one pass: one call per scheme of ``build_layers`` and
     ``achievable_rates`` on a ``(points, 1)`` column of powers, or on the
     float P of a lone point.
     """
+    canon = canonicalize(config.topology, config.csit)
+    layouts = {s: plan_layout(canon, s) for s in config.schemes}
     powers = [_snr_power(snr) for snr in snr_db]
     sums = np.empty((len(powers), len(config.schemes), config.draws))
     backed_off = np.zeros((len(powers), len(config.schemes)), dtype=np.int64)
@@ -261,13 +264,13 @@ def _simulate(config: SweepConfig, snr_db: tuple, canon, layouts: dict) -> list:
     else:
         stderrs = np.zeros(sums.shape[:2])
     fracs = backed_off / config.draws
-    return [
-        {
-            s: PointStats(float(means[j, i]), float(stderrs[j, i]), float(fracs[j, i]))
-            for i, s in enumerate(config.schemes)
-        }
-        for j in range(len(powers))
-    ]
+    return {
+        s: [
+            PointStats(float(means[j, i]), float(stderrs[j, i]), float(fracs[j, i]))
+            for j in range(len(powers))
+        ]
+        for i, s in enumerate(config.schemes)
+    }
 
 
 def _cuts(n: int, parts: int) -> list:
@@ -292,28 +295,28 @@ def _pool_size(config: SweepConfig) -> int:
 
 
 def closed_forms(config: SweepConfig) -> dict:
-    """The three closed-form GDoF references for a config."""
+    """The three closed-form GDoF references for a config, as GdofValues."""
     return {
-        "distributed": distributed_gdof(config.topology, config.csit).value,
-        "centralized": genie_outer_bound(config.topology, config.csit).value,
-        "no_csit": centralized_gdof(config.topology, np.zeros((2, 2))).value,
+        "distributed": distributed_gdof(config.topology, config.csit),
+        "centralized": genie_outer_bound(config.topology, config.csit),
+        "no_csit": centralized_gdof(config.topology, np.zeros((2, 2))),
     }
 
 
 def sweep(config: SweepConfig) -> SweepCurve:
     """Simulate every (scheme, SNR) point and fit per-scheme slopes.
 
-    Without a pool the whole grid is one task.  With ``config.workers > 1``
-    and enough draws (see ``_pool_size``), the grid is cut into one
-    contiguous slice per worker, each a task covering all schemes and all
-    draws; since draws are keyed by chunk alone, the result is identical
-    for any worker count.  The canonical form and the layouts are planned
-    once here and sent with every task.  Schemes whose window holds fewer
-    than two grid points get slope None.
+    A task is the config and a contiguous slice of its grid, covering all
+    schemes and all draws.  Without a pool the whole grid is one task.
+    With ``config.workers > 1`` and enough draws (see ``_pool_size``),
+    the grid is cut into one slice per worker; since draws are keyed by
+    chunk alone, the result is identical for any worker count.  Schemes
+    whose window holds fewer than two grid points get slope None.
     """
-    plan = _plan(config)
+    # First: they validate the instance in this process, before any worker starts.
+    gdof = {name: form.value for name, form in closed_forms(config).items()}
     workers = _pool_size(config)
-    tasks = [(config, config.snr_db[a:b], *plan) for a, b in _cuts(len(config.snr_db), workers)]
+    tasks = [(config, config.snr_db[a:b]) for a, b in _cuts(len(config.snr_db), workers)]
     if workers > 1:
         # imported here: concurrent.futures.process costs about 1.7 MB of
         # RSS and tens of ms of import time, which runs without a pool save
@@ -324,9 +327,8 @@ def sweep(config: SweepConfig) -> SweepCurve:
     else:
         slices = [_point_task(t) for t in tasks]
 
-    # pool.map keeps task order, so results[i] is the point at snr_db[i].
-    results = [stats for part in slices for stats in part]
-    points = {s: [stats[s] for stats in results] for s in config.schemes}
+    # pool.map keeps task order, so the slices join in grid order.
+    points = {s: [pt for part in slices for pt in part[s]] for s in config.schemes}
     slopes = {}
     for s, pts in points.items():
         try:
@@ -335,7 +337,7 @@ def sweep(config: SweepConfig) -> SweepCurve:
             )
         except InsufficientPoints:
             slopes[s] = None
-    return SweepCurve(config.snr_db, points, slopes, closed_forms(config))
+    return SweepCurve(config.snr_db, points, slopes, gdof)
 
 
 def estimate_slope(points, window_db) -> float:

@@ -32,6 +32,7 @@ BAD_CONFIG_VALUES = {
     "snr-inf": ("snr_db", [40.0, float("inf")]),
     "snr-minus-inf": ("snr_db", [float("-inf"), 40.0]),
     "snr-power-overflows": ("snr_db", [40.0, 4000.0]),
+    "snr-power-squared-overflows": ("snr_db", [40.0, 1600.0]),
     "snr-power-underflows": ("snr_db", [-4000.0, 40.0]),
     "draws-fractional": ("draws", 2.7),
     "draws-bool": ("draws", True),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from conftest import BAD_CONFIG_VALUES
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apzf.checks as checks
@@ -25,18 +25,21 @@ from apzf.cli import (
 from apzf.scheme import PowerInfeasible
 
 
+# The reference instance at 3 points x 5 draws: far too few to fork a worker.
+_SMALL_CONFIG = {
+    "gamma": [[1.0, 0.8], [0.8, 1.0]],
+    "alpha": [[[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]],
+    "schemes": ["apzf", "naive_zf"],
+    "snr_db": [40.0, 50.0, 60.0],
+    "draws": 5,
+    "seed": 7,
+}
+
+
 @pytest.fixture
 def config_path(tmp_path):
-    raw = {
-        "gamma": [[1.0, 0.8], [0.8, 1.0]],
-        "alpha": [[[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]],
-        "schemes": ["apzf", "naive_zf"],
-        "snr_db": [40.0, 50.0, 60.0],
-        "draws": 5,
-        "seed": 7,
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    path.write_text(json.dumps(_SMALL_CONFIG), encoding="utf-8")
     return str(path)
 
 
@@ -171,6 +174,16 @@ def test_sweep_out_that_overwrites_an_input_or_itself_is_config_error(config_pat
     assert Path(config_path).read_bytes() == before
 
 
+@pytest.mark.parametrize("out", ["/", "", "."])
+def test_sweep_out_that_names_no_file_is_config_error(config_path, tmp_path, out, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", config_path, "--out", out]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_overrides_return_a_new_config_and_leave_the_loaded_one_unchanged(config_path):
     config = harness.load_config(config_path)
     before = harness.config_to_dict(config)
@@ -232,7 +245,7 @@ def test_config_error_echoes_a_bounded_value(config_path, tmp_path, key, value, 
     assert err.startswith("config error:") and err.count("\n") == 1 and len(err) < 200
 
 
-@pytest.mark.parametrize("snr", ["nan", "inf", "4000"])
+@pytest.mark.parametrize("snr", ["nan", "inf", "4000", "1600"])
 def test_simulate_bad_snr_exits_with_config_error(config_path, snr, capsys):
     assert main(["simulate", "--config", config_path, "--snr-db", snr]) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -397,6 +410,54 @@ def test_fuzzed_sweep_config_exits_cleanly(raw):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# --out values relative to the example's temp dir: a file name (no "/",
+# and no NUL, which a command line cannot carry), or a path naming no file.
+_OUT = st.one_of(
+    st.text(st.characters(exclude_characters="/\x00"), min_size=1, max_size=16).filter(
+        lambda name: name not in (".", "..")
+    ),
+    st.sampled_from(["", "."]),
+)
+_WINDOW = st.one_of(
+    st.text(max_size=12),
+    st.tuples(st.floats(), st.floats()).map(lambda w: f"{w[0]}:{w[1]}"),
+)
+_SCHEME_ARG = st.one_of(
+    st.text(max_size=12),
+    st.lists(st.sampled_from(_SCHEMES + ["dirty_paper"]), max_size=3).map(",".join),
+)
+_INT_ARG = st.one_of(st.integers(-2, 2**70).map(str), st.text(max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    out=_OUT,
+    window=st.none() | _WINDOW,
+    scheme=st.none() | _SCHEME_ARG,
+    workers=st.none() | _INT_ARG,
+    seed=st.none() | _INT_ARG,
+)
+@example(out="", window=None, scheme=None, workers=None, seed=None)
+def test_fuzzed_sweep_command_line_exits_cleanly(out, window, scheme, workers, seed):
+    # A valid config with any --out, --window, --scheme, --workers and
+    # --seed gets a clean exit (argparse's own SystemExit(2) counts as 2).
+    argv = ["sweep", "--config", "config.json", f"--out={out}"]
+    for name, value in (("window", window), ("scheme", scheme), ("workers", workers), ("seed", seed)):
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        Path("config.json").write_text(json.dumps(_SMALL_CONFIG), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 

@@ -15,6 +15,7 @@ from apzf import (
     NORMALS_PER_DRAW,
     ConfigError,
     CsitQuality,
+    GdofValue,
     InsufficientPoints,
     PointStats,
     SweepConfig,
@@ -237,7 +238,8 @@ def test_a_draw_does_not_depend_on_its_batch(batch):
     # sum rate and back-off must be what it is in any other batch.  At
     # 20 dB apzf backs off on every draw, centralized_zf on some of them.
     cfg = _z1_case2_config()
-    canon, layouts = harness._plan(cfg)
+    canon = canonicalize(cfg.topology, cfg.csit)
+    layouts = {s: plan_layout(canon, s) for s in cfg.schemes}
     p = 10.0 ** (20.0 / 10.0)
     z = _block_normals(cfg.seed, range(23))
 
@@ -393,11 +395,15 @@ def test_grouped_points_equal_points_run_alone(instance, draws):
         assert {s: curve.points[s][i] for s in schemes} == simulate_snr(cfg, snr)
 
 
-def test_rates_are_finite_at_minus_3000_db():
+@pytest.mark.parametrize("instance", ["reference", "z1_case2"])
+@pytest.mark.parametrize("snr", [-3000.0, 1541.0])
+def test_rates_are_finite_at_extreme_snr(instance, snr):
     # At P = 1e-300 the ZF rows are large and 1/P is 1e300; their product
-    # overflowed, and centralized_zf and naive_zf came out nan.
-    cfg = dataclasses.replace(load_config(_PARALLEL_CONFIG), snr_db=(-3000.0,), draws=300)
-    out = simulate_snr(cfg, -3000.0)
+    # overflowed, and centralized_zf and naive_zf came out nan.  1541 dB is
+    # just below the top of the accepted range, where P*P would overflow.
+    base = load_config(_PARALLEL_CONFIG) if instance == "reference" else _z1_case2_config()
+    cfg = dataclasses.replace(base, snr_db=(snr,), draws=300)
+    out = simulate_snr(cfg, snr)
     for s, pt in out.items():
         assert math.isfinite(pt.mean) and math.isfinite(pt.stderr), s
     ok, detail = checks.determinism(cfg)
@@ -405,7 +411,8 @@ def test_rates_are_finite_at_minus_3000_db():
 
 
 def test_sweep_plans_once(monkeypatch):
-    # The canonical form and the layouts do not depend on the SNR point.
+    # The canonical form and the layouts do not depend on the SNR point,
+    # and a serial sweep is one task, which plans once for its whole grid.
     calls = {"canonicalize": 0, "plan_layout": 0}
 
     def counted(name):
@@ -467,7 +474,11 @@ def test_sweep_repeat_is_byte_identical(tmp_path):
 
 def test_closed_forms_reference_values():
     forms = closed_forms(_config())
-    assert forms == {"distributed": 1.7, "centralized": 1.7, "no_csit": 1.2}
+    assert forms == {
+        "distributed": GdofValue(1.7, "d1", 1.7, 1.7),
+        "centralized": GdofValue(1.7, "d1", 1.7, 1.7),
+        "no_csit": GdofValue(1.2, "d1", 1.2, 1.2),
+    }
 
 
 # ---------------------------------------------------------------- fitting
