@@ -11,9 +11,11 @@ operations.  A block's points run in passes of up to
 ``_BLOCK_DRAWS // len(block)`` points each (at least one), with the
 powers of a pass's points on an axis just before the draws (see
 ``apzf.channel``), so a pass never holds more than ``_BLOCK_DRAWS``
-point-draws.  A point's result therefore depends neither on the other
-points in its grid or its pass nor on how the grid is split across
-worker processes.
+point-draws.  A pass builds every scheme's layers in one
+``scheme._build_pass``, which computes each ZF direction of the pass
+once and shares it between the schemes that use it.  A point's result
+therefore depends neither on the other points in its grid or its pass
+nor on how the grid is split across worker processes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
 from .gdof import centralized_gdof, distributed_gdof, genie_outer_bound
-from .scheme import SchemeKind, achievable_rates, build_layers, plan_layout
+from .scheme import SchemeKind, _build_pass, achievable_rates, plan_layout
 from .topology import CsitQuality, Topology, canonicalize
 
 __all__ = [
@@ -236,9 +238,10 @@ def _simulate(config: SweepConfig, snr_db: tuple) -> dict:
     once and evaluated at every point.  A block's points are cut into the
     fewest near-equal contiguous groups of at most
     ``_BLOCK_DRAWS // len(block)`` points (at least one), and each group
-    is one pass: one call per scheme of ``build_layers`` and
-    ``achievable_rates`` on a ``(points, 1)`` column of powers, or on the
-    float P of a lone point.
+    is one pass on a ``(points, 1)`` column of powers, or on the float P
+    of a lone point: one ``scheme._build_pass`` over every scheme, which
+    computes each ZF direction of the pass once, and one call per scheme
+    of ``achievable_rates``.
     """
     canon = canonicalize(config.topology, config.csit)
     layouts = {s: plan_layout(canon, s) for s in config.schemes}
@@ -254,8 +257,7 @@ def _simulate(config: SweepConfig, snr_db: tuple) -> dict:
             p = powers[a] if b - a == 1 else np.array(powers[a:b])[:, None]
             h = sample_channel(canon.topology, p, z)
             h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
-            for i, s in enumerate(config.schemes):
-                layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
+            for i, (layers, mask) in enumerate(_build_pass(canon, h_hat, layouts, p)):
                 sums[a:b, i, block.start : block.stop] = sum(achievable_rates(h, layers).values())
                 backed_off[a:b, i] += mask.sum(axis=-1)
     means = sums.mean(axis=-1)

@@ -22,9 +22,19 @@ Every function works on a batch of draws, in the layout of
 ``apzf.channel``: real float64 arrays with (re, im) on axis 0 and the
 draws on the last axis.  An estimate is ``[c, i, k, d]``, and a vector
 ``t[c, k, d]`` is applied at TX ``k`` on draw ``d``.  Complex arithmetic
-is spelt out on the two parts (``_abs2``, ``_cmul``, ``_conj``), and a
-sum over an axis of length 2 is written as the sum of its two terms.  A
-draw's vector does not depend on the size of the batch it is in.
+is spelt out on the two parts (``_abs2``, ``_cmul``, ``_cmul_conj``),
+and a sum over an axis of length 2 is written as the sum of its two
+terms.  No conjugate is ever copied: a conjugate factor is folded into
+the products, and a conjugated vector into its normalisation.  A draw's
+vector does not depend on the size of the batch it is in.
+
+The ZF baselines and ``matched`` run in two steps.  The direction step
+(``_zf_direction``) returns an unconjugated direction ``w`` and its norm;
+the normalisation step (``_normalised``) rescales ``conj(w)`` to norm
+sqrt(P**tau), negating the imaginary half in place.  So a direction can
+be computed once and normalised for several schemes, or for one entry
+only (``naive_zf``): ``apzf.scheme`` shares the active TX's directions
+between ``centralized_zf`` and ``naive_zf`` within a pass.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers; estimates made at a column carry a points axis just before the
@@ -67,18 +77,39 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conj(x: np.ndarray) -> np.ndarray:
-    """The complex conjugate of ``x``."""
-    return np.array((x[0], -x[1]))
+def _cmul_conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * conj(b)`` elementwise, with no copy of ``conj(b)``:
+    ``a0*b0 + a1*b1`` and ``a1*b0 - a0*b1``.  Bit for bit the ``_cmul``
+    of ``a`` and the conjugate, since ``x - (-y)`` is ``x + y`` and
+    ``(-x) + y`` is ``y - x`` exactly, signed zeros included."""
+    out = np.empty((2,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), np.result_type(a, b))
+    re, im = out
+    np.multiply(a[0], b[0], out=re)
+    re += a[1] * b[1]
+    np.multiply(a[1], b[0], out=im)
+    im -= a[0] * b[1]
+    return out
 
 
-def _scaled(w: np.ndarray, tau: float, p) -> np.ndarray:
-    """Vectors ``w`` rescaled to norm sqrt(P**tau); all-zero vectors stay zero."""
+def _norm(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of the vectors ``w`` (2, 2, ...); drops axes 0 and 1."""
     a = _abs2(w)
-    n = np.sqrt(a[0] + a[1])
+    return np.sqrt(a[0] + a[1])
+
+
+def _normalised(w: np.ndarray, n: np.ndarray, tau: float, p, out=None) -> np.ndarray:
+    """``conj(w)`` rescaled by sqrt(P**tau) / ``n``; 0 where ``n`` is 0.
+
+    ``n`` is the norm of the whole vector ``w`` belongs to, so ``w`` may
+    be one TX's entry of it.  The conjugate is taken after scaling, by
+    negating the imaginary half in place: ``-(w1*s)`` is ``(-w1)*s``
+    bit for bit.
+    """
     with np.errstate(divide="ignore"):
         s = np.where(n == 0.0, 0.0, _per_point(lambda q: math.sqrt(q**tau), p) / n)
-    return w * s
+    out = np.multiply(w, s, out=out)
+    np.negative(out[1], out=out[1])
+    return out
 
 
 def apzf(
@@ -105,7 +136,15 @@ def apzf(
     e_pas = estimate_active[:, itf, passive_tx]
     reg = 1.0 / p if regularize else 0.0
     t = np.zeros((2, 2) + e_act.shape[1:])
-    t[:, active_tx] = _cmul(-_conj(e_act), e_pas) * (t_pas / (_abs2(e_act) + reg))
+    # -conj(a) * b for a = e_act, b = e_pas, written into t with no
+    # conjugate copy: (-(a0*b0) - a1*b1, a1*b0 - a0*b1), which are the
+    # product's own operations, so every bit and signed zero is the same.
+    re, im = t[:, active_tx]
+    np.negative(np.multiply(e_act[0], e_pas[0], out=re), out=re)
+    re -= e_act[1] * e_pas[1]
+    np.multiply(e_act[1], e_pas[0], out=im)
+    im -= e_act[0] * e_pas[1]
+    t[:, active_tx] *= t_pas / (_abs2(e_act) + reg)
     t[0, passive_tx] = t_pas
     return t
 
@@ -128,46 +167,50 @@ def matched(estimate_active: np.ndarray, tau: float, p) -> np.ndarray:
     Beamforms along the active TX's estimate of RX 1's row, with norm
     sqrt(P**tau).
     """
-    return _scaled(_conj(estimate_active[:, 0]), tau, p)
+    w = estimate_active[:, 0]
+    return _normalised(w, _norm(w), tau, p)
 
 
 def _zf_scales(p: float) -> tuple:
-    """``(c, c**2 / P)`` for ``_regularized_zf``: c is a power of two with
+    """``(c, c**2 / P)`` for ``_zf_direction``: c is a power of two with
     c**2 within a factor 2 of P when P < 1/2, and 1 otherwise."""
     c = math.ldexp(1.0, min(math.frexp(p)[1], 0) // 2)
     return c, c * c / p
 
 
-def _regularized_zf(estimate: np.ndarray, target_rx: int, p) -> np.ndarray:
-    """Directions of the regularized channel-inverse column for ``target_rx``.
+def _zf_direction(estimate: np.ndarray, target_rx: int, p) -> tuple:
+    """Direction ``w`` of the regularized channel-inverse column for
+    ``target_rx``, unconjugated, and its norm.
 
     Column ``target_rx`` of ``H^H (H H^H + I/P)^-1``, with ``H`` the
-    estimate, up to the positive factor ``1/det`` of the 2x2 matrix, which
-    ``_scaled`` removes: ``conj(r_t (|r_o|^2 + 1/P) - r_o <r_t, r_o>)`` for
-    the target's row ``r_t`` and the other receiver's row ``r_o``.
+    estimate, is ``conj(w)`` up to the positive factor ``1/det`` of the
+    2x2 matrix, which ``_normalised`` removes, with ``w = r_t (|r_o|^2 +
+    1/P) - r_o <r_t, r_o>`` for the target's row ``r_t`` and the other
+    receiver's row ``r_o``.
 
     At low P the rows are large and 1/P is huge, and their product
     overflows.  So ``r_o`` is scaled by the c of ``_zf_scales`` and 1/P
-    by c**2, which scales the result by c**2: an exact power of two, so
-    no rounding changes, and ``_scaled`` removes it.  At P >= 1/2, c is 1
-    (a float P then skips the multiplication).
+    by c**2, which scales ``w`` by c**2: an exact power of two, so no
+    rounding changes, and ``_normalised`` removes it.  At P >= 1/2, c is
+    1 (a float P then skips the multiplication).
     """
     c, reg = _per_point(_zf_scales, p)
     r_t, r_o = estimate[:, target_rx], estimate[:, 1 - target_rx]
     if isinstance(c, np.ndarray) or c != 1.0:
         r_o = r_o * c
-    prod = _cmul(r_t, _conj(r_o))
+    prod = _cmul_conj(r_t, r_o)
     inner = prod[:, 0] + prod[:, 1]
     a = _abs2(r_o)
-    w = r_t * (a[0] + a[1] + reg) - _cmul(r_o, inner[:, None])
-    return _conj(w)
+    w = r_t * (a[0] + a[1] + reg)
+    w -= _cmul(r_o, inner[:, None])
+    return w, _norm(w)
 
 
 def centralized_zf(
     shared_estimate: np.ndarray, target_rx: int, tau: float, p
 ) -> np.ndarray:
     """Regularized ZF vectors (2, 2, draws) from one shared estimate, norm sqrt(P**tau)."""
-    return _scaled(_regularized_zf(shared_estimate, target_rx, p), tau, p)
+    return _normalised(*_zf_direction(shared_estimate, target_rx, p), tau, p)
 
 
 def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p) -> np.ndarray:
@@ -178,7 +221,13 @@ def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p) -> np.ndarray
     transmits entry j of it; the entries generally do not cohere because
     the two estimates differ.
     """
-    t = np.empty((2, 2) + estimates.shape[4:])
-    for j in range(2):
-        t[:, j] = _scaled(_regularized_zf(estimates[:, j], target_rx, p), tau, p)[:, j]
+    return _naive([_zf_direction(estimates[:, j], target_rx, p) for j in range(2)], tau, p)
+
+
+def _naive(directions: list, tau: float, p) -> np.ndarray:
+    """``naive_zf``'s vectors from TX j's ``(w, norm)`` at ``directions[j]``:
+    entry j of each, normalised alone."""
+    t = np.empty((2, 2) + directions[0][1].shape)
+    for j, (w, n) in enumerate(directions):
+        _normalised(w[:, j], n, tau, p, out=t[:, j])
     return t

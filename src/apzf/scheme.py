@@ -16,6 +16,12 @@ with only the other private layer left as noise (``_DECODING``).  Every
 scheme sends ``s0``, with amplitude 0 where no power is left for it, so
 the layers sent depend on the scheme and the layout, never on P.
 
+A sweep pass builds every scheme's layers in one ``_build_pass``, which
+memoises the pass's ZF directions (see ``apzf.precoders``): each (TX
+estimate j, target rx) direction is computed at most once and then
+normalised per scheme, so ``centralized_zf`` and ``naive_zf`` share the
+active TX's two.  ``build_layers`` is its one-scheme case.
+
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers (see ``apzf.channel``); at a column every layer, mask and rate
 has a points axis just before the draws, and each point's slice equals
@@ -44,7 +50,7 @@ import numpy as np
 
 from .channel import _per_point
 from .gdof import SchemeLayout, scheme_layout
-from .precoders import _abs2, _cmul, apzf, centralized_zf, matched, multicast, naive_zf
+from .precoders import _abs2, _cmul, _naive, _normalised, _zf_direction, apzf, matched, multicast
 from .topology import CanonicalForm, CsitQuality
 
 __all__ = [
@@ -96,13 +102,16 @@ def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
     return scheme_layout(canonical)
 
 
-def _private_pair(canonical, h_hat, tau, kind, p):
+def _private_pair(canonical, h_hat, tau, kind, p, zf):
+    """The pair ``s1``, ``s2``.  ``zf(j, rx)`` is TX j's memoised ZF
+    direction for ``rx``, from which the ZF baselines are normalised as
+    ``precoders.centralized_zf`` and ``precoders.naive_zf`` would be."""
     act = canonical.active_tx
     if kind is SchemeKind.APZF:
         return [apzf(h_hat[:, act], rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)]
     if kind is SchemeKind.CENTRALIZED_ZF:
-        return [centralized_zf(h_hat[:, act], rx, tau, p) for rx in (0, 1)]
-    return [naive_zf(h_hat, rx, tau, p) for rx in (0, 1)]
+        return [_normalised(*zf(act, rx), tau, p) for rx in (0, 1)]
+    return [_naive([zf(0, rx), zf(1, rx)], tau, p) for rx in (0, 1)]
 
 
 def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
@@ -156,30 +165,46 @@ def build_layers(
     sent, first, with the power that is left (0.0 where none is), even at
     rate exponent 0.  Per-TX power never exceeds P: a back-off scales the
     adaptive layers of the draws that overshoot.  Returns the layers and
-    the ([points,] draws) back-off mask.
+    the ([points,] draws) back-off mask.  This is the one-scheme case of
+    ``_build_pass``.
     """
-    kind = SchemeKind(scheme_kind)
-    tau = layout.power_exp
-    sent = {SchemeKind.APZF: ("s1", "z1"), SchemeKind.NO_CSIT: ()}.get(kind, ("s1",))
-    bands = [tag for tag in sent if layout.rate_exp.get(tag, 0.0) > 0.0]
+    return next(_build_pass(canonical, h_hat, {scheme_kind: layout}, p))
 
-    def s0_power(q: float) -> float:
-        """The power left for s0 at P = q; 0.0 where none is."""
-        left = q
-        for tag in bands:
-            left -= q ** tau[tag]
-        return max(left, 0.0)
 
-    layers = {"s0": multicast(_per_point(s0_power, p))}
-    if "s1" in bands:
-        layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, tau["s1"], kind, p)
-    if "z1" in bands:
-        layers["z1"] = matched(h_hat[:, canonical.active_tx], tau["z1"], p)
+def _build_pass(canonical: CanonicalForm, h_hat: np.ndarray, layouts: dict, p):
+    """``build_layers`` for each ``{scheme: layout}`` of ``layouts`` on one
+    pass's estimates: yields each scheme's ``(layers, back-off mask)`` in
+    turn, so only one scheme's layers need be alive at a time.
 
-    backed_off = _cap_to_budget(layers, p, h_hat.shape[4:])
-    if np.any(tx_power(layers) > p * (1.0 + _POWER_TOL)):
-        raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
-    return layers, backed_off
+    The pass's ZF directions are memoised: each (TX estimate j, target
+    rx) direction is computed at most once, so ``centralized_zf`` and
+    ``naive_zf`` share the active TX's two.  They are normalised per
+    scheme, since the schemes' power exponents may differ.
+    """
+    zf = functools.cache(lambda j, rx: _zf_direction(h_hat[:, j], rx, p))
+    for scheme_kind, layout in layouts.items():
+        kind = SchemeKind(scheme_kind)
+        tau = layout.power_exp
+        sent = {SchemeKind.APZF: ("s1", "z1"), SchemeKind.NO_CSIT: ()}.get(kind, ("s1",))
+        bands = [tag for tag in sent if layout.rate_exp.get(tag, 0.0) > 0.0]
+
+        def s0_power(q: float) -> float:
+            """The power left for s0 at P = q; 0.0 where none is."""
+            left = q
+            for tag in bands:
+                left -= q ** tau[tag]
+            return max(left, 0.0)
+
+        layers = {"s0": multicast(_per_point(s0_power, p))}
+        if "s1" in bands:
+            layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, tau["s1"], kind, p, zf)
+        if "z1" in bands:
+            layers["z1"] = matched(h_hat[:, canonical.active_tx], tau["z1"], p)
+
+        backed_off = _cap_to_budget(layers, p, h_hat.shape[4:])
+        if np.any(tx_power(layers) > p * (1.0 + _POWER_TOL)):
+            raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
+        yield layers, backed_off
 
 
 def _received(h: np.ndarray, layers: dict) -> dict:

@@ -51,6 +51,10 @@ class GammaOutOfRange(ValidationError):
         self.rx, self.tx, self.value = rx, tx, value
         super().__init__(f"gamma[{rx},{tx}] = {value!r} outside [0, 1]")
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, here only the message
+        return type(self), (self.rx, self.tx, self.value)
+
 
 class AlphaOutOfRange(ValidationError):
     """A CSIT quality exponent lies outside [0, gamma] for its link."""
@@ -61,6 +65,9 @@ class AlphaOutOfRange(ValidationError):
         super().__init__(
             f"alpha[{tx_est}][{rx},{tx}] = {value!r} outside [0, gamma] with gamma = {gamma!r}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.tx_est, self.rx, self.tx, self.value, self.gamma)
 
 
 class NoDominantTransmitter(ValidationError):
@@ -73,6 +80,9 @@ class NoDominantTransmitter(ValidationError):
 
     def __init__(self):
         super().__init__("neither TX's CSIT quality dominates the other elementwise")
+
+    def __reduce__(self):
+        return type(self), ()
 
 
 @dataclass

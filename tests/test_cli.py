@@ -1,8 +1,12 @@
 import contextlib
+import ctypes
 import io
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +15,9 @@ from conftest import BAD_CONFIG_VALUES
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import apzf
 import apzf.checks as checks
+import apzf.cli as cli
 import apzf.harness as harness
 from apzf.cli import (
     EXIT_CHECK_FAILED,
@@ -23,6 +29,7 @@ from apzf.cli import (
     main,
 )
 from apzf.scheme import PowerInfeasible
+from apzf.topology import GammaOutOfRange
 
 
 # The reference instance at 3 points x 5 draws: far too few to fork a worker.
@@ -184,6 +191,96 @@ def test_sweep_out_that_names_no_file_is_config_error(config_path, tmp_path, out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("case", ["directory", "summary-directory", "nul"])
+def test_sweep_out_that_is_a_directory_or_holds_a_nul_is_config_error(
+    config_path, tmp_path, case, monkeypatch, capsys
+):
+    # Rejected before anything is simulated, not after the whole grid.
+    def no_sweep(config):
+        raise AssertionError("simulated before --out was checked")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "x.json").mkdir()
+    out = {"directory": str(tmp_path / "d"), "summary-directory": str(tmp_path / "x.csv"),
+           "nul": str(tmp_path / "a\x00b")}[case]
+    assert main(["sweep", "--config", config_path, "--out", out]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "d", "x.json"]
+
+
+def test_domain_error_in_a_pool_worker_is_domain_error(config_path, tmp_path, monkeypatch, capsys):
+    # The worker's exception reaches the parent pickled; it must arrive
+    # as itself, not as a broken pool.
+    def out_of_range(*args, **kwargs):
+        raise GammaOutOfRange(0, 1, 1.5)
+
+    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
+    monkeypatch.setattr(harness, "_build_pass", out_of_range)
+    argv = ["sweep", "--config", config_path, "--out", str(tmp_path / "x.csv"), "--workers", "2"]
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "unsupported configuration: gamma[0,1] = 1.5 outside [0, 1]\n"
+
+
+class _RecordingLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def _sweep_csv(config_path, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", config_path, "--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+def test_sweep_sets_the_heap_pad_through_mallopt(config_path, tmp_path, monkeypatch):
+    libc = _RecordingLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    _sweep_csv(config_path, tmp_path / "x.csv")
+    assert libc.calls == [(-2, 64 << 20)]  # M_TOP_PAD in glibc's malloc.h
+
+
+@pytest.mark.parametrize("libc", ["no-libc", "no-mallopt"])
+def test_sweep_runs_without_glibc_mallopt(config_path, tmp_path, libc, monkeypatch):
+    # Where the allocator cannot be tuned the sweep runs as it would anyway.
+    expected = _sweep_csv(config_path, tmp_path / "ref.csv")
+
+    def cdll(name):
+        if libc == "no-libc":
+            raise OSError(f"{name}: cannot open shared object file")
+        return object()  # a library with no mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert _sweep_csv(config_path, tmp_path / "x.csv") == expected
+
+
+def test_importing_apzf_leaves_the_allocator_alone():
+    # numpy imports ctypes itself, so what is checked is that no apzf
+    # module binds it at import and that nothing calls into libc.
+    code = """
+import ctypes, numpy
+calls = []
+class Libc:
+    def __getattr__(self, name):
+        return lambda *args: calls.append((name, args))
+ctypes.CDLL = lambda *args, **kwargs: Libc()
+import apzf, apzf.checks, apzf.cli
+assert calls == [], calls
+import sys
+bound = [name for name, m in sys.modules.items() if name.split(".")[0] == "apzf" and "ctypes" in vars(m)]
+assert bound == [], bound
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(apzf.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_overrides_return_a_new_config_and_leave_the_loaded_one_unchanged(config_path):
     config = harness.load_config(config_path)
     before = harness.config_to_dict(config)
@@ -283,7 +380,7 @@ def test_power_infeasible_is_domain_error(config_path, tmp_path, monkeypatch, ca
     def infeasible(*args, **kwargs):
         raise PowerInfeasible("per-TX power exceeds budget P = 1e4")
 
-    monkeypatch.setattr(harness, "build_layers", infeasible)
+    monkeypatch.setattr(harness, "_build_pass", infeasible)
     code = main(["sweep", "--config", config_path, "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_DOMAIN
     err = capsys.readouterr().err

@@ -37,8 +37,11 @@ from apzf import (
     write_summary,
 )
 import apzf.harness as harness
+import apzf.scheme as scheme
 from apzf import checks
 from apzf.harness import _CHUNK_DRAWS, _block_normals, _substream, config_from_dict, config_to_dict
+from apzf.precoders import _zf_direction
+from apzf.scheme import _build_pass
 from conftest import BAD_CONFIG_VALUES, reference_instance
 
 _PARALLEL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "parallel.json"
@@ -358,22 +361,49 @@ def test_a_sweep_draws_each_block_once(monkeypatch):
     assert calls == [range(0, b), range(b, 2 * b), range(2 * b, 2 * b + 3)]
 
 
+def _counted_passes(monkeypatch):
+    """Patch the per-pass layer builder to log, per pass, the shape of
+    its powers and each scheme's layers as they are built."""
+    passes = []
+
+    def counted(canonical, h_hat, layouts, p):
+        built = []
+        passes.append((np.shape(p), built))
+        for s, item in zip(layouts, _build_pass(canonical, h_hat, layouts, p)):
+            built.append(s)
+            yield item
+
+    monkeypatch.setattr(harness, "_build_pass", counted)
+    return passes
+
+
 def test_a_pass_covers_a_group_of_points(monkeypatch):
     # A pass holds at most _BLOCK_DRAWS point-draws: 4 points of a
     # 1,000-draw block, so 9 points run in 3 passes of 3, each building
     # every scheme's layers once on a (3, 1) column of powers: 3 x 4
-    # calls, not 9 x 4.
-    calls = []
-
-    def counted(canonical, h_hat, layout, scheme_kind, p):
-        calls.append(np.shape(p))
-        return build_layers(canonical, h_hat, layout, scheme_kind, p)
-
-    monkeypatch.setattr(harness, "build_layers", counted)
+    # builds, not 9 x 4.
+    passes = _counted_passes(monkeypatch)
     schemes = ("apzf", "centralized_zf", "naive_zf", "no_csit")
     grid = tuple(np.arange(20.0, 61.0, 5.0))
     sweep(_config(schemes=schemes, snr_db=grid, draws=1000))
-    assert calls == [(3, 1)] * (3 * len(schemes))
+    assert passes == [((3, 1), list(schemes))] * 3
+
+
+def test_a_pass_computes_each_zf_direction_once(monkeypatch):
+    # configs/parallel.json runs centralized_zf and naive_zf, which need
+    # the ZF directions of both TX estimates for both receivers: 4 per
+    # pass, the active TX's two shared between the schemes, not 2 + 4.
+    directions = []
+
+    def counted(estimate, target_rx, p):
+        directions.append(target_rx)
+        return _zf_direction(estimate, target_rx, p)
+
+    monkeypatch.setattr(scheme, "_zf_direction", counted)
+    passes = _counted_passes(monkeypatch)
+    sweep(load_config(_PARALLEL_CONFIG))
+    assert len(passes) == 3  # 5 points of a 2,000-draw block, 2 per pass
+    assert sorted(directions) == [0] * 6 + [1] * 6  # 4 per pass, 2 per receiver
 
 
 @pytest.mark.parametrize("draws", [1, 1000, 4097])

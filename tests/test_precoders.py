@@ -16,7 +16,7 @@ from apzf import (
     sample_channel,
     sample_csit,
 )
-from apzf.precoders import _abs2, _cmul, _conj, _scaled
+from apzf.precoders import _abs2, _cmul, _cmul_conj, _normalised, _zf_direction
 from conftest import as_complex, as_kernel
 
 P_GRID = np.logspace(4, 8, 5)
@@ -24,6 +24,34 @@ P_GRID = np.logspace(4, 8, 5)
 
 def _power(t):
     return np.sum(np.abs(t) ** 2, axis=-1)
+
+
+def _conj(x):
+    """Reference: the conjugate of ``x`` as a copy."""
+    return np.array((x[0], -x[1]))
+
+
+def _scaled(w, tau, p):
+    """Reference: vectors ``w`` rescaled to norm sqrt(P**tau) in one step,
+    all-zero vectors kept zero."""
+    a = _abs2(w)
+    n = np.sqrt(a[0] + a[1])
+    with np.errstate(divide="ignore"):
+        s = np.where(n == 0.0, 0.0, math.sqrt(p**tau) / n)
+    return w * s
+
+
+def _signed_zero_parts(rng, shape):
+    """About half signed zeros, the rest Gaussian, so both the rounding
+    and the sign of every zero result are compared."""
+    zeros = rng.choice([0.0, -0.0], shape)
+    return np.where(rng.random(shape) < 0.5, zeros, rng.standard_normal(shape))
+
+
+def _assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _one(est):
@@ -47,25 +75,65 @@ def _geomean_exponent(per_draw_power, draws, seed):
     return fit_exponent(list(zip(P_GRID, np.exp(acc))))
 
 
-@pytest.mark.parametrize(
-    "a_shape, b_shape",
-    [((2, 5), (2, 5)), ((2, 2, 5), (2, 1, 5)), ((2, 2, 2, 5), (2, 2, 1, 5)), ((2, 2, 2, 5), (2, 2, 2, 1))],
-)
+CMUL_SHAPES = [
+    ((2, 5), (2, 5)),
+    ((2, 2, 5), (2, 1, 5)),
+    ((2, 2, 2, 5), (2, 2, 1, 5)),
+    ((2, 2, 2, 5), (2, 2, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("a_shape, b_shape", CMUL_SHAPES)
 def test_cmul_is_the_two_expression_formula_bit_for_bit(a_shape, b_shape):
-    # About half the parts are signed zeros and the rest Gaussian, so
-    # both the rounding and the sign of every zero result are compared.
     rng = np.random.default_rng(31)
-
-    def parts(shape):
-        zeros = rng.choice([0.0, -0.0], shape)
-        return np.where(rng.random(shape) < 0.5, zeros, rng.standard_normal(shape))
-
-    a, b = parts(a_shape), parts(b_shape)
+    a, b = _signed_zero_parts(rng, a_shape), _signed_zero_parts(rng, b_shape)
     ref = np.array((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
-    got = _cmul(a, b)
-    assert got.shape == ref.shape and got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+    _assert_same_bits(_cmul(a, b), ref)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", CMUL_SHAPES)
+def test_cmul_conj_is_cmul_of_a_conjugate_copy_bit_for_bit(a_shape, b_shape):
+    # The copy-free product must round, and sign every zero, exactly as
+    # the product with a conjugated copy does.
+    rng = np.random.default_rng(31)
+    a, b = _signed_zero_parts(rng, a_shape), _signed_zero_parts(rng, b_shape)
+    _assert_same_bits(_cmul_conj(a, b), _cmul(a, _conj(b)))
+    _assert_same_bits(_cmul_conj(b, a), _cmul(b, _conj(a)))
+
+
+@pytest.mark.parametrize("p", [1e6, 0.49, 1e-2, 1e-30])
+def test_normalised_is_the_scaled_conjugate_bit_for_bit(p):
+    # The normalisation step conjugates after scaling; it must equal
+    # rescaling a conjugated copy, for the whole vector and for one entry,
+    # at P < 1/2 too, where the direction carries the factor c**2 != 1.
+    rng = np.random.default_rng(41)
+    est = _signed_zero_parts(rng, (2, 2, 2, 300))
+    est[..., :3] = 0.0  # all-zero rows: zero directions, norm 0
+    est[1, ..., 3] = -0.0
+    for target in (0, 1):
+        w, n = _zf_direction(est, target, p)
+        ref = _scaled(_conj(w), 0.7, p)
+        _assert_same_bits(_normalised(w, n, 0.7, p), ref)
+        for j in (0, 1):
+            _assert_same_bits(_normalised(w[:, j], n, 0.7, p), ref[:, j])
+    _assert_same_bits(matched(est, 0.3, p), _scaled(_conj(est[:, 0]), 0.3, p))
+
+
+@pytest.mark.parametrize("active", [0, 1])
+def test_apzf_active_coefficient_is_the_conjugate_product_bit_for_bit(active):
+    # The active coefficient is formed with no conjugate copy; it must
+    # equal -conj(e_act) * e_pas, scaled, with every zero signed alike.
+    rng = np.random.default_rng(43)
+    est = _signed_zero_parts(rng, (2, 2, 2, 400))
+    topo = Topology(np.array([[1.0, 0.8], [0.7, 1.0]]))
+    p, tau = 1e4, 0.6
+    for target in (0, 1):
+        itf, passive = 1 - target, 1 - active
+        x = tau - max(float(topo.gamma[itf, passive] - topo.gamma[itf, active]), 0.0)
+        e_act, e_pas = est[:, itf, active], est[:, itf, passive]
+        ref = _cmul(-_conj(e_act), e_pas) * (math.sqrt(p**x) / (_abs2(e_act) + 1.0 / p))
+        t = apzf(est, target, tau, topo, p, active_tx=active)
+        _assert_same_bits(t[:, active], ref)
 
 
 def test_apzf_passive_coefficient_is_deterministic():

@@ -1,12 +1,18 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from apzf import (
     AlphaOutOfRange,
+    ConfigError,
     CsitQuality,
     GammaOutOfRange,
+    InsufficientPoints,
     NoDominantTransmitter,
+    PowerInfeasible,
     Topology,
+    ValidationError,
     canonicalize,
     effective_alphas,
     validate,
@@ -183,3 +189,31 @@ def test_alpha_prime_matches_direct_recomputation():
             direct = min(max(a[0, i, k], a[1, i, k]) for k in range(2))
             assert eff.alpha_prime[i] == direct
             assert eff.alpha_prime[i] <= topo.gamma[i].min() + 1e-15
+
+
+# One instance of each error a sweep may raise, with the fields it carries.
+_ERRORS = {
+    "GammaOutOfRange": (GammaOutOfRange(0, 1, 1.5), {"rx": 0, "tx": 1, "value": 1.5}),
+    "AlphaOutOfRange": (
+        AlphaOutOfRange(1, 0, 1, 0.9, 0.8),
+        {"tx_est": 1, "rx": 0, "tx": 1, "value": 0.9, "gamma": 0.8},
+    ),
+    "NoDominantTransmitter": (NoDominantTransmitter(), {}),
+    "ConfigError": (ConfigError("x" * 200), {}),
+    "InsufficientPoints": (InsufficientPoints("need >= 2 points"), {}),
+    "PowerInfeasible": (PowerInfeasible("per-TX power exceeds budget P = 1e4"), {}),
+}
+
+
+def test_every_validation_error_has_a_pickling_case():
+    assert {cls.__name__ for cls in ValidationError.__subclasses__()} <= set(_ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(_ERRORS))
+def test_errors_survive_pickling(name):
+    # A pool worker's exception reaches the parent pickled; one that does
+    # not round-trip breaks the pool instead of giving its exit code.
+    error, fields = _ERRORS[name]
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert {k: getattr(copy, k) for k in fields} == fields
