@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -87,6 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: each parse_args fills a fresh namespace.
+_parser = functools.cache(build_parser)
+
+
 def _apply_overrides(config, args):
     """A copy of ``config`` with the command-line overrides applied and validated."""
     changes = {}
@@ -150,6 +155,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--out {out}: its .json summary would overwrite the CSV itself")
     if Path(args.config).resolve() in (out.resolve(), summary_path.resolve()):
         raise ConfigError(f"--out {out} would overwrite the config {args.config}")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"--out {args.out!r}: no such directory {str(out.parent)!r}")
     curve = sweep(config)
     write_csv(curve, out)
     write_summary(config, curve, summary_path)
@@ -212,7 +219,7 @@ def _keep_freed_heap() -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     _keep_freed_heap()
     handler = {
         "gdof": _cmd_gdof,

@@ -18,6 +18,10 @@ code paths independent for testing.
 
 ``scheme_layout`` turns a canonical instance into the power/rate split
 of the layered superposition scheme that achieves the closed form.
+
+All four read their input arrays once and work on Python floats through
+the list helpers of ``apzf.topology``, with no numpy ufunc and no
+intermediate ``Topology``, ``CsitQuality`` or ``CanonicalForm``.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from .topology import (
     CanonicalForm,
     CsitQuality,
     Topology,
+    _canonical,
+    _checked,
+    _effective,
     _range_violations,
-    canonicalize,
-    effective_alphas,
-    validate,
 )
 
 __all__ = [
@@ -94,6 +98,16 @@ class SchemeLayout:
         return float(sum(self.rate_exp.values()))
 
 
+def _centralized(g: list, al: list) -> GdofValue:
+    """``centralized_gdof`` on float lists, without the range check."""
+    (g11, g12), (g21, g22) = g
+    a1, a2 = min(al[0]), min(al[1])
+    d1 = max(g12, g11) + max(_pos(g21 - g11 + a1), _pos(g22 - g12 + a1))
+    d2 = max(g22, g21) + max(_pos(g12 - g22 + a2), _pos(g11 - g21 + a2))
+    value = min(d1, d2)
+    return GdofValue(value, "d1" if d1 <= d2 else "d2", d1, d2)
+
+
 def centralized_gdof(topology: Topology, alpha) -> GdofValue:
     """Sum GDoF when both TXs share the quality exponents ``alpha`` (2x2).
 
@@ -109,15 +123,10 @@ def centralized_gdof(topology: Topology, alpha) -> GdofValue:
     if alpha.shape != (2, 2):
         raise ValueError(f"alpha must be 2x2, got shape {alpha.shape}")
     g, al = topology.gamma.tolist(), alpha.tolist()
-    violations = _range_violations(g, [(-1, al)])
+    violations = _range_violations(g, [al], (-1,))
     if violations:
         raise violations[0]
-    (g11, g12), (g21, g22) = g
-    a1, a2 = min(al[0]), min(al[1])
-    d1 = max(g12, g11) + max(_pos(g21 - g11 + a1), _pos(g22 - g12 + a1))
-    d2 = max(g22, g21) + max(_pos(g12 - g22 + a2), _pos(g11 - g21 + a2))
-    value = min(d1, d2)
-    return GdofValue(value, "d1" if d1 <= d2 else "d2", d1, d2)
+    return _centralized(g, al)
 
 
 def distributed_gdof(topology: Topology, csit: CsitQuality) -> GdofValue:
@@ -125,13 +134,12 @@ def distributed_gdof(topology: Topology, csit: CsitQuality) -> GdofValue:
 
     The instance is relabelled so gamma[0, 0] is maximal, then split on
     whether RX 2 hears TX 2 at least as strongly as TX 1 (case 1,
-    g[1,0] <= g[1,1]) or not (case 2).  Validation errors propagate from
-    ``canonicalize``.
+    g[1,0] <= g[1,1]) or not (case 2).  Raises the first violation in
+    ``validate``'s order.
     """
-    canon = canonicalize(topology, csit)
-    eff = effective_alphas(canon.topology, canon.csit)
-    ap1, ap2 = eff.alpha_prime.tolist()
-    (g11, g12), (g21, g22) = canon.topology.gamma.tolist()
+    g, a, *_ = _canonical(*_checked(topology, csit))
+    ap1, ap2 = _effective(a)[1]
+    (g11, g12), (g21, g22) = g
     if g21 <= g22:
         d1 = g11 + _pos(g22 - g12 + ap1)
         d2 = g22 + g11 - g21 + ap2
@@ -146,15 +154,15 @@ def genie_outer_bound(topology: Topology, csit: CsitQuality) -> GdofValue:
     """Centralized reference: both TXs handed the best estimate per link.
 
     Evaluated with the centralized closed form on alpha_max, so it shares
-    no code with ``distributed_gdof`` beyond input validation.
+    no code with ``distributed_gdof`` beyond input validation and the
+    effective exponents.  Validated alphas give an alpha_max in range.
     """
-    validate(topology, csit).raise_first()
-    eff = effective_alphas(topology, csit)
-    return centralized_gdof(topology, eff.alpha_max)
+    g, a = _checked(topology, csit)
+    return _centralized(g, _effective(a)[0])
 
 
-def _case_layout(g: np.ndarray, ap1: float, ap2: float) -> SchemeLayout:
-    (g11, g12), (g21, g22) = g.tolist()
+def _case_layout(g: list, ap1: float, ap2: float) -> SchemeLayout:
+    (g11, g12), (g21, g22) = g
 
     if g11 == 1.0 and g22 == 1.0 and g12 == g21 and ap1 == ap2:
         # Symmetric full-strength direct links: the z-layer carries zero
@@ -196,6 +204,5 @@ def scheme_layout(canonical: CanonicalForm) -> SchemeLayout:
 
     The total of the rate exponents equals the corresponding GDoF value.
     """
-    eff = effective_alphas(canonical.topology, canonical.csit)
-    ap1, ap2 = eff.alpha_prime.tolist()
-    return _case_layout(canonical.topology.gamma, ap1, ap2)
+    ap1, ap2 = _effective(canonical.csit.alpha.tolist())[1]
+    return _case_layout(canonical.topology.gamma.tolist(), ap1, ap2)

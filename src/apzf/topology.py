@@ -15,7 +15,9 @@ Everything downstream (closed forms, layered schemes) assumes exponents in
 (``alpha <= gamma`` entrywise), and one transmitter whose quality matrix
 dominates the other's entrywise.  ``validate`` checks exactly these
 conditions, ``canonicalize`` relabels the network into the orientation the
-closed forms are written for.
+closed forms are written for.  Both, and ``effective_alphas``, wrap list
+helpers (``_checked``, ``_canonical``, ``_effective``) that work on Python
+floats read once from each array; the closed forms call them directly.
 """
 
 from __future__ import annotations
@@ -171,25 +173,45 @@ def _dominates(x: list, y: list) -> bool:
     return x00 >= y00 and x01 >= y01 and x10 >= y10 and x11 >= y11
 
 
-def _range_violations(g: list, alphas) -> list:
+def _in_range(x: list, hi: list) -> tuple:
+    """Per entry of the 2x2 float list ``x``, row-major: 0 <= x <= ``hi``."""
+    (x00, x01), (x10, x11) = x
+    (h00, h01), (h10, h11) = hi
+    return 0.0 <= x00 <= h00, 0.0 <= x01 <= h01, 0.0 <= x10 <= h10, 0.0 <= x11 <= h11
+
+
+_UNIT = [[1.0, 1.0], [1.0, 1.0]]
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _range_violations(g: list, alphas: list, tx_ests: tuple) -> list:
     """Range violations of 2x2 float lists, in ``validate``'s order.
 
-    ``g`` is gamma; ``alphas`` yields ``(tx_est, alpha)`` pairs, each
-    alpha checked against ``g``.  Gamma entries come first, then each
-    alpha in turn, row-major within a matrix.
+    ``g`` is gamma; each of ``alphas`` is checked against ``g`` and its
+    errors carry the matching ``tx_ests`` entry.  Gamma entries come
+    first, then each alpha in turn, row-major within a matrix.  Input in
+    range returns before any error is built.
     """
-    violations: list[ValidationError] = []
-    for i in 0, 1:
-        for k in 0, 1:
-            if not (0.0 <= g[i][k] <= 1.0):
-                violations.append(GammaOutOfRange(i, k, g[i][k]))
-    for j, a in alphas:
-        for i in 0, 1:
-            gi, ai = g[i], a[i]
-            for k in 0, 1:
-                if not (0.0 <= ai[k] <= gi[k]):
-                    violations.append(AlphaOutOfRange(j, i, k, ai[k], gi[k]))
-    return violations
+    flags = _in_range(g, _UNIT)
+    for a in alphas:
+        flags += _in_range(a, g)
+    if all(flags):
+        return []
+    # Each entry's error, in the order of the flags; keep the failed ones.
+    gs = g[0] + g[1]
+    errors = [GammaOutOfRange(i, k, v) for (i, k), v in zip(_ENTRIES, gs)]
+    for j, a in zip(tx_ests, alphas):
+        errors += [AlphaOutOfRange(j, *ik, v, hi) for ik, v, hi in zip(_ENTRIES, a[0] + a[1], gs)]
+    return [error for error, fine in zip(errors, flags) if not fine]
+
+
+def _violations(topology: Topology, csit: CsitQuality) -> tuple:
+    """Gamma and alpha as float lists, and every domain violation of them."""
+    g, a = topology.gamma.tolist(), csit.alpha.tolist()
+    violations = _range_violations(g, a, (0, 1))
+    if not (_dominates(a[0], a[1]) or _dominates(a[1], a[0])):
+        violations.append(NoDominantTransmitter())
+    return g, a, violations
 
 
 def validate(topology: Topology, csit: CsitQuality) -> ValidationReport:
@@ -198,27 +220,40 @@ def validate(topology: Topology, csit: CsitQuality) -> ValidationReport:
     Checks, in order: gamma entries in [0, 1]; alpha entries in
     [0, gamma] for their link; existence of an entrywise dominant TX.
     """
-    a = csit.alpha.tolist()
-    violations = _range_violations(topology.gamma.tolist(), enumerate(a))
-    if not (_dominates(a[0], a[1]) or _dominates(a[1], a[0])):
-        violations.append(NoDominantTransmitter())
-    return ValidationReport(violations)
+    return ValidationReport(_violations(topology, csit)[2])
 
 
-def _permute(gamma: np.ndarray, alpha: np.ndarray, rx_swap: bool, tx_swap: bool):
-    g, a = gamma, alpha
-    if rx_swap:
-        g = g[::-1, :]
-        a = a[:, ::-1, :]
-    if tx_swap:
-        g = g[:, ::-1]
-        a = a[::-1, :, ::-1]
-    return g.copy(), a.copy()
+def _checked(topology: Topology, csit: CsitQuality) -> tuple:
+    """Gamma and alpha as float lists; raises ``validate``'s first violation."""
+    g, a, violations = _violations(topology, csit)
+    if violations:
+        raise violations[0]
+    return g, a
 
 
 # Candidate relabellings, tried in order; first hit wins so that the
 # identity is preferred on ties.
 _RELABELLINGS = ((False, False), (True, False), (False, True), (True, True))
+
+
+def _flip(x: list, rows: bool, cols: bool) -> list:
+    """The 2x2 float list ``x`` with its rows and/or its columns swapped."""
+    r0, r1 = (x[1], x[0]) if rows else x
+    return [r0[::-1], r1[::-1]] if cols else [r0, r1]
+
+
+def _canonical(g: list, a: list) -> tuple:
+    """``canonicalize`` on validated float lists: ``(g, a, rx_swap, tx_swap, active_tx)``."""
+    (g00, g01), (g10, g11) = g
+    # Relabelling n moves the n-th of these to the corner; the first largest wins.
+    rx_swap, tx_swap = _RELABELLINGS[[g00, g10, g01, g11].index(max(g00, g01, g10, g11))]
+    # Both alphas get the same row and column flips, so dominance after
+    # the relabelling is dominance of the TX that lands at index 0.
+    active_tx = 0 if _dominates(a[tx_swap], a[not tx_swap]) else 1
+    if rx_swap or tx_swap:
+        g = _flip(g, rx_swap, tx_swap)
+        a = [_flip(a[tx_swap], rx_swap, tx_swap), _flip(a[not tx_swap], rx_swap, tx_swap)]
+    return g, a, rx_swap, tx_swap, active_tx
 
 
 def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:
@@ -230,18 +265,26 @@ def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:
     index; the result's ``active_tx`` says where.  Raises the first
     validation error if the input is outside the supported domain.
     """
-    validate(topology, csit).raise_first()
-    g, a = topology.gamma.tolist(), csit.alpha.tolist()
-    target = max(max(g[0]), max(g[1]))
-    for rx_swap, tx_swap in _RELABELLINGS:
-        # This relabelling moves gamma[int(rx_swap), int(tx_swap)] to the corner.
-        if g[rx_swap][tx_swap] == target:
-            break
-    gamma, alpha = _permute(topology.gamma, csit.alpha, rx_swap, tx_swap)
-    # Both alphas get the same row and column flips, so dominance after
-    # the relabelling is dominance of the TX that lands at index 0.
-    active_tx = 0 if _dominates(a[tx_swap], a[not tx_swap]) else 1
-    return CanonicalForm(Topology(gamma), CsitQuality(alpha), rx_swap, tx_swap, active_tx)
+    g, a, rx_swap, tx_swap, active_tx = _canonical(*_checked(topology, csit))
+    return CanonicalForm(Topology(g), CsitQuality(a), rx_swap, tx_swap, active_tx)
+
+
+def _max(x: float, y: float) -> float:
+    """``numpy.maximum`` of two floats: ``y`` on a tie, NaN if either is."""
+    return x if x > y or x != x else y
+
+
+def _effective(a: list) -> tuple:
+    """``alpha_max`` and ``alpha_prime`` of the 2x2x2 float list ``a``.
+
+    Ties and NaNs go as in ``numpy.maximum`` and ``numpy.minimum``: a tie
+    gives the second operand, which decides between -0.0 and 0.0.
+    """
+    (x00, x01), (x10, x11) = a[0]
+    (y00, y01), (y10, y11) = a[1]
+    m00, m01, m10, m11 = _max(x00, y00), _max(x01, y01), _max(x10, y10), _max(x11, y11)
+    # numpy.minimum(x, y) is -numpy.maximum(-x, -y), signed zeros included.
+    return [[m00, m01], [m10, m11]], [-_max(-m00, -m01), -_max(-m10, -m11)]
 
 
 def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponents:
@@ -249,19 +292,11 @@ def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponent
 
     The network is limited by the best-informed transmitter for each link
     (max over TXs), and its quality about RX i by the worse of RX i's two
-    links (min over columns).
-
-    It does not check its input.  ``distributed_gdof`` and
-    ``genie_outer_bound`` validate before they call it, and
-    ``scheme_layout`` calls it on validated alphas or, for the naive
-    baseline, their entrywise minimum.  It runs up to three times per
-    closed-form evaluation, so a ``validate`` here would add its cost to
-    every instance of a GDoF map.
+    links (min over columns).  It does not check its input: a NaN alpha
+    gives NaN exponents.
     """
-    a = csit.alpha
-    alpha_max = np.maximum(a[0], a[1])
-    alpha_prime = np.minimum(alpha_max[:, 0], alpha_max[:, 1])
-    return EffectiveExponents(alpha_max, alpha_prime)
+    alpha_max, alpha_prime = _effective(csit.alpha.tolist())
+    return EffectiveExponents(np.array(alpha_max), np.array(alpha_prime))
 
 
 def dyadic_instance(rng: np.random.Generator, grid: int = 1024):

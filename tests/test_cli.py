@@ -395,6 +395,59 @@ def test_unwritable_output_is_io_error(config_path, tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_missing_output_directory_fails_before_simulating(config_path, tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "sweep", lambda config: runs.append(config))
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    assert main(["sweep", "--config", config_path, "--out", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error:") and captured.err.count("\n") == 1
+    assert captured.out == "" and runs == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_parser_is_built_once_and_no_argument_leaks_between_calls(config_path, tmp_path, monkeypatch):
+    seen = []
+    for name in ("_cmd_gdof", "_cmd_simulate", "_cmd_sweep", "_cmd_validate"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or EXIT_OK)
+    parser = cli._parser()
+    out = str(tmp_path / "x.csv")
+    calls = [
+        ["sweep", "--config", config_path, "--out", out, "--seed", "3", "--scheme", "apzf",
+         "--window", "40:60", "--workers", "2"],
+        ["gdof", "--config", config_path],
+        ["simulate", "--config", config_path, "--snr-db", "50", "--scheme", "naive_zf"],
+        ["validate"],
+        ["sweep", "--config", config_path, "--out", out],
+    ]
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+    assert cli._parser() is parser
+    common = {"config": config_path, "seed": None}
+    assert seen == [
+        {"command": "sweep", "config": config_path, "seed": 3, "out": out, "scheme": "apzf",
+         "window": "40:60", "workers": 2},
+        {"command": "gdof", **common},
+        {"command": "simulate", **common, "snr_db": 50.0, "scheme": "naive_zf"},
+        {"command": "validate", "config": None, "seed": None},
+        {"command": "sweep", **common, "out": out, "scheme": None, "window": None, "workers": None},
+    ]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["gdof", "--help"]])
+def test_help_is_that_of_a_freshly_built_parser(argv, capsys):
+    fresh = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        fresh.parse_args(argv)
+    assert exc.value.code == 0
+    expected = capsys.readouterr().out
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_missing_required_argument_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gdof"])

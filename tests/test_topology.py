@@ -1,7 +1,10 @@
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apzf import (
     AlphaOutOfRange,
@@ -14,7 +17,9 @@ from apzf import (
     Topology,
     ValidationError,
     canonicalize,
+    distributed_gdof,
     effective_alphas,
+    genie_outer_bound,
     validate,
 )
 from apzf.topology import dyadic_instance
@@ -217,3 +222,80 @@ def test_errors_survive_pickling(name):
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is type(error) and str(copy) == str(error)
     assert {k: getattr(copy, k) for k in fields} == fields
+
+
+_IN_RANGE = [0.0, -0.0, 1.0, 0.25, 0.5]
+_OUT_OF_RANGE = [math.nan, math.inf, -math.inf, math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0)]
+
+
+@st.composite
+def _edge_instances(draw):
+    """A (topology, csit) pair on and just past the edges of the domain.
+
+    Gamma entries come from ``_IN_RANGE``.  Each alpha entry is its
+    link's gamma or a signed zero; half the draws make TX 2's alpha a
+    copy of TX 1's with some entries zeroed, so both a dominant TX and
+    its absence are common.  Up to two entries of the twelve are then
+    overwritten with any of the values, which may also put an alpha
+    above its gamma.
+    """
+    gamma = np.reshape(draw(st.lists(st.sampled_from(_IN_RANGE), min_size=4, max_size=4)), (2, 2))
+    # None stands for "the same as the reference entry".
+    zeroed = st.sampled_from([None, 0.0, -0.0])
+    copy_tx1 = draw(st.booleans())
+    alpha = np.empty((2, 2, 2))
+    for j, i, k in np.ndindex(2, 2, 2):
+        if j == 1 and copy_tx1:
+            value, reference = draw(zeroed), alpha[0, i, k]
+        else:
+            value, reference = draw(zeroed), gamma[i, k]
+        alpha[j, i, k] = reference if value is None else value
+    for _ in range(draw(st.integers(0, 2))):
+        flat = draw(st.integers(0, 11))
+        target, index = (gamma, flat) if flat < 4 else (alpha, flat - 4)
+        target.reshape(-1)[index] = draw(st.sampled_from(_IN_RANGE + _OUT_OF_RANGE))
+    return Topology(gamma), CsitQuality(alpha)
+
+
+def _error_key(error):
+    """Type and every attribute of an error, with floats compared by repr (NaN, -0.0)."""
+    return type(error), error.args, sorted((k, repr(v)) for k, v in vars(error).items())
+
+
+def _domain_holds(gamma, alpha):
+    """The supported domain, restated on whole arrays: an oracle for ``validate``."""
+    in_range = ((0.0 <= gamma) & (gamma <= 1.0)).all() and ((0.0 <= alpha) & (alpha <= gamma)).all()
+    return bool(in_range and ((alpha[0] >= alpha[1]).all() or (alpha[1] >= alpha[0]).all()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=_edge_instances())
+def test_entry_points_raise_validates_first_violation(instance):
+    topo, csit = instance
+    gamma, alpha = topo.gamma.copy(), csit.alpha.copy()
+    report = validate(topo, csit)
+    assert report.passes == _domain_holds(gamma, alpha)
+    for entry in (canonicalize, distributed_gdof, genie_outer_bound):
+        if report.passes:
+            entry(topo, csit)
+        else:
+            with pytest.raises(ValidationError) as info:
+                entry(topo, csit)
+            assert _error_key(info.value) == _error_key(report.violations[0])
+    if report.passes:
+        canon = canonicalize(topo, csit)
+        canon.topology.gamma[...] = 7.0
+        canon.csit.alpha[...] = 7.0
+    assert topo.gamma.tobytes() == gamma.tobytes()
+    assert csit.alpha.tobytes() == alpha.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from(_IN_RANGE + _OUT_OF_RANGE), min_size=8, max_size=8))
+def test_effective_alphas_are_numpys_maximum_then_minimum(values):
+    # Bit for bit, so ties between -0.0 and 0.0 and NaNs go numpy's way.
+    alpha = np.reshape(values, (2, 2, 2))
+    eff = effective_alphas(Topology(np.ones((2, 2))), CsitQuality(alpha))
+    alpha_max = np.maximum(alpha[0], alpha[1])
+    assert eff.alpha_max.tobytes() == alpha_max.tobytes()
+    assert eff.alpha_prime.tobytes() == np.minimum(alpha_max[:, 0], alpha_max[:, 1]).tobytes()
