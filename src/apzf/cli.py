@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -144,6 +145,11 @@ def _cmd_sweep(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     if "\0" in args.out:
         raise ConfigError(f"--out {args.out!r} contains a NUL byte")
+    try:
+        os.fsencode(args.out)
+    except UnicodeEncodeError:
+        # A lone surrogate that surrogateescape cannot map back to a byte.
+        raise ConfigError(f"--out {args.out!r} cannot be encoded as a file name") from None
     out = Path(args.out)
     if not out.name:
         raise ConfigError(f"--out {args.out!r} names no file")

@@ -591,6 +591,7 @@ _INT_ARG = st.one_of(st.integers(-2, 2**70).map(str), st.text(max_size=6))
     seed=st.none() | _INT_ARG,
 )
 @example(out="", window=None, scheme=None, workers=None, seed=None)
+@example(out="\ud800", window=None, scheme=None, workers=None, seed=None)
 def test_fuzzed_sweep_command_line_exits_cleanly(out, window, scheme, workers, seed):
     # A valid config with any --out, --window, --scheme, --workers and
     # --seed gets a clean exit (argparse's own SystemExit(2) counts as 2).
