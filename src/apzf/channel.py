@@ -92,13 +92,20 @@ def sample_csit(
     csit: CsitQuality,
     p,
     z: np.ndarray,
+    tx: int | None = None,
 ) -> np.ndarray:
-    """Both transmitters' estimates ``h_hat[c, j, i, k, d]`` of the channels ``h``.
+    """Both transmitters' estimates ``h_hat[c, j, i, k, d]`` of the channels ``h``,
+    or TX ``tx``'s alone, ``h_hat[:, tx]`` bit for bit, made from its columns of ``z``.
 
     ``z`` is the same (draws, 24) array the channels were made from.
     """
+    if tx is None:
+        return np.stack([sample_csit(h, topology, csit, p, z, j) for j in (0, 1)], axis=1)
     quality, exponent = -csit.alpha, topology.gamma - 1.0
-    err_scale = _per_point(lambda q: np.sqrt(q**quality) * np.sqrt(q**exponent), p)
-    h_hat = err_scale * _crandn(z[:, 8:24], p, 2, 2, 2)
-    h_hat += h[:, None]  # in place: one estimate-sized array fewer at the peak
+    # Both TXs' scales, then TX tx's, so they are the full estimate's bit
+    # for bit, however np.power rounds on arrays of another size.
+    err_scale = _per_point(lambda q: np.sqrt(q**quality) * np.sqrt(q**exponent), p)[tx]
+    cols = [part + 4 * tx + e for part in (8, 16) for e in range(4)]  # real, then imaginary
+    h_hat = err_scale * _crandn(z[:, cols], p, 2, 2)
+    h_hat += h  # in place: one estimate-sized array fewer at the peak
     return h_hat

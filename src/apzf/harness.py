@@ -8,19 +8,23 @@ Draws are evaluated in blocks of at most ``_BLOCK_DRAWS`` (4,096 draws,
 four whole chunks), blocks first: each block draws its chunks' normals
 once and evaluates every SNR point and scheme on them as array
 operations.  A block's points run in passes of up to
-``_BLOCK_DRAWS // len(block)`` points each (at least one), with the
+``_PASS_DRAWS // len(block)`` points each (at least one), with the
 powers of a pass's points on an axis just before the draws (see
-``apzf.channel``), so a pass never holds more than ``_BLOCK_DRAWS``
-point-draws.  A pass builds every scheme's layers in one
+``apzf.channel``), so a pass never holds more than ``_PASS_DRAWS``
+point-draws (10,240: ten points of a 1,000-draw block, five of a
+2,000-draw one, two of a 4,096-draw one).  A pass builds every scheme's layers in one
 ``scheme._build_pass``, which computes each ZF direction of the pass
-once and shares it between the schemes that use it.  A point's result
-therefore depends neither on the other points in its grid or its pass
-nor on how the grid is split across worker processes.
+once and shares it between the schemes that use it, makes a
+transmitter's estimate only for the schemes that use it, and lets each
+scheme's arrays go before the next scheme's are built.  A point's
+result therefore depends neither on the other points in its grid or its
+pass nor on how the grid is split across worker processes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -56,11 +60,18 @@ __all__ = [
 # contract: changing it changes every simulated number.
 _CHUNK_DRAWS = 1024
 
-# Draws per block of the kernel, in whole chunks, and the most
-# point-draws one pass over a block evaluates: large enough that numpy's
-# per-call overhead is spread thin, small enough that a pass's arrays
-# stay at a few MB whatever the configured draw count and grid.
+# Draws per block of the kernel, in whole chunks.
 _BLOCK_DRAWS = 4 * _CHUNK_DRAWS
+
+# The most point-draws one pass over a block evaluates, at least
+# _BLOCK_DRAWS: large enough that a pass's fixed cost (0.4-0.9 ms,
+# whatever its size) is spread thin, small enough that a pass's arrays
+# stay at a few MB whatever the configured draw count and grid.  Ten
+# chunks is the fewest that run each benchmark sweep's grid in one pass
+# (configs/parallel.json's 5 x 2,000 point-draws, sweep-z1-pool's
+# 9 x 1,000); past that the benchmark cannot tell budgets apart, and a
+# pass's peak memory grows with its budget.
+_PASS_DRAWS = 10 * _CHUNK_DRAWS
 
 # Fewest point-draws a worker process must get before a sweep forks one.
 # Each forked worker holds its own copy of the parent's pages (about
@@ -155,7 +166,7 @@ class SweepConfig:
         if self.draws > 2**32:
             # a sweep task keeps 8 bytes per draw per scheme per SNR point
             # it holds: 32 GiB each here.  A pass's working arrays do not
-            # grow with draws (at most _BLOCK_DRAWS point-draws at once).
+            # grow with draws (at most _PASS_DRAWS point-draws at once).
             raise ConfigError("draws must be <= 2**32")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
@@ -237,11 +248,12 @@ def _simulate(config: SweepConfig, snr_db: tuple) -> dict:
     blocks first and SNR points second: each block's normals are drawn
     once and evaluated at every point.  A block's points are cut into the
     fewest near-equal contiguous groups of at most
-    ``_BLOCK_DRAWS // len(block)`` points (at least one), and each group
+    ``_PASS_DRAWS // len(block)`` points (at least one), and each group
     is one pass on a ``(points, 1)`` column of powers, or on the float P
     of a lone point: one ``scheme._build_pass`` over every scheme, which
-    computes each ZF direction of the pass once, and one call per scheme
-    of ``achievable_rates``.
+    computes each ZF direction of the pass once and makes each estimate
+    as a scheme needs it, and one call per scheme of ``achievable_rates``.
+    A scheme's layers and mask are let go as soon as they are summed.
     """
     canon = canonicalize(config.topology, config.csit)
     layouts = {s: plan_layout(canon, s) for s in config.schemes}
@@ -251,15 +263,20 @@ def _simulate(config: SweepConfig, snr_db: tuple) -> dict:
     for start in range(0, config.draws, _BLOCK_DRAWS):
         block = range(start, min(start + _BLOCK_DRAWS, config.draws))
         z = _block_normals(config.seed, block)
-        passes = -(-len(powers) // max(1, _BLOCK_DRAWS // len(block)))
+        passes = -(-len(powers) // max(1, _PASS_DRAWS // len(block)))
         for a, b in _cuts(len(powers), passes):
             # a lone point runs on its float P, several on a (points, 1) column
             p = powers[a] if b - a == 1 else np.array(powers[a:b])[:, None]
             h = sample_channel(canon.topology, p, z)
-            h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
-            for i, (layers, mask) in enumerate(_build_pass(canon, h_hat, layouts, p)):
+            estimate = functools.partial(sample_csit, h, canon.topology, canon.csit, p, z)
+            # Not enumerate: its reused result tuple would keep one scheme's
+            # layers alive while the generator builds the next scheme's.
+            i = 0
+            for layers, mask in _build_pass(canon, estimate, layouts, p):
                 sums[a:b, i, block.start : block.stop] = sum(achievable_rates(h, layers).values())
                 backed_off[a:b, i] += mask.sum(axis=-1)
+                del layers, mask  # freed before the next scheme's are built
+                i += 1
     means = sums.mean(axis=-1)
     if config.draws > 1:
         stderrs = sums.std(axis=-1, ddof=1) / math.sqrt(config.draws)

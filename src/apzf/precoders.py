@@ -192,16 +192,17 @@ def _zf_direction(estimate: np.ndarray, target_rx: int, p) -> tuple:
     overflows.  So ``r_o`` is scaled by the c of ``_zf_scales`` and 1/P
     by c**2, which scales ``w`` by c**2: an exact power of two, so no
     rounding changes, and ``_normalised`` removes it.  At P >= 1/2, c is
-    1 (a float P then skips the multiplication).
+    1 (where it is 1 at every point, the multiplication is skipped).
     """
     c, reg = _per_point(_zf_scales, p)
     r_t, r_o = estimate[:, target_rx], estimate[:, 1 - target_rx]
-    if isinstance(c, np.ndarray) or c != 1.0:
+    if np.any(c != 1.0):  # a product with 1.0 changes no bit
         r_o = r_o * c
-    prod = _cmul_conj(r_t, r_o)
-    inner = prod[:, 0] + prod[:, 1]
+    inner = _cmul_conj(r_t, r_o)
+    inner = inner[:, 0] + inner[:, 1]  # rebound, so the product is freed here
     a = _abs2(r_o)
     w = r_t * (a[0] + a[1] + reg)
+    del a  # freed before the product below is made
     w -= _cmul(r_o, inner[:, None])
     return w, _norm(w)
 

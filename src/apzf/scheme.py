@@ -6,9 +6,9 @@ underneath, and (when the layout carries it) the below-the-floor z layer
 ``z1`` for RX 1.  Each layer holds its vectors for every draw, shape
 (2, 2, draws) in the layout of ``apzf.channel`` (real and imaginary
 parts on axis 0, draws last); the common layer is the same on every draw
-and is one (2, 2, 1) vector, one real amplitude on both TXs, so its
-received power is formed from that amplitude and the two TX entries of
-the channel, without a complex product (see ``_received``).  Decoding
+and is one (2, 2, 1) vector, one real amplitude on both TXs.  A
+layer's received power is formed one real or imaginary half and one TX
+term at a time, s0's from its amplitude alone (see ``_received``).  Decoding
 is successive: both receivers decode the common layer treating
 everything else as noise, each then strips it and decodes its private
 layer; RX 1 finally strips its private layer and decodes the z layer
@@ -20,7 +20,8 @@ A sweep pass builds every scheme's layers in one ``_build_pass``, which
 memoises the pass's ZF directions (see ``apzf.precoders``): each (TX
 estimate j, target rx) direction is computed at most once and then
 normalised per scheme, so ``centralized_zf`` and ``naive_zf`` share the
-active TX's two.  ``build_layers`` is its one-scheme case.
+active TX's two.  It makes each TX's estimate only for the schemes that
+use it.  ``build_layers`` is its one-scheme case.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers (see ``apzf.channel``); at a column every layer, mask and rate
@@ -42,6 +43,7 @@ Scheme kinds differ in how the private vectors are produced, and only
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 from enum import Enum
@@ -50,7 +52,7 @@ import numpy as np
 
 from .channel import _per_point
 from .gdof import SchemeLayout, scheme_layout
-from .precoders import _abs2, _cmul, _naive, _normalised, _zf_direction, apzf, matched, multicast
+from .precoders import _abs2, _naive, _normalised, _zf_direction, apzf, matched, multicast
 from .topology import CanonicalForm, CsitQuality
 
 __all__ = [
@@ -102,16 +104,27 @@ def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
     return scheme_layout(canonical)
 
 
-def _private_pair(canonical, h_hat, tau, kind, p, zf):
-    """The pair ``s1``, ``s2``.  ``zf(j, rx)`` is TX j's memoised ZF
-    direction for ``rx``, from which the ZF baselines are normalised as
-    ``precoders.centralized_zf`` and ``precoders.naive_zf`` would be."""
+def _private_pair(canonical, est, tau, kind, p, zf):
+    """The pair ``s1``, ``s2``.  ``est(j)`` is TX j's memoised estimate,
+    and ``zf(j, rx)`` its memoised ZF direction for ``rx``, from which the
+    ZF baselines are normalised as ``precoders.centralized_zf`` and
+    ``precoders.naive_zf`` would be."""
     act = canonical.active_tx
     if kind is SchemeKind.APZF:
-        return [apzf(h_hat[:, act], rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)]
+        return [apzf(est(act), rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)]
     if kind is SchemeKind.CENTRALIZED_ZF:
         return [_normalised(*zf(act, rx), tau, p) for rx in (0, 1)]
     return [_naive([zf(0, rx), zf(1, rx)], tau, p) for rx in (0, 1)]
+
+
+def _zf_uses(kind: SchemeKind, act: int) -> list:
+    """The (TX j, rx) ZF directions that ``_private_pair`` asks ``zf`` for,
+    once each, to build ``kind``'s pair."""
+    if kind is SchemeKind.CENTRALIZED_ZF:
+        return [(act, 0), (act, 1)]
+    if kind is SchemeKind.NAIVE_ZF:
+        return [(0, 0), (1, 0), (0, 1), (1, 1)]
+    return []
 
 
 def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
@@ -138,7 +151,7 @@ def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
     beta = np.minimum(b[0], b[1])
     scale = np.where(backed_off, np.sqrt(np.maximum(beta, 0.0)), 1.0)
     for tag in adaptive:
-        layers[tag] = layers[tag] * scale
+        layers[tag] *= scale  # in place: every layer array is this pass's own
     return backed_off
 
 
@@ -168,25 +181,47 @@ def build_layers(
     the ([points,] draws) back-off mask.  This is the one-scheme case of
     ``_build_pass``.
     """
-    return next(_build_pass(canonical, h_hat, {scheme_kind: layout}, p))
+    return next(_build_pass(canonical, lambda j: h_hat[:, j], {scheme_kind: layout}, p))
 
 
-def _build_pass(canonical: CanonicalForm, h_hat: np.ndarray, layouts: dict, p):
+def _bands(kind: SchemeKind, layout: SchemeLayout) -> list:
+    """The bands ``kind`` sends besides ``s0``: those it can send that carry rate."""
+    sent = {SchemeKind.APZF: ("s1", "z1"), SchemeKind.NO_CSIT: ()}.get(kind, ("s1",))
+    return [tag for tag in sent if layout.rate_exp.get(tag, 0.0) > 0.0]
+
+
+def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p):
     """``build_layers`` for each ``{scheme: layout}`` of ``layouts`` on one
-    pass's estimates: yields each scheme's ``(layers, back-off mask)`` in
-    turn, so only one scheme's layers need be alive at a time.
+    pass: yields each scheme's ``(layers, back-off mask)`` in turn, so
+    only one scheme's layers need be alive at a time.
 
-    The pass's ZF directions are memoised: each (TX estimate j, target
-    rx) direction is computed at most once, so ``centralized_zf`` and
-    ``naive_zf`` share the active TX's two.  They are normalised per
-    scheme, since the schemes' power exponents may differ.
+    ``estimate(j)`` makes TX j's estimate, (2, 2, 2, [points,] draws) as
+    ``h_hat[:, j]``.  A scheme makes the estimates it uses, once each, and
+    drops them when its layers are built, so the passive TX's is made
+    only if ``naive_zf`` sends a private pair, and no estimate is alive
+    while a scheme's layers are evaluated.  The pass's ZF directions are
+    memoised: each (TX j, target rx) direction is computed at most once,
+    so ``centralized_zf`` and ``naive_zf`` share the active TX's two, and
+    is dropped after the last of its uses (``_zf_uses``).  They are
+    normalised per scheme, since the schemes' power exponents may differ.
     """
-    zf = functools.cache(lambda j, rx: _zf_direction(h_hat[:, j], rx, p))
-    for scheme_kind, layout in layouts.items():
-        kind = SchemeKind(scheme_kind)
+    plans = [(SchemeKind(s), layout) for s, layout in layouts.items()]
+    plans = [(kind, layout, _bands(kind, layout)) for kind, layout in plans]
+    act = canonical.active_tx
+    est = functools.cache(estimate)
+    uses = collections.Counter(k for kind, _, b in plans if "s1" in b for k in _zf_uses(kind, act))
+    directions = {}
+
+    def zf(j: int, rx: int) -> tuple:
+        """TX j's ZF direction for ``rx``: made at its first use, dropped after its last."""
+        if (j, rx) not in directions:
+            directions[j, rx] = _zf_direction(est(j), rx, p)
+        uses[j, rx] -= 1
+        return directions[j, rx] if uses[j, rx] > 0 else directions.pop((j, rx))
+
+    shape = est(act).shape[3:]
+    for kind, layout, bands in plans:
         tau = layout.power_exp
-        sent = {SchemeKind.APZF: ("s1", "z1"), SchemeKind.NO_CSIT: ()}.get(kind, ("s1",))
-        bands = [tag for tag in sent if layout.rate_exp.get(tag, 0.0) > 0.0]
 
         def s0_power(q: float) -> float:
             """The power left for s0 at P = q; 0.0 where none is."""
@@ -197,11 +232,12 @@ def _build_pass(canonical: CanonicalForm, h_hat: np.ndarray, layouts: dict, p):
 
         layers = {"s0": multicast(_per_point(s0_power, p))}
         if "s1" in bands:
-            layers["s1"], layers["s2"] = _private_pair(canonical, h_hat, tau["s1"], kind, p, zf)
+            layers["s1"], layers["s2"] = _private_pair(canonical, est, tau["s1"], kind, p, zf)
         if "z1" in bands:
-            layers["z1"] = matched(h_hat[:, canonical.active_tx], tau["z1"], p)
+            layers["z1"] = matched(est(act), tau["z1"], p)
+        est.cache_clear()
 
-        backed_off = _cap_to_budget(layers, p, h_hat.shape[4:])
+        backed_off = _cap_to_budget(layers, p, shape)
         if np.any(tx_power(layers) > p * (1.0 + _POWER_TOL)):
             raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
         yield layers, backed_off
@@ -210,21 +246,44 @@ def _build_pass(canonical: CanonicalForm, h_hat: np.ndarray, layouts: dict, p):
 def _received(h: np.ndarray, layers: dict) -> dict:
     """Per-layer received power ``|h_i t|**2``, (2, [points,] draws) indexed [rx, d].
 
-    The common layer ``s0`` is ``multicast``'s vector, one real amplitude
-    ``c`` per point on both TXs, so its received signal is ``h[:, :, 0]*c +
-    h[:, :, 1]*c``.  That is bit-identical to the general complex product:
-    the terms it leaves out are products with the vector's zero imaginary
-    parts, which are exact zeros.
+    A layer's received signal is the sum of its two TX terms ``h[:, :, k]
+    * t[:, k]``, formed one real or imaginary half at a time
+    (``_term_part``) and squared in place, so no (2, 2, 2, ...) product
+    array is built and at most four (2, [points,] draws) arrays are alive
+    at once.  Bit for bit, this is ``_abs2`` of the sum over k of
+    ``_cmul(h[:, :, k], t[:, k])``.
     """
     out = {}
     for tag, t in layers.items():
-        if tag == "s0":
-            c = t[0, 0]
-            out[tag] = _abs2(h[:, :, 0] * c + h[:, :, 1] * c)
-        else:
-            y = _cmul(h, t[:, None])
-            out[tag] = _abs2(y[:, :, 0] + y[:, :, 1])
+        re = _term_part(h, t, tag, 0, 0)
+        re += _term_part(h, t, tag, 1, 0)
+        im = _term_part(h, t, tag, 0, 1)
+        im += _term_part(h, t, tag, 1, 1)
+        re *= re
+        im *= im
+        re += im
+        out[tag] = re
     return out
+
+
+def _term_part(h: np.ndarray, t: np.ndarray, tag: str, k: int, n: int) -> np.ndarray:
+    """Half ``n`` (0 real, 1 imaginary) of TX k's term ``h[:, :, k] * t[:, k]``
+    of layer ``tag``, with ``_cmul``'s operations in its order.
+
+    The common layer ``s0`` is ``multicast``'s vector, a real amplitude
+    on both TXs, so its half is ``h``'s half times that amplitude.  Its
+    power is bit-identical to the general product's: the term left out
+    is a product with the vector's zero imaginary part, an exact zero.
+    """
+    (a0, a1), (b0, b1) = h[:, :, k], t[:, k]
+    if tag == "s0":
+        return (a0, a1)[n] * b0
+    x = a0 * (b0, b1)[n]
+    if n == 0:
+        x -= a1 * b1
+    else:
+        x += a1 * b0
+    return x
 
 
 def achievable_rates(h: np.ndarray, layers: dict) -> dict:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -366,10 +367,10 @@ def _counted_passes(monkeypatch):
     its powers and each scheme's layers as they are built."""
     passes = []
 
-    def counted(canonical, h_hat, layouts, p):
+    def counted(canonical, estimate, layouts, p):
         built = []
         passes.append((np.shape(p), built))
-        for s, item in zip(layouts, _build_pass(canonical, h_hat, layouts, p)):
+        for s, item in zip(layouts, _build_pass(canonical, estimate, layouts, p)):
             built.append(s)
             yield item
 
@@ -378,15 +379,15 @@ def _counted_passes(monkeypatch):
 
 
 def test_a_pass_covers_a_group_of_points(monkeypatch):
-    # A pass holds at most _BLOCK_DRAWS point-draws: 4 points of a
-    # 1,000-draw block, so 9 points run in 3 passes of 3, each building
-    # every scheme's layers once on a (3, 1) column of powers: 3 x 4
-    # builds, not 9 x 4.
+    # A pass holds at most _PASS_DRAWS point-draws: 10 points of a
+    # 1,000-draw block, so 9 points run in 1 pass, which builds every
+    # scheme's layers once on a (9, 1) column of powers: 1 x 4 builds,
+    # not 9 x 4.
     passes = _counted_passes(monkeypatch)
     schemes = ("apzf", "centralized_zf", "naive_zf", "no_csit")
     grid = tuple(np.arange(20.0, 61.0, 5.0))
     sweep(_config(schemes=schemes, snr_db=grid, draws=1000))
-    assert passes == [((3, 1), list(schemes))] * 3
+    assert passes == [((9, 1), list(schemes))]
 
 
 def test_a_pass_computes_each_zf_direction_once(monkeypatch):
@@ -402,8 +403,72 @@ def test_a_pass_computes_each_zf_direction_once(monkeypatch):
     monkeypatch.setattr(scheme, "_zf_direction", counted)
     passes = _counted_passes(monkeypatch)
     sweep(load_config(_PARALLEL_CONFIG))
-    assert len(passes) == 3  # 5 points of a 2,000-draw block, 2 per pass
-    assert sorted(directions) == [0] * 6 + [1] * 6  # 4 per pass, 2 per receiver
+    assert len(passes) == 1  # 5 points of a 2,000-draw block, 5 per pass
+    assert sorted(directions) == [0] * 2 + [1] * 2  # 4 per pass, 2 per receiver
+
+
+@pytest.mark.parametrize("draws, points", [(1000, 9), (2000, 5), (300, 40), (4099, 3), (9000, 2)])
+def test_no_pass_exceeds_the_pass_budget(monkeypatch, draws, points):
+    # Each block's points are cut into the fewest passes of at most
+    # _PASS_DRAWS // len(block) points (at least one), so a pass never
+    # holds more than _PASS_DRAWS point-draws, since a block holds no
+    # more than _BLOCK_DRAWS draws.
+    assert harness._BLOCK_DRAWS <= harness._PASS_DRAWS
+    passes = []  # ([points,] draws) of each pass, from its channels
+
+    def recorded(topology, p, z):
+        h = sample_channel(topology, p, z)
+        passes.append(h.shape[3:])
+        return h
+
+    monkeypatch.setattr(harness, "sample_channel", recorded)
+    sweep(_config(snr_db=tuple(20.0 + 2.5 * k for k in range(points)), draws=draws))
+    assert all(math.prod(shape) <= harness._PASS_DRAWS for shape in passes)
+    blocks = [min(harness._BLOCK_DRAWS, draws - s) for s in range(0, draws, harness._BLOCK_DRAWS)]
+    per_block = []
+    for block in blocks:
+        covered = 0
+        per_block.append(0)
+        while covered < points:
+            *lead, n = passes.pop(0)
+            assert n == block
+            covered += lead[0] if lead else 1
+            per_block[-1] += 1
+        assert covered == points
+    assert passes == []
+    assert per_block == [-(-points // max(1, harness._PASS_DRAWS // b)) for b in blocks]
+
+
+@pytest.mark.parametrize("instance", ["reference", "z1_case2"])
+def test_a_pass_frees_each_schemes_layers_before_building_the_next(monkeypatch, instance):
+    # Only one scheme's layers need be alive at a time: when a scheme's
+    # private pair is built, no layer array yielded for an earlier scheme
+    # (of this pass or of an earlier one) may still be referenced.
+    yielded = []  # weakrefs to every layer array yielded so far
+    checked = []
+    real_pair = scheme._private_pair
+
+    def recording(canonical, estimate, layouts, p):
+        for layers, mask in _build_pass(canonical, estimate, layouts, p):
+            yielded.extend(weakref.ref(t) for t in layers.values())
+            yield layers, mask
+            del layers, mask  # this wrapper keeps none of them either
+
+    def private_pair(*args):
+        checked.append(len(yielded))
+        assert [ref for ref in yielded if ref() is not None] == []
+        return real_pair(*args)
+
+    monkeypatch.setattr(harness, "_build_pass", recording)
+    monkeypatch.setattr(scheme, "_private_pair", private_pair)
+    schemes = ("apzf", "centralized_zf", "naive_zf", "no_csit")
+    grid = (20.0, 30.0, 40.0, 50.0)
+    if instance == "reference":
+        cfg = _config(schemes=schemes, snr_db=grid, draws=3000)
+    else:
+        cfg = dataclasses.replace(_z1_case2_config(), snr_db=grid, draws=3000)
+    sweep(cfg)
+    assert len(checked) > 2 and checked[1] > 0
 
 
 @pytest.mark.parametrize("draws", [1, 1000, 4097])

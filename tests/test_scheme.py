@@ -258,6 +258,78 @@ def test_common_layer_power_is_the_general_product_bit_for_bit(instance, snr_db)
     np.testing.assert_array_equal(scheme._received(h, layers)["s0"], _abs2(y[:, :, 0] + y[:, :, 1]))
 
 
+def _signed_zeros(rng, x, share=0.3):
+    """``x`` with about ``share`` of its entries replaced by 0.0 or -0.0."""
+    return np.where(rng.random(x.shape) < share, rng.choice([0.0, -0.0], x.shape), x)
+
+
+def _assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _golden_powers(instance, column):
+    """The golden sweep's instance, and its first SNR point's P or its whole grid's column."""
+    gamma, alpha, grid = GOLDEN_INSTANCES[instance]
+    powers = 10.0 ** (np.array(grid) / 10.0)
+    p = powers[:, None] if column else powers[0]
+    return canonicalize(Topology(gamma), CsitQuality(alpha)), p
+
+
+@pytest.mark.parametrize("column", [False, True])
+@pytest.mark.parametrize("instance", ["reference", "z1_case2"])
+def test_received_power_is_the_cmul_formula_bit_for_bit(instance, column):
+    # _received forms each layer's signal one half and one TX term at a
+    # time, with no (2, 2, 2, ...) product array; it must round, and sign
+    # every zero, as _cmul's product summed over the TXs and squared by
+    # _abs2 does.
+    canon, p = _golden_powers(instance, column)
+    rng = np.random.default_rng(37)
+    h, h_hat = _draw(canon, p, rng, draws=400)
+    layers, _ = build_layers(canon, h_hat, plan_layout(canon, "apzf"), "apzf", p)
+    h = _signed_zeros(rng, h)
+    layers = {tag: t if tag == "s0" else _signed_zeros(rng, t) for tag, t in layers.items()}
+    got = scheme._received(h, layers)
+    assert list(got) == list(layers)
+    for tag, t in layers.items():
+        y = _cmul(h, t[:, None])
+        _assert_same_bits(got[tag], _abs2(y[:, :, 0] + y[:, :, 1]))
+
+
+def _out_of_place_backoff(layers, p):
+    """Reference: the back-off with each adaptive layer scaled into a new array."""
+    adaptive = [tag for tag in layers if tag != "s0"]
+    budget = p - _abs2(layers["s0"])
+    totals = sum(_abs2(layers[tag]) for tag in adaptive)
+    over = totals > budget
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(over, budget / totals, np.inf)
+    scale = np.where(over[0] | over[1], np.sqrt(np.maximum(np.minimum(b[0], b[1]), 0.0)), 1.0)
+    return {tag: layers[tag] * scale for tag in adaptive}, over[0] | over[1]
+
+
+@pytest.mark.parametrize("column", [False, True])
+@pytest.mark.parametrize("instance", ["reference", "z1_case2"])
+def test_in_place_backoff_is_the_out_of_place_product_bit_for_bit(instance, column):
+    # _cap_to_budget scales the adaptive layers in place; on the draws it
+    # backs off, and on the others, every bit and every signed zero must
+    # be those of the product written into a new array.
+    canon, p = _golden_powers(instance, column)
+    rng = np.random.default_rng(41)
+    shape = np.broadcast_shapes(np.shape(p), (400,))
+    layers = {"s0": multicast(0.25 * p)}
+    for tag in ("s1", "s2", "z1"):
+        # about a third of the draws overshoot the budget
+        layers[tag] = _signed_zeros(rng, rng.standard_normal((2, 2) + shape) * np.sqrt(0.15 * p))
+    expected, expected_mask = _out_of_place_backoff(layers, p)
+    mask = scheme._cap_to_budget(layers, p, shape)
+    assert 0 < mask.sum() < mask.size
+    np.testing.assert_array_equal(mask, expected_mask)
+    for tag, t in expected.items():
+        _assert_same_bits(layers[tag], t)
+
+
 def test_rates_nonnegative_and_additive():
     canon = _canon_reference()
     rng = np.random.default_rng(4)

@@ -3,10 +3,10 @@
 ``apzf sweep`` runs through ``cli.main`` on the frozen ``sweep-ref`` and
 ``sweep-z1-pool`` configs of ``perfbench/workloads.py`` (copied here),
 at the benchmark's default seed 23.  Unlike ``test_golden``'s 200-draw
-sweeps, these grids hold more point-draws than one pass evaluates, so
-they pin the numbers of blocks that run in several passes: how a block's
-points are cut into passes must never change a byte of the CSV or of
-the JSON summary (back-off fractions included).
+sweeps, these grids hold 9,000 and 10,000 point-draws, so they pin the
+numbers of the kernel's largest passes: how a block's points are cut
+into passes must never change a byte of the CSV or of the JSON summary
+(back-off fractions included).
 """
 
 import hashlib
@@ -59,5 +59,6 @@ def test_benchmark_sweep_bytes(tmp_path, capsys, name):
     out = tmp_path / "out.csv"
     assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
-    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, out.with_suffix(".json")))
+    files = (out, out.with_suffix(".json"))
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
     assert digests == DIGESTS[name]
