@@ -101,10 +101,8 @@ def sample_csit(
     """
     if tx is None:
         return np.stack([sample_csit(h, topology, csit, p, z, j) for j in (0, 1)], axis=1)
-    quality, exponent = -csit.alpha, topology.gamma - 1.0
-    # Both TXs' scales, then TX tx's, so they are the full estimate's bit
-    # for bit, however np.power rounds on arrays of another size.
-    err_scale = _per_point(lambda q: np.sqrt(q**quality) * np.sqrt(q**exponent), p)[tx]
+    quality, exponent = -csit.alpha[tx], topology.gamma - 1.0
+    err_scale = _per_point(lambda q: np.sqrt(q**quality) * np.sqrt(q**exponent), p)
     cols = [part + 4 * tx + e for part in (8, 16) for e in range(4)]  # real, then imaginary
     h_hat = err_scale * _crandn(z[:, cols], p, 2, 2)
     h_hat += h  # in place: one estimate-sized array fewer at the peak

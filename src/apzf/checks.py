@@ -83,9 +83,9 @@ def coefficient_exponents(rng, n_topologies, draws):
         acc = np.zeros((len(grid), 2, 2))  # mean log power, [P, target, tx]
         for ip, p in enumerate(grid):
             z = rng.standard_normal((draws, NORMALS_PER_DRAW))
-            h_hat = sample_csit(sample_channel(topo, p, z), topo, csit, p, z)
+            h_hat = sample_csit(sample_channel(topo, p, z), topo, csit, p, z, tx=0)
             for tgt in (0, 1):
-                t = _complex(apzf(h_hat[:, 0], tgt, tau, topo, p))
+                t = _complex(apzf(h_hat, tgt, tau, topo, p))
                 acc[ip, tgt] = np.log(np.abs(t) ** 2).mean(axis=0)
         for tgt in (0, 1):
             victim = 1 - tgt

@@ -12,12 +12,6 @@ where itf is the receiver to protect and tau the power budget exponent.
 Because t_pas is deterministic, no estimate of it needs to be shared; the
 1/P regularizer keeps the active coefficient finite on deep-fade draws.
 
-``centralized_zf`` and ``naive_zf`` are the comparison points: a
-regularized full-matrix ZF computed from one shared estimate, and the
-same computation done independently at each TX from its own local
-estimate (each TX then transmits only its own entry, so the two entries
-come from inconsistent matrix inverses).
-
 Every function works on a batch of draws, in the layout of
 ``apzf.channel``: real float64 arrays with (re, im) on axis 0 and the
 draws on the last axis.  An estimate is ``[c, i, k, d]``, and a vector
@@ -28,13 +22,17 @@ terms.  No conjugate is ever copied: a conjugate factor is folded into
 the products, and a conjugated vector into its normalisation.  A draw's
 vector does not depend on the size of the batch it is in.
 
-The ZF baselines and ``matched`` run in two steps.  The direction step
-(``_zf_direction``) returns an unconjugated direction ``w`` and its norm;
-the normalisation step (``_normalised``) rescales ``conj(w)`` to norm
-sqrt(P**tau), negating the imaginary half in place.  So a direction can
-be computed once and normalised for several schemes, or for one entry
-only (``naive_zf``): ``apzf.scheme`` shares the active TX's directions
-between ``centralized_zf`` and ``naive_zf`` within a pass.
+The ZF baselines are the comparison points: a regularized full-matrix
+ZF computed from one shared estimate, and the same computation done
+independently at each TX from its own local estimate, each TX sending
+only its own entry (so the two entries come from inconsistent matrix
+inverses).  They and ``matched`` run in two steps.  The direction step
+(``_zf_direction``) returns an unconjugated direction ``w`` and its
+norm; the normalisation step (``_normalised``) rescales ``conj(w)`` to
+norm sqrt(P**tau), negating the imaginary half in place.  The
+centralized vector is ``w`` normalised whole, the naive one entry j of
+TX j's own ``w`` normalised alone (``_naive``).  ``apzf.scheme``
+composes the steps, computing each direction once per pass for both.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers; estimates made at a column carry a points axis just before the
@@ -55,8 +53,6 @@ __all__ = [
     "apzf",
     "multicast",
     "matched",
-    "centralized_zf",
-    "naive_zf",
 ]
 
 
@@ -207,27 +203,10 @@ def _zf_direction(estimate: np.ndarray, target_rx: int, p) -> tuple:
     return w, _norm(w)
 
 
-def centralized_zf(
-    shared_estimate: np.ndarray, target_rx: int, tau: float, p
-) -> np.ndarray:
-    """Regularized ZF vectors (2, 2, draws) from one shared estimate, norm sqrt(P**tau)."""
-    return _normalised(*_zf_direction(shared_estimate, target_rx, p), tau, p)
-
-
-def naive_zf(estimates: np.ndarray, target_rx: int, tau: float, p) -> np.ndarray:
-    """Each TX runs the centralized computation on its own estimate.
-
-    ``estimates`` is (2, 2, 2, 2, draws), TX j's estimate at ``[:, j]``.
-    TX j normalizes its locally computed full vector to sqrt(P**tau) and
-    transmits entry j of it; the entries generally do not cohere because
-    the two estimates differ.
-    """
-    return _naive([_zf_direction(estimates[:, j], target_rx, p) for j in range(2)], tau, p)
-
-
 def _naive(directions: list, tau: float, p) -> np.ndarray:
-    """``naive_zf``'s vectors from TX j's ``(w, norm)`` at ``directions[j]``:
-    entry j of each, normalised alone."""
+    """Naive per-TX ZF vectors from TX j's ``(w, norm)`` at ``directions[j]``:
+    entry j of each, normalised alone, so the entries generally do not
+    cohere when the two estimates differ."""
     t = np.empty((2, 2) + directions[0][1].shape)
     for j, (w, n) in enumerate(directions):
         _normalised(w[:, j], n, tau, p, out=t[:, j])

@@ -21,7 +21,11 @@ memoises the pass's ZF directions (see ``apzf.precoders``): each (TX
 estimate j, target rx) direction is computed at most once and then
 normalised per scheme, so ``centralized_zf`` and ``naive_zf`` share the
 active TX's two.  It makes each TX's estimate only for the schemes that
-use it.  ``build_layers`` is its one-scheme case.
+use it, and checks every draw's per-TX power against the budget after
+the back-off.  ``build_layers``, its one-scheme case, is the public way
+to make layers, and ``achievable_rates`` evaluates them; ``_received``
+gives each layer's received power at both receivers, so a private
+layer's residual interference is its power at the other receiver.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers (see ``apzf.channel``); at a column every layer, mask and rate
@@ -60,9 +64,7 @@ __all__ = [
     "PowerInfeasible",
     "plan_layout",
     "build_layers",
-    "tx_power",
     "achievable_rates",
-    "interference_power",
 ]
 
 _POWER_TOL = 1e-9
@@ -106,9 +108,9 @@ def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
 
 def _private_pair(canonical, est, tau, kind, p, zf):
     """The pair ``s1``, ``s2``.  ``est(j)`` is TX j's memoised estimate,
-    and ``zf(j, rx)`` its memoised ZF direction for ``rx``, from which the
-    ZF baselines are normalised as ``precoders.centralized_zf`` and
-    ``precoders.naive_zf`` would be."""
+    and ``zf(j, rx)`` its memoised ZF direction for ``rx``, which the ZF
+    baselines normalise: whole for ``centralized_zf``, one entry per TX
+    for ``naive_zf`` (``precoders._naive``)."""
     act = canonical.active_tx
     if kind is SchemeKind.APZF:
         return [apzf(est(act), rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)]
@@ -153,11 +155,6 @@ def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
     for tag in adaptive:
         layers[tag] *= scale  # in place: every layer array is this pass's own
     return backed_off
-
-
-def tx_power(layers: dict) -> np.ndarray:
-    """Per-transmitter power summed over the layers, (2, [points,] draws); 0 for no layers."""
-    return sum(_abs2(t) for t in layers.values())
 
 
 def build_layers(
@@ -238,7 +235,7 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p):
         est.cache_clear()
 
         backed_off = _cap_to_budget(layers, p, shape)
-        if np.any(tx_power(layers) > p * (1.0 + _POWER_TOL)):
+        if np.any(sum(_abs2(t) for t in layers.values()) > p * (1.0 + _POWER_TOL)):
             raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
         yield layers, backed_off
 
@@ -302,17 +299,3 @@ def achievable_rates(h: np.ndarray, layers: dict) -> dict:
             rates[tag] = np.log2(1.0 + functools.reduce(np.minimum, sinr))
     return rates
 
-
-def interference_power(h: np.ndarray, layers: dict, rx: int) -> np.ndarray:
-    """Received power ([points,] draws) of the private layer aimed at the other receiver.
-
-    This is the quantity the zero-forcing pair is supposed to suppress;
-    the common and z layers are excluded (they are handled by the
-    decoding order, not by cancellation).
-    """
-    q = _received(h, layers)
-    total = np.zeros(h.shape[3:])
-    for tag, target in (("s1", 0), ("s2", 1)):
-        if tag in q and target != rx:
-            total = total + q[tag][rx]
-    return total

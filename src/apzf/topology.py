@@ -15,9 +15,10 @@ Everything downstream (closed forms, layered schemes) assumes exponents in
 (``alpha <= gamma`` entrywise), and one transmitter whose quality matrix
 dominates the other's entrywise.  ``validate`` checks exactly these
 conditions, ``canonicalize`` relabels the network into the orientation the
-closed forms are written for.  Both, and ``effective_alphas``, wrap list
-helpers (``_checked``, ``_canonical``, ``_effective``) that work on Python
-floats read once from each array; the closed forms call them directly.
+closed forms are written for.  Both wrap list helpers (``_checked``,
+``_canonical``) that work on Python floats read once from each array;
+the closed forms call them directly, and reduce alpha to its effective
+exponents with ``_effective`` on the same lists.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 __all__ = [
     "Topology",
     "CsitQuality",
-    "EffectiveExponents",
     "CanonicalForm",
     "ValidationError",
     "GammaOutOfRange",
@@ -38,7 +38,6 @@ __all__ = [
     "ValidationReport",
     "validate",
     "canonicalize",
-    "effective_alphas",
 ]
 
 
@@ -122,19 +121,6 @@ class CsitQuality:
         a[0] = alpha_tx1
         a[1] = alpha_tx2
         return cls(a)
-
-
-@dataclass
-class EffectiveExponents:
-    """Reduced CSIT exponents used by the closed forms.
-
-    alpha_max[i, k]  best quality about link (i, k) across the two TXs
-    alpha_prime[i]   min over columns of alpha_max, the network-wide
-                     effective quality about RX i
-    """
-
-    alpha_max: np.ndarray
-    alpha_prime: np.ndarray
 
 
 @dataclass
@@ -275,7 +261,8 @@ def _max(x: float, y: float) -> float:
 
 
 def _effective(a: list) -> tuple:
-    """``alpha_max`` and ``alpha_prime`` of the 2x2x2 float list ``a``.
+    """``(alpha_max, alpha_prime)`` of the 2x2x2 float list ``a``: the best
+    quality about each link over the TXs, and its min over each RX's row.
 
     Ties and NaNs go as in ``numpy.maximum`` and ``numpy.minimum``: a tie
     gives the second operand, which decides between -0.0 and 0.0.
@@ -285,18 +272,6 @@ def _effective(a: list) -> tuple:
     m00, m01, m10, m11 = _max(x00, y00), _max(x01, y01), _max(x10, y10), _max(x11, y11)
     # numpy.minimum(x, y) is -numpy.maximum(-x, -y), signed zeros included.
     return [[m00, m01], [m10, m11]], [-_max(-m00, -m01), -_max(-m10, -m11)]
-
-
-def effective_alphas(topology: Topology, csit: CsitQuality) -> EffectiveExponents:
-    """Reduce the 2x2x2 quality tensor to the exponents the closed forms use.
-
-    The network is limited by the best-informed transmitter for each link
-    (max over TXs), and its quality about RX i by the worse of RX i's two
-    links (min over columns).  It does not check its input: a NaN alpha
-    gives NaN exponents.
-    """
-    alpha_max, alpha_prime = _effective(csit.alpha.tolist())
-    return EffectiveExponents(np.array(alpha_max), np.array(alpha_prime))
 
 
 def dyadic_instance(rng: np.random.Generator, grid: int = 1024):

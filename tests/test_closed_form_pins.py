@@ -2,11 +2,12 @@
 
 The digests below were produced by the implementation that read every
 2x2 entry as a numpy scalar, and re-made from the same values when an
-unused ``EffectiveExponents`` field was deleted.  They cover every
+unused field of the effective exponents was deleted.  They cover every
 field of ``distributed_gdof``, ``genie_outer_bound``, ``canonicalize``,
-``effective_alphas`` and ``scheme_layout(canonicalize(...))``, with each
-float pinned to the bit through ``float.hex`` and the layer dicts pinned
-in insertion order (``SchemeLayout.rate_total`` sums in that order).  A
+the effective exponents (``topology._effective``, as float64 arrays)
+and ``scheme_layout(canonicalize(...))``, with each float pinned to the
+bit through ``float.hex`` and the layer dicts pinned in insertion order
+(``SchemeLayout.rate_total`` sums in that order).  A
 change here means a closed form changed, which must be a deliberate,
 announced decision.
 """
@@ -26,12 +27,11 @@ from apzf import (
     canonicalize,
     centralized_gdof,
     distributed_gdof,
-    effective_alphas,
     genie_outer_bound,
     scheme_layout,
     validate,
 )
-from apzf.topology import dyadic_instance
+from apzf.topology import _effective, dyadic_instance
 
 N_INSTANCES = 2000
 
@@ -77,14 +77,14 @@ def _gdof_fields(v):
 
 def _instance_record(topo, csit):
     canon = canonicalize(topo, csit)
-    eff = effective_alphas(topo, csit)
+    alpha_max, alpha_prime = _effective(csit.alpha.tolist())
     layout = scheme_layout(canon)
     return repr((
         _gdof_fields(distributed_gdof(topo, csit)),
         _gdof_fields(genie_outer_bound(topo, csit)),
         (canon.rx_swap, canon.tx_swap, canon.active_tx,
          _arr(canon.topology.gamma), _arr(canon.csit.alpha)),
-        (_arr(eff.alpha_max), _arr(eff.alpha_prime)),
+        (_arr(np.array(alpha_max)), _arr(np.array(alpha_prime))),
         (layout.case_id, layout.parallel, _f(layout.rho),
          [(k, _f(v)) for k, v in layout.power_exp.items()],
          [(k, _f(v)) for k, v in layout.rate_exp.items()]),

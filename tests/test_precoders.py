@@ -8,15 +8,13 @@ from apzf import (
     CsitQuality,
     Topology,
     apzf,
-    centralized_zf,
     fit_exponent,
     matched,
     multicast,
-    naive_zf,
     sample_channel,
     sample_csit,
 )
-from apzf.precoders import _abs2, _cmul, _cmul_conj, _normalised, _zf_direction
+from apzf.precoders import _abs2, _cmul, _cmul_conj, _naive, _normalised, _zf_direction
 from conftest import as_complex, as_kernel
 
 P_GRID = np.logspace(4, 8, 5)
@@ -57,6 +55,19 @@ def _assert_same_bits(got, ref):
 def _one(est):
     """A single complex 2x2 estimate as a kernel batch of one."""
     return as_kernel(np.asarray(est)[np.newaxis])
+
+
+def _centralized(estimate, target_rx, tau, p):
+    """The centralized ZF vectors, as ``scheme._private_pair`` builds
+    them: one estimate's direction, normalised whole."""
+    return _normalised(*_zf_direction(estimate, target_rx, p), tau, p)
+
+
+def _naive_pair(estimates, target_rx, tau, p):
+    """The naive ZF vectors, as ``scheme._private_pair`` builds them:
+    TX j's direction from its own estimate ``estimates[:, j]``, entry j
+    of it normalised alone."""
+    return _naive([_zf_direction(estimates[:, j], target_rx, p) for j in (0, 1)], tau, p)
 
 
 def _geomean_exponent(per_draw_power, draws, seed):
@@ -251,10 +262,10 @@ def test_matched_power_and_direction():
 def test_centralized_zf_norm_and_consistency():
     est = np.array([[0.9 + 0.2j, -0.3 + 0.6j], [0.1 - 0.5j, 0.8 + 0.1j]])
     p = 1e6
-    t = as_complex(centralized_zf(_one(est), 1, 0.7, p))[0]
+    t = as_complex(_centralized(_one(est), 1, 0.7, p))[0]
     assert _power(t) == pytest.approx(p**0.7)
     # Naive with both TXs holding the same estimate collapses to it.
-    same = as_complex(naive_zf(_one(np.stack([est, est])), 1, 0.7, p))[0]
+    same = as_complex(_naive_pair(_one(np.stack([est, est])), 1, 0.7, p))[0]
     np.testing.assert_allclose(same, t, rtol=1e-12)
 
 
@@ -266,7 +277,7 @@ def test_centralized_zf_residual_on_noise_floor():
 
     def resid(p, z):
         h = sample_channel(topo, p, z)
-        t = as_complex(centralized_zf(sample_csit(h, topo, csit, p, z)[:, 0], 0, 0.7, p))
+        t = as_complex(_centralized(sample_csit(h, topo, csit, p, z)[:, 0], 0, 0.7, p))
         return np.abs((as_complex(h) @ t[..., None])[:, 1, 0]) ** 2
 
     bound = 0.7 - 1.0 + 0.8 - 0.5
@@ -281,7 +292,7 @@ def test_naive_zf_keeps_full_strength_interference():
 
     def resid(p, z):
         h = sample_channel(topo, p, z)
-        t = as_complex(naive_zf(sample_csit(h, topo, csit, p, z), 1, 0.7, p))
+        t = as_complex(_naive_pair(sample_csit(h, topo, csit, p, z), 1, 0.7, p))
         return np.abs((as_complex(h) @ t[..., None])[:, 0, 0]) ** 2
 
     assert _geomean_exponent(resid, 1500, 13) == pytest.approx(0.5, abs=0.15)
@@ -302,10 +313,10 @@ def test_zf_matches_matrix_inverse_reference(p):
     scale = math.sqrt(p**tau)
     for target in (0, 1):
         ref = _zf_reference(est[:, 0], target, tau, p)
-        err = np.abs(as_complex(centralized_zf(as_kernel(est[:, 0]), target, tau, p)) - ref).max()
+        err = np.abs(as_complex(_centralized(as_kernel(est[:, 0]), target, tau, p)) - ref).max()
         assert err / scale <= 1e-10
         # TX j transmits entry j of the vector computed from its own estimate.
-        t = as_complex(naive_zf(as_kernel(est), target, tau, p))
+        t = as_complex(_naive_pair(as_kernel(est), target, tau, p))
         for j in (0, 1):
             ref = _zf_reference(est[:, j], target, tau, p)
             assert np.abs(t[:, j] - ref[:, j]).max() / scale <= 1e-10
@@ -324,7 +335,7 @@ def test_zf_row_scale_changes_no_bit(p):
         a = _abs2(r_o)
         w = r_t * (a[0] + a[1] + 1.0 / p) - _cmul(r_o, (c[:, 0] + c[:, 1])[:, None])
         np.testing.assert_array_equal(
-            centralized_zf(est[:, 0], target, 0.7, p), _scaled(_conj(w), 0.7, p)
+            _centralized(est[:, 0], target, 0.7, p), _scaled(_conj(w), 0.7, p)
         )
 
 
@@ -340,13 +351,13 @@ def test_golden_regression_vectors():
         [95.12514703598615 + 1.4474593168881225j, 31.622776601683793 + 0j],
         rtol=1e-12,
     )
-    v_czf = as_complex(centralized_zf(h_hat[:, 0], 0, 0.7, 1e6))[0]
+    v_czf = as_complex(_centralized(h_hat[:, 0], 0, 0.7, 1e6))[0]
     np.testing.assert_allclose(
         v_czf,
         [-94.66732437361846 - 72.8710465604468j, -31.831505806735176 - 23.740164949136506j],
         rtol=1e-12,
     )
-    v_naive = as_complex(naive_zf(h_hat, 0, 0.7, 1e6))[0]
+    v_naive = as_complex(_naive_pair(h_hat, 0, 0.7, 1e6))[0]
     np.testing.assert_allclose(
         v_naive,
         [-94.66732437361846 - 72.8710465604468j, -58.614033753141264 - 22.001206363366776j],

@@ -1,9 +1,11 @@
 """Each public name is declared once, in its module's ``__all__``, and
 the package exports the union of those lists."""
 
+import collections
 import itertools
 
 import apzf
+from apzf import CsitQuality, SweepConfig, Topology, canonicalize, plan_layout, sweep
 from apzf import channel, gdof, harness, precoders, scheme, topology
 
 MODULES = (channel, gdof, harness, precoders, scheme, topology)
@@ -24,3 +26,31 @@ def test_package_names_are_the_module_objects():
     for m in MODULES:
         for name in m.__all__:
             assert getattr(apzf, name) is getattr(m, name), name
+
+
+def test_every_public_precoder_is_called_by_the_sweep(monkeypatch):
+    # A public precoder the kernel never calls is tested as a composition
+    # the sweep does not run.  Every scheme kind, and a case-2 instance
+    # whose apzf layout carries z1, so every precoder has its chance.
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in precoders.__all__:
+        # raising=False: a name scheme does not bind is set, and then never called.
+        monkeypatch.setattr(scheme, name, counted(name, getattr(precoders, name)), raising=False)
+    config = SweepConfig(
+        topology=Topology([[1.0, 0.6], [0.9, 0.5]]),
+        csit=CsitQuality([[[0.6, 0.4], [0.5, 0.3]], [[0.2, 0.1], [0.1, 0.0]]]),
+        schemes=("apzf", "centralized_zf", "naive_zf", "no_csit"),
+        snr_db=(20.0, 40.0),
+        draws=50,
+        seed=23,
+    )
+    assert plan_layout(canonicalize(config.topology, config.csit), "apzf").rate_exp["z1"] > 0.0
+    sweep(config)
+    assert [name for name in precoders.__all__ if not calls[name]] == []

@@ -4,8 +4,9 @@ Builtin ``max``/``min`` keep the first of two equal operands, while
 ``numpy.maximum``/``numpy.minimum`` return the second, so on a ``-0.0``
 against ``0.0`` tie the two give different bits.  These digests pin
 which zero every field of ``distributed_gdof``, ``genie_outer_bound``,
-``canonicalize``, ``effective_alphas`` and ``scheme_layout(canonicalize(...))``
-carries, on instances built to hit such ties:
+``canonicalize``, the effective exponents (``topology._effective``) and
+``scheme_layout(canonicalize(...))`` carries, on instances built to hit
+such ties:
 
 * ``zero-sign-ties``: gamma entries in {-0.0, 0.0, 1.0} and every
   assignment of -0.0 and 0.0 to the eight alpha entries, so the two
