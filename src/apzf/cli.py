@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default=None, help="comma-separated subset of config schemes")
     p.add_argument("--window", default=None, help="slope-fit window, lo:hi in dB")
     p.add_argument("--workers", type=int, default=None,
-                   help="most processes; each takes a contiguous slice of the SNR grid")
+                   help="most processes; each takes a range of whole 1,024-draw chunks")
 
     p = sub.add_parser("validate", help="run identity/cancellation/exponent self-checks")
     add_common(p, config_required=False)

@@ -4,21 +4,16 @@ A config's draws are split into chunks of ``_CHUNK_DRAWS``, and each
 chunk gets its own RNG substream derived from the config seed and the
 chunk index alone, so draw d is the same fading draw at every SNR point
 and for every scheme (common random numbers across points and schemes).
-Draws are evaluated in blocks of at most ``_BLOCK_DRAWS`` (4,096 draws,
-four whole chunks), blocks first: each block draws its chunks' normals
-once and evaluates every SNR point and scheme on them as array
-operations.  A block's points run in passes of up to
-``_PASS_DRAWS // len(block)`` points each (at least one), with the
-powers of a pass's points on an axis just before the draws (see
-``apzf.channel``), so a pass never holds more than ``_PASS_DRAWS``
+A sweep task (``_point_task``) is a contiguous range of whole chunks over
+the whole grid.  It evaluates its draws in blocks of at most
+``_BLOCK_DRAWS`` (4,096 draws, four whole chunks), blocks first: each
+block draws its chunks' normals once and evaluates every SNR point and
+scheme on them as array operations, in passes of at most ``_PASS_DRAWS``
 point-draws (10,240: ten points of a 1,000-draw block, five of a
-2,000-draw one, two of a 4,096-draw one).  A pass builds every scheme's layers in one
-``scheme._build_pass``, which computes each ZF direction of the pass
-once and shares it between the schemes that use it, makes a
-transmitter's estimate only for the schemes that use it, and lets each
-scheme's arrays go before the next scheme's are built.  A point's
-result therefore depends neither on the other points in its grid or its
-pass nor on how the grid is split across worker processes.
+2,000-draw one, two of a 4,096-draw one).  With a pool each worker runs
+one task, and this process joins the tasks' per-draw sums and reduces
+them once.  A point's result therefore depends neither on the other
+points in its grid or its pass nor on the number of workers.
 """
 
 from __future__ import annotations
@@ -28,6 +23,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import reprlib
 import sys
 import warnings
@@ -74,16 +70,15 @@ _BLOCK_DRAWS = 4 * _CHUNK_DRAWS
 _PASS_DRAWS = 10 * _CHUNK_DRAWS
 
 # Fewest point-draws a worker process must get before a sweep forks one.
-# Each forked worker holds its own copy of the parent's pages (about
-# 30 MB) and draws every block again.  Two points of configs/parallel.json's
-# four schemes, one process against two workers (2-core Xeon shared with
-# other load, numpy 2.4.6, medians of 10 interleaved pairs, two rounds):
-# 10,000 draws each 0.038/0.038 s against 0.071/0.081 s (two workers
-# faster in 1 and 1 pairs), 20,000 draws 0.075/0.096 s against
-# 0.141/0.119 s (0 and 4), 40,000 draws 0.130/0.134 s against
-# 0.137/0.269 s (7 and 1).  No break-even up to 40,000 is clear, so the
-# value stays where quieter runs of earlier kernels put it.
-_POOL_MIN_DRAWS = 20_000
+# A forked worker costs tens of ms and its own copy of the parent's pages
+# (about 30 MB).  configs/parallel.json's five points and four schemes,
+# one process against two workers, each sweep in a fresh process (2-core
+# Xeon shared with other load, numpy 2.4.6, interleaved pairs): two
+# workers were faster in 5 of 66 pairs at 20,480-102,400 point-draws,
+# 22 of 36 at 122,880, 16 of 26 at 163,840, and 27 of 28 at 204,800 and
+# 307,200.  With apzf alone they were faster in 0 of 20 pairs at 122,880
+# and 204,800, and 18 of 20 at 327,680 and 491,520.
+_POOL_MIN_DRAWS = 60_000
 
 # log2(P) advances by this much per dB of SNR.
 _LOG2P_PER_DB = math.log2(10.0) / 10.0
@@ -164,9 +159,9 @@ class SweepConfig:
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
         if self.draws > 2**32:
-            # a sweep task keeps 8 bytes per draw per scheme per SNR point
-            # it holds: 32 GiB each here.  A pass's working arrays do not
-            # grow with draws (at most _PASS_DRAWS point-draws at once).
+            # the parent holds 8 bytes per draw per scheme per SNR point,
+            # 32 GiB each here (twice that while it joins a pool's sums).  A
+            # pass's arrays do not grow with draws (see _PASS_DRAWS).
             raise ConfigError("draws must be <= 2**32")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
@@ -234,34 +229,68 @@ def simulate_snr(config: SweepConfig, snr_db: float) -> dict:
 
     Draw d is always the same row of substream (seed, d // _CHUNK_DRAWS),
     whichever SNR points, draws and schemes run with it, so the result
-    equals this point's in any ``sweep`` of the config.  The per-draw
-    sums take 8 bytes per draw per scheme.  Returns ``{scheme: PointStats}``.
+    equals this point's in any ``sweep`` of the config, and it uses
+    ``config.workers`` as a sweep does.  Returns ``{scheme: PointStats}``.
     """
-    return {s: pts[0] for s, pts in _simulate(config, (snr_db,)).items()}
+    return {s: p[0] for s, p in _simulate(dataclasses.replace(config, snr_db=(snr_db,))).items()}
 
 
-def _simulate(config: SweepConfig, snr_db: tuple) -> dict:
-    """``{scheme: [PointStats per point of snr_db]}``, the shape of
-    ``SweepCurve.points``.
-
-    Plans the config's canonical form and each scheme's layout, then runs
-    blocks first and SNR points second: each block's normals are drawn
-    once and evaluated at every point.  A block's points are cut into the
-    fewest near-equal contiguous groups of at most
-    ``_PASS_DRAWS // len(block)`` points (at least one), and each group
-    is one pass on a ``(points, 1)`` column of powers, or on the float P
-    of a lone point: one ``scheme._build_pass`` over every scheme, which
-    computes each ZF direction of the pass once and makes each estimate
-    as a scheme needs it, and one call per scheme of ``achievable_rates``.
-    A scheme's layers and mask are let go as soon as they are summed.
+def _simulate(config: SweepConfig) -> dict:
+    """``{scheme: [PointStats per SNR point]}``, the shape of
+    ``SweepCurve.points``: one ``_point_task`` per worker (see
+    ``_pool_size``), their per-draw sums joined and reduced here.
     """
+    workers = _pool_size(config)
+    cuts = _cuts(-(-config.draws // _CHUNK_DRAWS), workers)
+    tasks = [(config, range(config.draws)[a * _CHUNK_DRAWS : b * _CHUNK_DRAWS]) for a, b in cuts]
+    if workers > 1:
+        # imported here: concurrent.futures.process costs about 1.7 MB of
+        # RSS and tens of ms of import time, which runs without a pool save
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_point_task, tasks))
+    else:
+        parts = [_point_task(t) for t in tasks]
+    # pool.map keeps task order, so the parts join in draw order.
+    sums = parts[0][0] if len(parts) == 1 else np.concatenate([p[0] for p in parts], axis=-1)
+    backed_off = sum(p[1] for p in parts)
+    means = sums.mean(axis=-1)
+    if config.draws > 1:
+        stderrs = sums.std(axis=-1, ddof=1) / math.sqrt(config.draws)
+    else:
+        stderrs = np.zeros(sums.shape[:2])
+    fracs = backed_off / config.draws
+    return {
+        s: [
+            PointStats(float(means[j, i]), float(stderrs[j, i]), float(fracs[j, i]))
+            for j in range(len(config.snr_db))
+        ]
+        for i, s in enumerate(config.schemes)
+    }
+
+
+def _point_task(args):
+    """Per-draw sum rates ``(points, schemes, len(draws))`` and back-off
+    counts ``(points, schemes)`` on ``draws``, a range of whole chunks.
+
+    A block's points are cut into the fewest near-equal contiguous groups
+    of at most ``_PASS_DRAWS // len(block)`` points (at least one), and
+    each group is one pass on a ``(points, 1)`` column of powers, or on the
+    float P of a lone point: one ``scheme._build_pass`` over every scheme,
+    which computes each ZF direction of the pass once and makes each
+    estimate as a scheme needs it, and one call per scheme of
+    ``achievable_rates``.  A scheme's layers and mask are let go as soon
+    as they are summed.
+    """
+    config, draws = args
     canon = canonicalize(config.topology, config.csit)
     layouts = {s: plan_layout(canon, s) for s in config.schemes}
-    powers = [_snr_power(snr) for snr in snr_db]
-    sums = np.empty((len(powers), len(config.schemes), config.draws))
+    powers = [_snr_power(snr) for snr in config.snr_db]
+    sums = np.empty((len(powers), len(config.schemes), len(draws)))
     backed_off = np.zeros((len(powers), len(config.schemes)), dtype=np.int64)
-    for start in range(0, config.draws, _BLOCK_DRAWS):
-        block = range(start, min(start + _BLOCK_DRAWS, config.draws))
+    for start in range(0, len(draws), _BLOCK_DRAWS):
+        block = draws[start : start + _BLOCK_DRAWS]
         z = _block_normals(config.seed, block)
         passes = -(-len(powers) // max(1, _PASS_DRAWS // len(block)))
         for a, b in _cuts(len(powers), passes):
@@ -273,23 +302,11 @@ def _simulate(config: SweepConfig, snr_db: tuple) -> dict:
             # layers alive while the generator builds the next scheme's.
             i = 0
             for layers, mask in _build_pass(canon, estimate, layouts, p):
-                sums[a:b, i, block.start : block.stop] = sum(achievable_rates(h, layers).values())
+                sums[a:b, i, start : start + len(block)] = sum(achievable_rates(h, layers).values())
                 backed_off[a:b, i] += mask.sum(axis=-1)
                 del layers, mask  # freed before the next scheme's are built
                 i += 1
-    means = sums.mean(axis=-1)
-    if config.draws > 1:
-        stderrs = sums.std(axis=-1, ddof=1) / math.sqrt(config.draws)
-    else:
-        stderrs = np.zeros(sums.shape[:2])
-    fracs = backed_off / config.draws
-    return {
-        s: [
-            PointStats(float(means[j, i]), float(stderrs[j, i]), float(fracs[j, i]))
-            for j in range(len(powers))
-        ]
-        for i, s in enumerate(config.schemes)
-    }
+    return sums, backed_off
 
 
 def _cuts(n: int, parts: int) -> list:
@@ -298,19 +315,17 @@ def _cuts(n: int, parts: int) -> list:
     return list(zip(edges, edges[1:]))
 
 
-def _point_task(args):
-    return _simulate(*args)
-
-
 def _pool_size(config: SweepConfig) -> int:
     """Worker processes a sweep uses; 1 means it runs in this process.
 
-    At most ``config.workers`` and one per SNR point (each worker gets a
-    contiguous slice of the grid), and no more than give each worker
-    ``_POOL_MIN_DRAWS`` point-draws.
+    At most ``config.workers``, the CPUs this process may use, and one per
+    chunk (each worker gets a contiguous range of whole chunks), and no
+    more than give each worker ``_POOL_MIN_DRAWS`` point-draws.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    chunks = -(-config.draws // _CHUNK_DRAWS)
     total = config.draws * len(config.snr_db)
-    return max(1, min(config.workers, len(config.snr_db), total // _POOL_MIN_DRAWS))
+    return max(1, min(config.workers, cpus, chunks, total // _POOL_MIN_DRAWS))
 
 
 def closed_forms(config: SweepConfig) -> dict:
@@ -325,29 +340,14 @@ def closed_forms(config: SweepConfig) -> dict:
 def sweep(config: SweepConfig) -> SweepCurve:
     """Simulate every (scheme, SNR) point and fit per-scheme slopes.
 
-    A task is the config and a contiguous slice of its grid, covering all
-    schemes and all draws.  Without a pool the whole grid is one task.
-    With ``config.workers > 1`` and enough draws (see ``_pool_size``),
-    the grid is cut into one slice per worker; since draws are keyed by
-    chunk alone, the result is identical for any worker count.  Schemes
-    whose window holds fewer than two grid points get slope None.
+    Runs on at most ``config.workers`` processes (see ``_pool_size``),
+    each on a range of whole chunks over the whole grid; since draws are
+    keyed by chunk alone, the result is identical for any worker count.
+    Schemes whose window holds fewer than two grid points get slope None.
     """
     # First: they validate the instance in this process, before any worker starts.
     gdof = {name: form.value for name, form in closed_forms(config).items()}
-    workers = _pool_size(config)
-    tasks = [(config, config.snr_db[a:b]) for a, b in _cuts(len(config.snr_db), workers)]
-    if workers > 1:
-        # imported here: concurrent.futures.process costs about 1.7 MB of
-        # RSS and tens of ms of import time, which runs without a pool save
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(_point_task, tasks))
-    else:
-        slices = [_point_task(t) for t in tasks]
-
-    # pool.map keeps task order, so the slices join in grid order.
-    points = {s: [pt for part in slices for pt in part[s]] for s in config.schemes}
+    points = _simulate(config)
     slopes = {}
     for s, pts in points.items():
         try:

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+
+import apzf.harness as harness
 from apzf import CsitQuality, Topology
 from apzf.checks import _complex as as_complex  # noqa: F401  (see as_kernel)
 
@@ -10,6 +14,14 @@ def reference_instance():
     """The symmetric benchmark configuration used throughout the tests:
     unit direct links, 0.8 cross links, TX 1 quality 0.5, TX 2 quality 0."""
     return Topology.parallel(0.8), CsitQuality.uniform(0.5, 0.0)
+
+
+@pytest.fixture
+def small_pool(monkeypatch):
+    """Let a sweep of a few chunks fork as many workers as it asks for,
+    on a host of any CPU count."""
+    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
 
 
 def as_kernel(c):

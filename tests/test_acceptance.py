@@ -174,9 +174,8 @@ def test_exact_cancellation_with_perfect_csit():
     _timed_verdict(name, 1.0, checks.cancellation, 707, 1000)
 
 
-def test_sweeps_are_byte_identical_across_runs_and_workers(tmp_path, monkeypatch):
-    # Let a sweep this small use the pool, so both paths are compared.
-    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
+def test_sweeps_are_byte_identical_across_runs_and_workers(tmp_path, small_pool):
+    # 3,100 draws are four chunks, so two and three workers each get some.
     topo, csit = reference_instance()
 
     def run(workers: int, name: str) -> bytes:
@@ -185,21 +184,22 @@ def test_sweeps_are_byte_identical_across_runs_and_workers(tmp_path, monkeypatch
             csit=csit,
             schemes=("apzf", "naive_zf"),
             snr_db=(40.0, 50.0, 60.0),
-            draws=10,
+            draws=3100,
             seed=5,
             workers=workers,
         )
+        assert harness._pool_size(cfg) == workers
         path = tmp_path / name
         write_csv(sweep(cfg), path)
         return path.read_bytes()
 
     first = run(1, "a.csv")
     repeat = run(1, "b.csv")
-    parallel = run(2, "c.csv")
-    ok = first == repeat == parallel
+    parallel = [run(w, f"{w}.csv") for w in (2, 3)]
+    ok = first == repeat == parallel[0] == parallel[1]
     _verdict(
         "sweeps byte-identical across runs and worker counts",
         ok,
         f"{len(first)} bytes, repeat match {first == repeat}, "
-        f"worker match {first == parallel}",
+        f"worker match {[first == p for p in parallel]}",
     )

@@ -211,15 +211,17 @@ def test_sweep_out_that_is_a_directory_or_holds_a_nul_is_config_error(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "d", "x.json"]
 
 
-def test_domain_error_in_a_pool_worker_is_domain_error(config_path, tmp_path, monkeypatch, capsys):
+def test_domain_error_in_a_pool_worker_is_domain_error(tmp_path, small_pool, monkeypatch, capsys):
     # The worker's exception reaches the parent pickled; it must arrive
     # as itself, not as a broken pool.
     def out_of_range(*args, **kwargs):
         raise GammaOutOfRange(0, 1, 1.5)
 
-    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(_SMALL_CONFIG, draws=3100)), encoding="utf-8")
+    assert harness._pool_size(dataclasses.replace(harness.load_config(config_path), workers=2)) == 2
     monkeypatch.setattr(harness, "_build_pass", out_of_range)
-    argv = ["sweep", "--config", config_path, "--out", str(tmp_path / "x.csv"), "--workers", "2"]
+    argv = ["sweep", "--config", str(config_path), "--out", str(tmp_path / "x.csv"), "--workers", "2"]
     assert main(argv) == EXIT_DOMAIN
     assert capsys.readouterr().err == "unsupported configuration: gamma[0,1] = 1.5 outside [0, 1]\n"
 

@@ -319,18 +319,24 @@ def test_sweep_single_point_window_gives_none_slope():
     assert len(curve.points["apzf"]) == 1
 
 
-def test_sweep_worker_count_does_not_change_results(tmp_path, monkeypatch):
-    # Let a sweep this small use the pool, so both paths are compared.  Two
-    # and three workers cut the 5-point grid into uneven slices (2 + 3 and
-    # 1 + 2 + 2 points).
-    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
+def test_sweep_worker_count_does_not_change_results(tmp_path, small_pool):
+    # 3,100 draws are four chunks, the last of 28 draws: two workers take
+    # 2 + 2 chunks and three 1 + 1 + 2, so ranges start off a 4,096-draw
+    # block boundary and end short of a chunk.
     grid = (40.0, 45.0, 50.0, 55.0, 60.0)
-    curves = {w: sweep(_config(snr_db=grid, draws=15, seed=11, workers=w)) for w in (1, 2, 3)}
-    for w, curve in curves.items():
-        assert curve.points == curves[1].points
-        write_csv(curve, tmp_path / f"{w}.csv")
+    configs = {w: _config(snr_db=grid, draws=3100, seed=11, workers=w) for w in (1, 2, 3)}
+    curves = {}
+    for w, cfg in configs.items():
+        assert harness._pool_size(cfg) == w
+        curves[w] = sweep(cfg)
+        assert curves[w].points == curves[1].points
+        write_csv(curves[w], tmp_path / f"{w}.csv")
     assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
     assert (tmp_path / "3.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+    # simulate_snr uses the pool too, and on one point it still cuts the draws.
+    one_point = dataclasses.replace(configs[3], snr_db=(grid[3],))
+    assert harness._pool_size(one_point) == 3
+    assert simulate_snr(configs[3], grid[3]) == {s: pts[3] for s, pts in curves[1].points.items()}
 
 
 def test_a_point_does_not_depend_on_its_grid():
@@ -526,15 +532,33 @@ def test_sweep_plans_once(monkeypatch):
     assert calls == {"canonicalize": 1, "plan_layout": len(schemes)}
 
 
-def test_pool_size_needs_enough_draws_per_worker(monkeypatch):
-    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 100)
-    # 3 points x 20 draws: too few for a second worker.
-    assert harness._pool_size(_config(workers=2)) == 1
-    # 3 x 70 = 210 draws: two workers get 100 each, a third would not.
-    assert harness._pool_size(_config(draws=70, workers=4)) == 2
-    # Never more workers than SNR points, nor than configured.
-    assert harness._pool_size(_config(draws=1000, workers=8)) == 3
-    assert harness._pool_size(_config(draws=1000, workers=1)) == 1
+def test_pool_size_needs_enough_draws_per_worker(small_pool, monkeypatch):
+    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 3000)
+    # 3 points x 1,000 draws: too few point-draws for a second worker.
+    assert harness._pool_size(_config(draws=1000, workers=2)) == 1
+    # 3 x 2,100 = 6,300 point-draws in three chunks: two workers get
+    # 3,000 each, a third would not.
+    assert harness._pool_size(_config(draws=2100, workers=4)) == 2
+    # Never more workers than chunks (each takes whole chunks), whatever
+    # the grid; nor than configured.
+    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
+    assert harness._pool_size(_config(draws=2049, workers=8)) == 3
+    many = tuple(float(s) for s in range(0, 100, 2))
+    assert harness._pool_size(_config(snr_db=many, draws=_CHUNK_DRAWS, workers=8)) == 1
+    assert harness._pool_size(_config(draws=10**5, workers=1)) == 1
+
+
+def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
+    # Only _pool_size runs here: nothing forks.
+    cfg = _config(draws=10**6, workers=500)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert harness._pool_size(cfg) == 2
+    # Where the platform has no affinity mask, the CPU count caps it.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert harness._pool_size(cfg) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._pool_size(cfg) == 1
 
 
 def test_small_sweep_forks_no_workers(monkeypatch):
