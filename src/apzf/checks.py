@@ -24,7 +24,7 @@ from .precoders import apzf
 from .topology import CsitQuality, Topology, canonicalize, dyadic_instance
 
 __all__ = ["cancellation", "closed_form_identity", "coefficient_exponents", "determinism",
-           "layout_totals"]
+           "layout_totals", "received_exponents"]
 
 
 def _complex(x: np.ndarray) -> np.ndarray:
@@ -94,6 +94,48 @@ def coefficient_exponents(rng, n_topologies, draws):
                 slope = fit_exponent(list(zip(grid, np.exp(acc[:, tgt, k]))))
                 worst = max(worst, abs(slope - expected))
     return worst < 0.05, f"{n_topologies} topologies, worst |fit - exponent| = {worst:.4f}"
+
+
+def received_exponents(rng, n_topologies, draws):
+    """The fitted received-power exponents of AP-ZF's private vectors: at
+    the intended receiver within 0.1 of
+    ``tau - 1 + max_k (gamma[target, k] - (gamma[victim, k] - gamma[victim, 1-k])+)``,
+    and at the other (victim) receiver at most 0.1 above the leakage bound
+    ``tau - 1 + min gamma[victim] - min alpha[victim]``."""
+    grid = np.logspace(4, 8, 5)
+    worst_intended = 0.0
+    worst_excess = -np.inf
+    for _ in range(n_topologies):
+        gamma = 0.3 + 0.7 * rng.random((2, 2))
+        topo = Topology(gamma)
+        a1 = np.empty((2, 2))
+        for row in (0, 1):
+            a1[row, :] = rng.uniform(0.0, gamma[row].min())
+        csit = CsitQuality(np.stack([a1, np.zeros((2, 2))]))
+        tau = 0.5 + 0.5 * rng.random()
+        acc = np.zeros((len(grid), 2, 2))  # mean log received power, [P, target, rx]
+        for ip, p in enumerate(grid):
+            z = rng.standard_normal((draws, NORMALS_PER_DRAW))
+            h = sample_channel(topo, p, z)
+            h_hat = sample_csit(h, topo, csit, p, z, tx=0)
+            for tgt in (0, 1):
+                t = _complex(apzf(h_hat, tgt, tau, topo, p))
+                acc[ip, tgt] = np.log(np.abs((_complex(h) @ t[..., None])[..., 0]) ** 2).mean(axis=0)
+        for tgt in (0, 1):
+            victim = 1 - tgt
+            expected = tau - 1.0 + max(
+                gamma[tgt, k] - max(float(gamma[victim, k] - gamma[victim, 1 - k]), 0.0)
+                for k in (0, 1)
+            )
+            fit_int = fit_exponent(list(zip(grid, np.exp(acc[:, tgt, tgt]))))
+            worst_intended = max(worst_intended, abs(fit_int - expected))
+            bound = tau - 1.0 + gamma[victim].min() - a1[victim].min()
+            fit_itf = fit_exponent(list(zip(grid, np.exp(acc[:, tgt, victim]))))
+            worst_excess = max(worst_excess, fit_itf - bound)
+    return worst_intended < 0.1 and worst_excess < 0.1, (
+        f"{n_topologies} topologies, worst intended |fit - formula| = {worst_intended:.4f}, "
+        f"worst interference fit - bound = {worst_excess:.4f}"
+    )
 
 
 def determinism(config):

@@ -185,6 +185,8 @@ def _cmd_validate(args) -> int:
          lambda: checks.cancellation(np.random.default_rng([seed, 3]), 1000)),
         ("AP-ZF coefficient power exponents",
          lambda: checks.coefficient_exponents(np.random.default_rng([seed, 4]), 3, 1500)),
+        ("AP-ZF received power exponents",
+         lambda: checks.received_exponents(np.random.default_rng([seed, 5]), 3, 1500)),
     ]
     if args.config:
         config = load_config(args.config)

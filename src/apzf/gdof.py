@@ -19,9 +19,11 @@ code paths independent for testing.
 ``scheme_layout`` turns a canonical instance into the power/rate split
 of the layered superposition scheme that achieves the closed form.
 
-All four read their input arrays once and work on Python floats through
-the list helpers of ``apzf.topology``, with no numpy ufunc and no
-intermediate ``Topology``, ``CsitQuality`` or ``CanonicalForm``.
+All four work on Python floats through the list helpers of
+``apzf.topology``, with no numpy ufunc and no intermediate ``Topology``
+or ``CsitQuality``.  The first three read their input arrays once;
+``scheme_layout`` reads the float lists that ``CanonicalForm`` holds, so
+``scheme_layout(canonicalize(...))`` makes no array at all.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .topology import (
     Topology,
     _canonical,
     _checked,
+    _domain,
     _effective,
-    _range_violations,
 )
 
 __all__ = [
@@ -123,7 +125,10 @@ def centralized_gdof(topology: Topology, alpha) -> GdofValue:
     if alpha.shape != (2, 2):
         raise ValueError(f"alpha must be 2x2, got shape {alpha.shape}")
     g, al = topology.gamma.tolist(), alpha.tolist()
-    violations = _range_violations(g, [al], (-1,))
+    # Both TXs hold the one alpha.  It dominates itself unless an entry is
+    # NaN, which fails its range check first, so the first violation is
+    # always one of the range ones.
+    violations = _domain(g, [al, al], (-1, -1))[1]
     if violations:
         raise violations[0]
     return _centralized(g, al)
@@ -157,7 +162,7 @@ def genie_outer_bound(topology: Topology, csit: CsitQuality) -> GdofValue:
     no code with ``distributed_gdof`` beyond input validation and the
     effective exponents.  Validated alphas give an alpha_max in range.
     """
-    g, a = _checked(topology, csit)
+    g, a, _ = _checked(topology, csit)
     return _centralized(g, _effective(a)[0])
 
 
@@ -204,5 +209,5 @@ def scheme_layout(canonical: CanonicalForm) -> SchemeLayout:
 
     The total of the rate exponents equals the corresponding GDoF value.
     """
-    ap1, ap2 = _effective(canonical.csit.alpha.tolist())[1]
-    return _case_layout(canonical.topology.gamma.tolist(), ap1, ap2)
+    ap1, ap2 = _effective(canonical.alpha)[1]
+    return _case_layout(canonical.gamma, ap1, ap2)

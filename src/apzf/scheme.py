@@ -37,7 +37,13 @@ Scheme kinds differ in how the private vectors are produced, and only
 
 * ``apzf``             active-passive ZF from the active TX's estimate,
 * ``centralized_zf``   regularized ZF from the active TX's estimate used
-                       as if it were shared by both TXs,
+                       as if it were shared by both TXs; not the genie
+                       scheme of the centralized closed form, since its
+                       ZF vector is normalised as a whole, with no
+                       pathloss-scaled passive coefficient like AP-ZF's,
+                       so its slope can fall short of
+                       ``gdof.genie_outer_bound`` (``perfbench``'s gate
+                       holds it to that form on two instances only),
 * ``naive_zf``         per-TX regularized ZF from local estimates, and
                        the worst-transmitter layout (a TX that adapts
                        with quality it does not have only injects
@@ -57,7 +63,7 @@ import numpy as np
 from .channel import _per_point
 from .gdof import SchemeLayout, scheme_layout
 from .precoders import _abs2, _naive, _normalised, _zf_direction, apzf, matched, multicast
-from .topology import CanonicalForm, CsitQuality
+from .topology import CanonicalForm
 
 __all__ = [
     "SchemeKind",
@@ -101,8 +107,8 @@ def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
     """
     kind = SchemeKind(scheme_kind)
     if kind is SchemeKind.NAIVE_ZF:
-        worst = np.minimum(*canonical.csit.alpha)
-        canonical = dataclasses.replace(canonical, csit=CsitQuality(np.stack([worst, worst])))
+        worst = np.minimum(*canonical.alpha).tolist()
+        canonical = dataclasses.replace(canonical, alpha=[worst, worst])
     return scheme_layout(canonical)
 
 

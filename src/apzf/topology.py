@@ -15,15 +15,23 @@ Everything downstream (closed forms, layered schemes) assumes exponents in
 (``alpha <= gamma`` entrywise), and one transmitter whose quality matrix
 dominates the other's entrywise.  ``validate`` checks exactly these
 conditions, ``canonicalize`` relabels the network into the orientation the
-closed forms are written for.  Both wrap list helpers (``_checked``,
-``_canonical``) that work on Python floats read once from each array;
-the closed forms call them directly, and reduce alpha to its effective
+closed forms are written for.
+
+Both work on Python floats read once from each array.  The conditions
+are one rule, ``_domain``, which decides an instance from its unpacked
+floats in one function body and builds error objects only when a check
+fails; ``validate``, ``_checked`` and ``gdof.centralized_gdof`` all go
+through it.  ``_canonical`` relabels ``_checked``'s lists, and
+``canonicalize`` wraps its result in a ``CanonicalForm`` that holds the
+lists and makes arrays from them only when they are read.  The closed
+forms call these helpers directly, and reduce alpha to its effective
 exponents with ``_effective`` on the same lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,16 +135,28 @@ class CsitQuality:
 class CanonicalForm:
     """A relabelled instance with the strongest link moved to gamma[0, 0].
 
-    ``rx_swap`` / ``tx_swap`` record the relabelling that was applied.
-    ``active_tx`` is the index (after relabelling) of the transmitter whose
-    quality matrix dominates; it carries the interference-cancelling role.
+    ``gamma`` (2x2) and ``alpha`` (2x2x2) are the relabelled exponents as
+    nested float lists, which the closed forms read directly.
+    ``topology`` and ``csit`` hold the same exponents as arrays; each is
+    made on its first read and kept.  ``rx_swap`` / ``tx_swap`` record
+    the relabelling that was applied.  ``active_tx`` is the index (after
+    relabelling) of the transmitter whose quality matrix dominates; it
+    carries the interference-cancelling role.
     """
 
-    topology: Topology
-    csit: CsitQuality
+    gamma: list
+    alpha: list
     rx_swap: bool
     tx_swap: bool
     active_tx: int
+
+    @cached_property
+    def topology(self) -> Topology:
+        return Topology(self.gamma)
+
+    @cached_property
+    def csit(self) -> CsitQuality:
+        return CsitQuality(self.alpha)
 
 
 @dataclass
@@ -152,52 +172,43 @@ class ValidationReport:
             raise self.violations[0]
 
 
-def _dominates(x: list, y: list) -> bool:
-    """Whether the 2x2 float list ``x`` is >= ``y`` in every entry."""
-    (x00, x01), (x10, x11) = x
-    (y00, y01), (y10, y11) = y
-    return x00 >= y00 and x01 >= y01 and x10 >= y10 and x11 >= y11
-
-
-def _in_range(x: list, hi: list) -> tuple:
-    """Per entry of the 2x2 float list ``x``, row-major: 0 <= x <= ``hi``."""
-    (x00, x01), (x10, x11) = x
-    (h00, h01), (h10, h11) = hi
-    return 0.0 <= x00 <= h00, 0.0 <= x01 <= h01, 0.0 <= x10 <= h10, 0.0 <= x11 <= h11
-
-
-_UNIT = [[1.0, 1.0], [1.0, 1.0]]
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _range_violations(g: list, alphas: list, tx_ests: tuple) -> list:
-    """Range violations of 2x2 float lists, in ``validate``'s order.
+def _domain(g: list, a: list, tx_est: tuple = (0, 1)) -> tuple:
+    """The domain rule on float lists: ``(dominance, violations)``.
 
-    ``g`` is gamma; each of ``alphas`` is checked against ``g`` and its
-    errors carry the matching ``tx_ests`` entry.  Gamma entries come
-    first, then each alpha in turn, row-major within a matrix.  Input in
-    range returns before any error is built.
+    ``g`` is gamma (2x2) and ``a`` the two TXs' alphas (2x2x2); errors
+    about ``a[j]`` carry ``tx_est[j]``.  ``dominance[j]`` is whether
+    ``a[j]`` is >= the other alpha in every entry.  ``violations`` is in
+    ``validate``'s order: gamma entries outside [0, 1], then each alpha's
+    entries outside [0, gamma], row-major within a matrix, then
+    ``NoDominantTransmitter`` if neither alpha dominates.  An instance in
+    the domain returns before any error is built.
     """
-    flags = _in_range(g, _UNIT)
-    for a in alphas:
-        flags += _in_range(a, g)
-    if all(flags):
-        return []
+    (g00, g01), (g10, g11) = g
+    (x00, x01), (x10, x11) = a[0]
+    (y00, y01), (y10, y11) = a[1]
+    fine = (
+        0.0 <= g00 <= 1.0, 0.0 <= g01 <= 1.0, 0.0 <= g10 <= 1.0, 0.0 <= g11 <= 1.0,
+        0.0 <= x00 <= g00, 0.0 <= x01 <= g01, 0.0 <= x10 <= g10, 0.0 <= x11 <= g11,
+        0.0 <= y00 <= g00, 0.0 <= y01 <= g01, 0.0 <= y10 <= g10, 0.0 <= y11 <= g11,
+    )
+    dominance = (
+        x00 >= y00 and x01 >= y01 and x10 >= y10 and x11 >= y11,
+        y00 >= x00 and y01 >= x01 and y10 >= x10 and y11 >= x11,
+    )
+    if False not in fine and True in dominance:
+        return dominance, []
     # Each entry's error, in the order of the flags; keep the failed ones.
-    gs = g[0] + g[1]
+    gs = (g00, g01, g10, g11)
     errors = [GammaOutOfRange(i, k, v) for (i, k), v in zip(_ENTRIES, gs)]
-    for j, a in zip(tx_ests, alphas):
-        errors += [AlphaOutOfRange(j, *ik, v, hi) for ik, v, hi in zip(_ENTRIES, a[0] + a[1], gs)]
-    return [error for error, fine in zip(errors, flags) if not fine]
-
-
-def _violations(topology: Topology, csit: CsitQuality) -> tuple:
-    """Gamma and alpha as float lists, and every domain violation of them."""
-    g, a = topology.gamma.tolist(), csit.alpha.tolist()
-    violations = _range_violations(g, a, (0, 1))
-    if not (_dominates(a[0], a[1]) or _dominates(a[1], a[0])):
+    for j, (r0, r1) in zip(tx_est, a):
+        errors += [AlphaOutOfRange(j, i, k, v, hi) for (i, k), v, hi in zip(_ENTRIES, r0 + r1, gs)]
+    violations = [error for error, ok in zip(errors, fine) if not ok]
+    if True not in dominance:
         violations.append(NoDominantTransmitter())
-    return g, a, violations
+    return dominance, violations
 
 
 def validate(topology: Topology, csit: CsitQuality) -> ValidationReport:
@@ -206,15 +217,17 @@ def validate(topology: Topology, csit: CsitQuality) -> ValidationReport:
     Checks, in order: gamma entries in [0, 1]; alpha entries in
     [0, gamma] for their link; existence of an entrywise dominant TX.
     """
-    return ValidationReport(_violations(topology, csit)[2])
+    return ValidationReport(_domain(topology.gamma.tolist(), csit.alpha.tolist())[1])
 
 
 def _checked(topology: Topology, csit: CsitQuality) -> tuple:
-    """Gamma and alpha as float lists; raises ``validate``'s first violation."""
-    g, a, violations = _violations(topology, csit)
+    """Gamma and alpha as float lists, and ``_domain``'s dominance flags;
+    raises ``validate``'s first violation."""
+    g, a = topology.gamma.tolist(), csit.alpha.tolist()
+    dominance, violations = _domain(g, a)
     if violations:
         raise violations[0]
-    return g, a
+    return g, a, dominance
 
 
 # Candidate relabellings, tried in order; first hit wins so that the
@@ -228,14 +241,14 @@ def _flip(x: list, rows: bool, cols: bool) -> list:
     return [r0[::-1], r1[::-1]] if cols else [r0, r1]
 
 
-def _canonical(g: list, a: list) -> tuple:
-    """``canonicalize`` on validated float lists: ``(g, a, rx_swap, tx_swap, active_tx)``."""
+def _canonical(g: list, a: list, dominance: tuple) -> tuple:
+    """``canonicalize`` on ``_checked``'s output: ``(g, a, rx_swap, tx_swap, active_tx)``."""
     (g00, g01), (g10, g11) = g
     # Relabelling n moves the n-th of these to the corner; the first largest wins.
     rx_swap, tx_swap = _RELABELLINGS[[g00, g10, g01, g11].index(max(g00, g01, g10, g11))]
     # Both alphas get the same row and column flips, so dominance after
     # the relabelling is dominance of the TX that lands at index 0.
-    active_tx = 0 if _dominates(a[tx_swap], a[not tx_swap]) else 1
+    active_tx = 0 if dominance[tx_swap] else 1
     if rx_swap or tx_swap:
         g = _flip(g, rx_swap, tx_swap)
         a = [_flip(a[tx_swap], rx_swap, tx_swap), _flip(a[not tx_swap], rx_swap, tx_swap)]
@@ -251,13 +264,7 @@ def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:
     index; the result's ``active_tx`` says where.  Raises the first
     validation error if the input is outside the supported domain.
     """
-    g, a, rx_swap, tx_swap, active_tx = _canonical(*_checked(topology, csit))
-    return CanonicalForm(Topology(g), CsitQuality(a), rx_swap, tx_swap, active_tx)
-
-
-def _max(x: float, y: float) -> float:
-    """``numpy.maximum`` of two floats: ``y`` on a tie, NaN if either is."""
-    return x if x > y or x != x else y
+    return CanonicalForm(*_canonical(*_checked(topology, csit)))
 
 
 def _effective(a: list) -> tuple:
@@ -265,13 +272,19 @@ def _effective(a: list) -> tuple:
     quality about each link over the TXs, and its min over each RX's row.
 
     Ties and NaNs go as in ``numpy.maximum`` and ``numpy.minimum``: a tie
-    gives the second operand, which decides between -0.0 and 0.0.
+    gives the second operand, which decides between -0.0 and 0.0, and a
+    NaN operand gives NaN.
     """
     (x00, x01), (x10, x11) = a[0]
     (y00, y01), (y10, y11) = a[1]
-    m00, m01, m10, m11 = _max(x00, y00), _max(x01, y01), _max(x10, y10), _max(x11, y11)
-    # numpy.minimum(x, y) is -numpy.maximum(-x, -y), signed zeros included.
-    return [[m00, m01], [m10, m11]], [-_max(-m00, -m01), -_max(-m10, -m11)]
+    m00 = x00 if x00 > y00 or x00 != x00 else y00
+    m01 = x01 if x01 > y01 or x01 != x01 else y01
+    m10 = x10 if x10 > y10 or x10 != x10 else y10
+    m11 = x11 if x11 > y11 or x11 != x11 else y11
+    return [[m00, m01], [m10, m11]], [
+        m00 if m00 < m01 or m00 != m00 else m01,
+        m10 if m10 < m11 or m10 != m10 else m11,
+    ]
 
 
 def dyadic_instance(rng: np.random.Generator, grid: int = 1024):

@@ -19,23 +19,15 @@ import time
 import numpy as np
 
 from apzf import (
-    NORMALS_PER_DRAW,
     CsitQuality,
     SweepConfig,
-    Topology,
-    apzf,
     distributed_gdof,
-    fit_exponent,
-    sample_channel,
-    sample_csit,
     sweep,
     write_csv,
 )
 import apzf.checks as checks
 import apzf.harness as harness
-from conftest import as_complex, reference_instance
-
-P_GRID = np.logspace(4, 8, 5)
+from conftest import reference_instance
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -124,49 +116,8 @@ def test_pair_coefficient_power_exponents():
 
 
 def test_received_power_exponents():
-    rng = np.random.default_rng(601)
-    t0 = time.perf_counter()
-    draws = 1500
-    worst_intended = 0.0
-    worst_excess = -np.inf
-    for _ in range(10):
-        gamma = 0.3 + 0.7 * rng.random((2, 2))
-        topo = Topology(gamma)
-        a1 = np.empty((2, 2))
-        for row in (0, 1):
-            a1[row, :] = rng.uniform(0.0, gamma[row].min())
-        csit = CsitQuality(np.stack([a1, np.zeros((2, 2))]))
-        tau = 0.5 + 0.5 * rng.random()
-        acc_int = np.zeros((len(P_GRID), 2))
-        acc_itf = np.zeros((len(P_GRID), 2))
-        for ip, p in enumerate(P_GRID):
-            z = rng.standard_normal((draws, NORMALS_PER_DRAW))
-            h = sample_channel(topo, p, z)
-            h_hat = sample_csit(h, topo, csit, p, z)
-            for tgt in (0, 1):
-                t = as_complex(apzf(h_hat[:, 0], tgt, tau, topo, p))
-                received = np.log(np.abs((as_complex(h) @ t[..., None])[..., 0]) ** 2).mean(axis=0)
-                acc_int[ip, tgt] = received[tgt]
-                acc_itf[ip, tgt] = received[1 - tgt]
-        for tgt in (0, 1):
-            victim = 1 - tgt
-            expected = tau - 1.0 + max(
-                gamma[tgt, k] - max(float(gamma[victim, k] - gamma[victim, 1 - k]), 0.0)
-                for k in (0, 1)
-            )
-            fit_int = fit_exponent(list(zip(P_GRID, np.exp(acc_int[:, tgt]))))
-            worst_intended = max(worst_intended, abs(fit_int - expected))
-            bound = tau - 1.0 + gamma[victim].min() - a1[victim].min()
-            fit_itf = fit_exponent(list(zip(P_GRID, np.exp(acc_itf[:, tgt]))))
-            worst_excess = max(worst_excess, fit_itf - bound)
-    elapsed = time.perf_counter() - t0
-    ok = worst_intended < 0.1 and worst_excess < 0.1 and elapsed < 60.0
-    _verdict(
-        "received power exponents",
-        ok,
-        f"10 topologies, worst intended |fit - formula| = {worst_intended:.4f}, "
-        f"worst interference fit - bound = {worst_excess:.4f}, {elapsed:.0f}s",
-    )
+    name = "received power exponents"
+    _timed_verdict(name, 60.0, checks.received_exponents, 601, 10, 1500)
 
 
 def test_exact_cancellation_with_perfect_csit():

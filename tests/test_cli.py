@@ -472,14 +472,14 @@ def test_negative_seed_is_usage_error(command, config_path, capsys):
 def test_validate_all_checks_pass(capsys):
     assert main(["validate"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all(l.startswith("PASS") for l in lines)
 
 
 def test_validate_with_config_adds_determinism_check(config_path, capsys):
     assert main(["validate", "--config", config_path]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert lines[-1].startswith("PASS  deterministic re-simulation: 2 schemes")
 
 
@@ -498,7 +498,7 @@ def test_failed_check_exits_one_and_the_rest_still_run(monkeypatch, capsys):
     monkeypatch.setattr(checks, "layout_totals", lambda rng, n: (False, "forced"))
     assert main(["validate"]) == EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[1] == "FAIL  layout rate total == closed form: forced"
     assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
 

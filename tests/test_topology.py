@@ -10,6 +10,7 @@ from apzf import (
     AlphaOutOfRange,
     ConfigError,
     CsitQuality,
+    centralized_gdof,
     GammaOutOfRange,
     InsufficientPoints,
     NoDominantTransmitter,
@@ -21,7 +22,11 @@ from apzf import (
     genie_outer_bound,
     validate,
 )
-from apzf.topology import _effective, dyadic_instance
+import apzf.gdof as gdof_module
+import apzf.topology as topology_module
+from apzf.gdof import scheme_layout
+from apzf.topology import _RELABELLINGS, _canonical, _checked, _effective, dyadic_instance
+from test_signed_zero_pins import INSTANCE_SETS as SIGNED_ZERO_SETS
 
 
 def test_topology_shape_checked():
@@ -300,3 +305,131 @@ def test_effective_alphas_are_numpys_maximum_then_minimum(values):
     expected = np.maximum(alpha[0], alpha[1])
     assert alpha_max.tobytes() == expected.tobytes()
     assert alpha_prime.tobytes() == np.minimum(expected[:, 0], expected[:, 1]).tobytes()
+
+
+def _relabelling_instances():
+    """An instance for each of the four relabellings, with either TX dominant."""
+    for gamma in (
+        [[1.0, 0.5], [0.25, 0.75]],
+        [[0.5, 0.25], [1.0, 0.75]],
+        [[0.5, 1.0], [0.25, 0.75]],
+        [[0.5, 0.25], [0.75, 1.0]],
+    ):
+        gamma = np.array(gamma)
+        for pair in ((0.5, 0.25), (0.25, 0.5)):
+            yield Topology(gamma), CsitQuality(np.stack([gamma * q for q in pair]))
+
+
+def test_canonical_arrays_are_the_canonical_lists_as_arrays():
+    relabelled = [canonicalize(*instance) for instance in _relabelling_instances()]
+    assert {(c.rx_swap, c.tx_swap) for c in relabelled} == set(_RELABELLINGS)
+    makers = [_relabelling_instances, *SIGNED_ZERO_SETS.values()]
+    for topo, csit in (instance for make in makers for instance in make()):
+        canon = canonicalize(topo, csit)
+        g, a, *_ = _canonical(*_checked(topo, csit))
+        assert canon.topology.gamma.tobytes() == np.asarray(g).tobytes()
+        assert canon.csit.alpha.tobytes() == np.asarray(a).tobytes()
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called")
+
+
+def test_closed_forms_build_no_topology_csit_or_array(monkeypatch):
+    instances = list(_relabelling_instances())
+    made = []
+    for cls in (Topology, CsitQuality):
+        post_init = cls.__post_init__
+
+        def counted(self, post_init=post_init):
+            made.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for module in (topology_module, gdof_module):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    for topo, csit in instances:
+        canon = canonicalize(topo, csit)
+        scheme_layout(canon)
+        distributed_gdof(topo, csit)
+        genie_outer_bound(topo, csit)
+    assert made == []
+    # The counter sees the arrays once they are read, and only the first time.
+    for module in (topology_module, gdof_module):
+        monkeypatch.setattr(module, "np", np)
+    for _ in range(2):
+        canon.topology, canon.csit
+    assert made == ["Topology", "CsitQuality"]
+
+
+_RULE_VALUES = _IN_RANGE + _OUT_OF_RANGE + [0.75, math.nextafter(0.5, 1.0)]
+_ENTRIES = [(i, k) for i in (0, 1) for k in (0, 1)]
+
+
+@st.composite
+def _rule_inputs(draw):
+    """Gamma and both TXs' alphas as nested float lists, on and just past
+    the edges of the domain.  An alpha entry is often its gamma entry, and
+    half the draws start TX 2's alpha as a copy of TX 1's, so entries in
+    [0, gamma] and dominance ties are both common."""
+    value = st.sampled_from(_RULE_VALUES) | st.floats(-0.5, 1.5)
+    gamma = [[draw(value), draw(value)], [draw(value), draw(value)]]
+
+    def alpha_entry(i, k):
+        v = draw(st.none() | value)
+        return gamma[i][k] if v is None else v
+
+    a0 = [[alpha_entry(i, 0), alpha_entry(i, 1)] for i in (0, 1)]
+    if draw(st.booleans()):
+        a1 = [row[:] for row in a0]
+        for _ in range(draw(st.integers(0, 2))):
+            i, k = draw(st.sampled_from(_ENTRIES))
+            a1[i][k] = draw(value)
+    else:
+        a1 = [[alpha_entry(i, 0), alpha_entry(i, 1)] for i in (0, 1)]
+    return gamma, [a0, a1]
+
+
+def _reference_range_violations(gamma, alphas, tx_ests):
+    """Range violations, one entry and one comparison at a time."""
+    found = []
+    for i, k in _ENTRIES:
+        if not (0.0 <= gamma[i][k] and gamma[i][k] <= 1.0):
+            found.append(GammaOutOfRange(i, k, gamma[i][k]))
+    for j, alpha in zip(tx_ests, alphas):
+        for i, k in _ENTRIES:
+            if not (0.0 <= alpha[i][k] and alpha[i][k] <= gamma[i][k]):
+                found.append(AlphaOutOfRange(j, i, k, alpha[i][k], gamma[i][k]))
+    return found
+
+
+def _reference_dominates(x, y):
+    return all(x[i][k] >= y[i][k] for i, k in _ENTRIES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(instance=_rule_inputs())
+def test_domain_rule_matches_per_entry_reference(instance):
+    gamma, (a0, a1) = instance
+    topo, csit = Topology(np.array(gamma)), CsitQuality(np.array([a0, a1]))
+    dominance = (_reference_dominates(a0, a1), _reference_dominates(a1, a0))
+    expected = _reference_range_violations(gamma, [a0, a1], (0, 1))
+    if dominance == (False, False):
+        expected.append(NoDominantTransmitter())
+    got = validate(topo, csit).violations
+    assert [_error_key(e) for e in got] == [_error_key(e) for e in expected]
+    if expected:
+        with pytest.raises(ValidationError) as info:
+            _checked(topo, csit)
+        assert _error_key(info.value) == _error_key(expected[0])
+    else:
+        assert _checked(topo, csit)[2] == dominance
+    # The centralized form checks gamma and its one alpha, with tx_est -1.
+    shared = _reference_range_violations(gamma, [a0], (-1,))
+    if shared:
+        with pytest.raises(ValidationError) as info:
+            centralized_gdof(topo, np.array(a0))
+        assert _error_key(info.value) == _error_key(shared[0])
+    else:
+        centralized_gdof(topo, np.array(a0))
