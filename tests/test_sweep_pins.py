@@ -1,4 +1,4 @@
-"""The benchmark's two sweeps, pinned to the byte.
+"""The benchmark's two sweeps, and their instances relabelled, pinned to the byte.
 
 ``apzf sweep`` runs through ``cli.main`` on the frozen ``sweep-ref`` and
 ``sweep-z1-pool`` configs of ``perfbench/workloads.py`` (copied here),
@@ -7,6 +7,13 @@ sweeps, these grids hold 9,000 and 10,000 point-draws, so they pin the
 numbers of the kernel's largest passes: how a block's points are cut
 into passes must never change a byte of the CSV or of the JSON summary
 (back-off fractions included).
+
+The same two instances with their TXs' alphas swapped have canonical
+``active_tx`` 1, and at 4,097 draws they run in two blocks.  The first
+block's five points run in passes of 1, 2 and 2 points, so both the
+float-P and the column paths build the active TX's estimate and
+directions; on the reference instance both ZF baselines send private
+pairs from shared directions, and on the z1 instance z1 is live.
 """
 
 import hashlib
@@ -14,7 +21,7 @@ import json
 
 import pytest
 
-from apzf import cli
+from apzf import CsitQuality, Topology, canonicalize, cli
 
 SEED = 23
 
@@ -52,13 +59,55 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_benchmark_sweep_bytes(tmp_path, capsys, name):
+_SWAPPED_GRID = {
+    "schemes": ["apzf", "centralized_zf", "naive_zf", "no_csit"],
+    "snr_db": [20.0, 30.0, 40.0, 50.0, 60.0],
+    "draws": 4097,
+    "window_db": [40.0, 60.0],
+    "workers": 1,
+}
+
+SWAPPED = {
+    "ref-alphas-swapped": dict(
+        _SWAPPED_GRID,
+        gamma=[[1.0, 0.8], [0.8, 1.0]],
+        alpha=[[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]],
+    ),
+    "z1-alphas-swapped": dict(
+        _SWAPPED_GRID,
+        gamma=[[1.0, 0.6], [0.9, 0.5]],
+        alpha=[[[0.2, 0.1], [0.1, 0.0]], [[0.6, 0.4], [0.5, 0.3]]],
+    ),
+}
+
+SWAPPED_DIGESTS = {
+    "ref-alphas-swapped": (
+        "a9567e342954947e7d790dcec46fe49c61e36c5cc0acec2a79566453caebe633",
+        "aa313ce0281ad3e6ba4fae6b9fa36d55ca79be0f501c2be36ca1c5b7ce2cf537",
+    ),
+    "z1-alphas-swapped": (
+        "282f9c8dac608dcda9e80c9c49acdf153647e06257a8fa27ddd6f3640374b347",
+        "bc09f9f107700623423cbf94f4dc7f4619edc4f8eef03c9ff3f256ed33eba515",
+    ),
+}
+
+
+def _sweep_digests(tmp_path, capsys, raw) -> tuple:
+    """sha256 of the CSV and JSON summary of ``apzf sweep`` on ``raw`` at SEED."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(CONFIGS[name], seed=SEED), indent=2) + "\n", encoding="utf-8")
+    config.write_text(json.dumps(dict(raw, seed=SEED), indent=2) + "\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
-    files = (out, out.with_suffix(".json"))
-    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
-    assert digests == DIGESTS[name]
+    return tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, out.with_suffix(".json")))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_benchmark_sweep_bytes(tmp_path, capsys, name):
+    assert _sweep_digests(tmp_path, capsys, CONFIGS[name]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWAPPED))
+def test_alphas_swapped_sweep_bytes(tmp_path, capsys, name):
+    assert canonicalize(Topology(SWAPPED[name]["gamma"]), CsitQuality(SWAPPED[name]["alpha"])).active_tx == 1
+    assert _sweep_digests(tmp_path, capsys, SWAPPED[name]) == SWAPPED_DIGESTS[name]
