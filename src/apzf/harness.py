@@ -69,16 +69,25 @@ _BLOCK_DRAWS = 4 * _CHUNK_DRAWS
 # pass's peak memory grows with its budget.
 _PASS_DRAWS = 10 * _CHUNK_DRAWS
 
-# Fewest point-draws a worker process must get before a sweep forks one.
-# A forked worker costs tens of ms and its own copy of the parent's pages
-# (about 30 MB).  configs/parallel.json's five points and four schemes,
-# one process against two workers, each sweep in a fresh process (2-core
-# Xeon shared with other load, numpy 2.4.6, interleaved pairs): two
-# workers were faster in 5 of 66 pairs at 20,480-102,400 point-draws,
-# 22 of 36 at 122,880, 16 of 26 at 163,840, and 27 of 28 at 204,800 and
-# 307,200.  With apzf alone they were faster in 0 of 20 pairs at 122,880
-# and 204,800, and 18 of 20 at 327,680 and 491,520.
-_POOL_MIN_DRAWS = 60_000
+# Fewest evals (draws x points x schemes) a worker process must get
+# before a sweep forks one.  A forked worker costs tens of ms and its own
+# copy of the parent's pages (about 30 MB), and a draw costs more the
+# more schemes run on it.  configs/parallel.json's five points, one
+# process against two workers, each sweep in a fresh process (2-core
+# Xeon shared with other load, numpy 2.4.6, interleaved pairs): with all
+# four schemes two workers were faster in 5 of 66 pairs at
+# 20,480-102,400 point-draws, 22 of 36 at 122,880, 16 of 26 at 163,840,
+# and 27 of 28 at 204,800 and 307,200, so four schemes fork from 120,000
+# point-draws.  With apzf alone they were faster in 0 of 20 pairs at
+# 122,880 and 204,800, and 18 of 20 at 327,680 and 491,520; one scheme
+# forks from 480,000, later than it would pay but never at a loss.
+_POOL_MIN_EVALS = 240_000
+
+# The most bytes of per-draw sums a sweep may hold: 8 per draw per scheme
+# per SNR point.  The parent peaks at about three times that, while it
+# holds a pool's parts, their join and the deviations of the standard
+# error.  A pass's arrays do not grow with draws (see _PASS_DRAWS).
+_SUMS_BYTES = 2**30
 
 # log2(P) advances by this much per dB of SNR.
 _LOG2P_PER_DB = math.log2(10.0) / 10.0
@@ -158,11 +167,11 @@ class SweepConfig:
         self.workers = _integer("workers", self.workers)
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
-        if self.draws > 2**32:
-            # the parent holds 8 bytes per draw per scheme per SNR point,
-            # 32 GiB each here (twice that while it joins a pool's sums).  A
-            # pass's arrays do not grow with draws (see _PASS_DRAWS).
-            raise ConfigError("draws must be <= 2**32")
+        if self.draws * len(self.snr_db) * len(self.schemes) * 8 > _SUMS_BYTES:
+            raise ConfigError(
+                f"draws x snr_db points x schemes must be <= {_SUMS_BYTES // 8}, "
+                "8 bytes of per-draw sums each"
+            )
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         try:
@@ -278,10 +287,9 @@ def _point_task(args):
     of at most ``_PASS_DRAWS // len(block)`` points (at least one), and
     each group is one pass on a ``(points, 1)`` column of powers, or on the
     float P of a lone point: one ``scheme._build_pass`` over every scheme,
-    which computes each ZF direction of the pass once and makes each
-    estimate as a scheme needs it, and one call per scheme of
-    ``achievable_rates``.  A scheme's layers and mask are let go as soon
-    as they are summed.
+    which makes each TX's estimate and each ZF direction of the pass at
+    most once, and one call per scheme of ``achievable_rates``.  A
+    scheme's layers and mask are let go as soon as they are summed.
     """
     config, draws = args
     canon = canonicalize(config.topology, config.csit)
@@ -320,12 +328,13 @@ def _pool_size(config: SweepConfig) -> int:
 
     At most ``config.workers``, the CPUs this process may use, and one per
     chunk (each worker gets a contiguous range of whole chunks), and no
-    more than give each worker ``_POOL_MIN_DRAWS`` point-draws.
+    more than give each worker ``_POOL_MIN_EVALS`` evals (draws x points
+    x schemes).
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     chunks = -(-config.draws // _CHUNK_DRAWS)
-    total = config.draws * len(config.snr_db)
-    return max(1, min(config.workers, cpus, chunks, total // _POOL_MIN_DRAWS))
+    evals = config.draws * len(config.snr_db) * len(config.schemes)
+    return max(1, min(config.workers, cpus, chunks, evals // _POOL_MIN_EVALS))
 
 
 def closed_forms(config: SweepConfig) -> dict:

@@ -32,7 +32,8 @@ norm; the normalisation step (``_normalised``) rescales ``conj(w)`` to
 norm sqrt(P**tau), negating the imaginary half in place.  The
 centralized vector is ``w`` normalised whole, the naive one entry j of
 TX j's own ``w`` normalised alone (``_naive``).  ``apzf.scheme``
-composes the steps, computing each direction once per pass for both.
+composes the steps from one memo per pass, so each direction is made
+once and normalised for both.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers; estimates made at a column carry a points axis just before the

@@ -16,16 +16,21 @@ with only the other private layer left as noise (``_DECODING``).  Every
 scheme sends ``s0``, with amplitude 0 where no power is left for it, so
 the layers sent depend on the scheme and the layout, never on P.
 
-A sweep pass builds every scheme's layers in one ``_build_pass``, which
-memoises the pass's ZF directions (see ``apzf.precoders``): each (TX
-estimate j, target rx) direction is computed at most once and then
-normalised per scheme, so ``centralized_zf`` and ``naive_zf`` share the
-active TX's two.  It makes each TX's estimate only for the schemes that
-use it, and checks every draw's per-TX power against the budget after
-the back-off.  ``build_layers``, its one-scheme case, is the public way
-to make layers, and ``achievable_rates`` evaluates them; ``_received``
-gives each layer's received power at both receivers, so a private
-layer's residual interference is its power at the other receiver.
+A sweep pass builds every scheme's layers in one ``_build_pass``.  Every
+scheme runs on the pass's draws, so a TX's estimate is one quantity of
+the pass: ``_build_pass`` keeps one memo of estimates and one of ZF
+directions (see ``apzf.precoders``), and makes each TX's estimate and
+each (TX j, target rx) direction at most once, at its first use.  So
+``apzf``, ``centralized_zf`` and ``naive_zf`` share the active TX's
+estimate, and the two ZF baselines share its two directions, which each
+normalises for its own power exponents.  Both memos are cleared once,
+when the last scheme that sends a private or z layer has built its
+layers.  The pass checks every draw's per-TX power against the budget
+after the back-off.  ``build_layers``, its one-scheme case, is the
+public way to make layers, and ``achievable_rates`` evaluates them;
+``_received`` gives each layer's received power at both receivers, so a
+private layer's residual interference is its power at the other
+receiver.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers (see ``apzf.channel``); at a column every layer, mask and rate
@@ -53,7 +58,6 @@ Scheme kinds differ in how the private vectors are produced, and only
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 from enum import Enum
@@ -125,16 +129,6 @@ def _private_pair(canonical, est, tau, kind, p, zf):
     return [_naive([zf(0, rx), zf(1, rx)], tau, p) for rx in (0, 1)]
 
 
-def _zf_uses(kind: SchemeKind, act: int) -> list:
-    """The (TX j, rx) ZF directions that ``_private_pair`` asks ``zf`` for,
-    once each, to build ``kind``'s pair."""
-    if kind is SchemeKind.CENTRALIZED_ZF:
-        return [(act, 0), (act, 1)]
-    if kind is SchemeKind.NAIVE_ZF:
-        return [(0, 0), (1, 0), (0, 1), (1, 1)]
-    return []
-
-
 def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
     """Scale adaptive layers down on draws that overshoot a TX's power budget.
 
@@ -199,31 +193,22 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p):
     only one scheme's layers need be alive at a time.
 
     ``estimate(j)`` makes TX j's estimate, (2, 2, 2, [points,] draws) as
-    ``h_hat[:, j]``.  A scheme makes the estimates it uses, once each, and
-    drops them when its layers are built, so the passive TX's is made
-    only if ``naive_zf`` sends a private pair, and no estimate is alive
-    while a scheme's layers are evaluated.  The pass's ZF directions are
-    memoised: each (TX j, target rx) direction is computed at most once,
-    so ``centralized_zf`` and ``naive_zf`` share the active TX's two, and
-    is dropped after the last of its uses (``_zf_uses``).  They are
-    normalised per scheme, since the schemes' power exponents may differ.
+    ``h_hat[:, j]``.  ``est`` and ``zf`` memoise the pass's estimates and
+    its (TX j, target rx) ZF directions, so each is made at most once, at
+    its first use; the passive TX's estimate is made only if ``naive_zf``
+    sends a private pair.  Both are cleared once, right after the last
+    scheme that sends a private or z layer (or else the first scheme) has
+    built its layers, before they are yielded.  Directions are normalised
+    per scheme, since the schemes' power exponents may differ.
     """
     plans = [(SchemeKind(s), layout) for s, layout in layouts.items()]
     plans = [(kind, layout, _bands(kind, layout)) for kind, layout in plans]
+    last = max((i for i, (_, _, bands) in enumerate(plans) if bands), default=0)
     act = canonical.active_tx
     est = functools.cache(estimate)
-    uses = collections.Counter(k for kind, _, b in plans if "s1" in b for k in _zf_uses(kind, act))
-    directions = {}
-
-    def zf(j: int, rx: int) -> tuple:
-        """TX j's ZF direction for ``rx``: made at its first use, dropped after its last."""
-        if (j, rx) not in directions:
-            directions[j, rx] = _zf_direction(est(j), rx, p)
-        uses[j, rx] -= 1
-        return directions[j, rx] if uses[j, rx] > 0 else directions.pop((j, rx))
-
+    zf = functools.cache(lambda j, rx: _zf_direction(est(j), rx, p))
     shape = est(act).shape[3:]
-    for kind, layout, bands in plans:
+    for i, (kind, layout, bands) in enumerate(plans):
         tau = layout.power_exp
 
         def s0_power(q: float) -> float:
@@ -238,7 +223,9 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p):
             layers["s1"], layers["s2"] = _private_pair(canonical, est, tau["s1"], kind, p, zf)
         if "z1" in bands:
             layers["z1"] = matched(est(act), tau["z1"], p)
-        est.cache_clear()
+        if i == last:
+            est.cache_clear()
+            zf.cache_clear()
 
         backed_off = _cap_to_budget(layers, p, shape)
         if np.any(sum(_abs2(t) for t in layers.values()) > p * (1.0 + _POWER_TOL)):

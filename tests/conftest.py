@@ -20,7 +20,7 @@ def reference_instance():
 def small_pool(monkeypatch):
     """Let a sweep of a few chunks fork as many workers as it asks for,
     on a host of any CPU count."""
-    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
+    monkeypatch.setattr(harness, "_POOL_MIN_EVALS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
 
 
@@ -38,7 +38,8 @@ def as_kernel(c):
 
 # Each case must be a ConfigError, so the CLI exits with code 2 and one
 # short stderr line (see tests/test_cli.py), never a traceback or the
-# self-check failure code 1.
+# self-check failure code 1.  The configs they go into have 3 SNR points
+# and 2 schemes.
 BAD_CONFIG_VALUES = {
     "snr-nan": ("snr_db", [40.0, float("nan")]),
     "snr-inf": ("snr_db", [40.0, float("inf")]),
@@ -49,6 +50,7 @@ BAD_CONFIG_VALUES = {
     "draws-fractional": ("draws", 2.7),
     "draws-bool": ("draws", True),
     "draws-above-2-pow-32": ("draws", 2**32 + 1),
+    "draws-over-the-sums-budget": ("draws", harness._SUMS_BYTES // (8 * 3 * 2) + 1),
     "seed-fractional": ("seed", 7.5),
     "seed-bool": ("seed", True),
     "workers-fractional": ("workers", 1.5),

@@ -413,6 +413,23 @@ def test_a_pass_computes_each_zf_direction_once(monkeypatch):
     assert sorted(directions) == [0] * 2 + [1] * 2  # 4 per pass, 2 per receiver
 
 
+def test_a_pass_makes_each_tx_estimate_once(monkeypatch):
+    # Every scheme of a pass runs on its draws, so TX j's estimate is one
+    # quantity of the pass: apzf and centralized_zf share the active TX's,
+    # and naive_zf adds only the passive TX's, so 2 per pass, not 3.
+    calls = []
+
+    def counted(h, topology, csit, p, z, tx=None):
+        calls.append(tx)
+        return sample_csit(h, topology, csit, p, z, tx=tx)
+
+    monkeypatch.setattr(harness, "sample_csit", counted)
+    passes = _counted_passes(monkeypatch)
+    sweep(load_config(_PARALLEL_CONFIG))
+    assert len(passes) == 1
+    assert sorted(calls) == [0, 1]
+
+
 @pytest.mark.parametrize("draws, points", [(1000, 9), (2000, 5), (300, 40), (4099, 3), (9000, 2)])
 def test_no_pass_exceeds_the_pass_budget(monkeypatch, draws, points):
     # Each block's points are cut into the fewest passes of at most
@@ -533,19 +550,34 @@ def test_sweep_plans_once(monkeypatch):
 
 
 def test_pool_size_needs_enough_draws_per_worker(small_pool, monkeypatch):
-    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 3000)
-    # 3 points x 1,000 draws: too few point-draws for a second worker.
+    monkeypatch.setattr(harness, "_POOL_MIN_EVALS", 6000)
+    # 3 points x 2 schemes x 1,000 draws: too few evals for a second worker.
     assert harness._pool_size(_config(draws=1000, workers=2)) == 1
-    # 3 x 2,100 = 6,300 point-draws in three chunks: two workers get
-    # 3,000 each, a third would not.
+    # 3 x 2 x 2,100 = 12,600 evals in three chunks: two workers get
+    # 6,000 each, a third would not.
     assert harness._pool_size(_config(draws=2100, workers=4)) == 2
     # Never more workers than chunks (each takes whole chunks), whatever
     # the grid; nor than configured.
-    monkeypatch.setattr(harness, "_POOL_MIN_DRAWS", 1)
+    monkeypatch.setattr(harness, "_POOL_MIN_EVALS", 1)
     assert harness._pool_size(_config(draws=2049, workers=8)) == 3
     many = tuple(float(s) for s in range(0, 100, 2))
     assert harness._pool_size(_config(snr_db=many, draws=_CHUNK_DRAWS, workers=8)) == 1
     assert harness._pool_size(_config(draws=10**5, workers=1)) == 1
+
+
+def test_pool_size_counts_evals_not_point_draws(monkeypatch):
+    # A draw of four schemes costs about four of one, so the threshold
+    # counts evals: configs/parallel.json's five points fork from 120,000
+    # point-draws with four schemes, and from 480,000 with apzf alone,
+    # where 204,800 would lose time.  Only _pool_size runs here.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    base = load_config(_PARALLEL_CONFIG)
+    assert len(base.schemes) == 4 and len(base.snr_db) == 5
+    for draws, workers in [(20_480, 1), (24_576, 2), (40_960, 2)]:
+        assert harness._pool_size(dataclasses.replace(base, draws=draws, workers=2)) == workers
+    for draws, workers in [(40_960, 1), (90_112, 1), (98_304, 2)]:
+        apzf_alone = dataclasses.replace(base, schemes=("apzf",), draws=draws, workers=2)
+        assert harness._pool_size(apzf_alone) == workers
 
 
 def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
@@ -786,10 +818,21 @@ def test_config_accepts_integral_floats():
     assert all(type(v) is int for v in (cfg.draws, cfg.seed, cfg.workers))
 
 
-def test_config_accepts_as_many_draws_as_one_index_word_holds():
-    raw = config_to_dict(_config())
-    raw["draws"] = 2**32
-    assert config_from_dict(raw).draws == 2**32
+def test_config_accepts_draws_up_to_the_sums_budget():
+    # 8 bytes of per-draw sums per draw, scheme and SNR point, within
+    # _SUMS_BYTES; checked on the config alone, before anything is made.
+    budget = harness._SUMS_BYTES // 8
+    raw = config_to_dict(_config(schemes=("apzf",), snr_db=(40.0,)))
+    raw["draws"] = budget
+    assert config_from_dict(raw).draws == budget
+    raw["draws"] = budget + 1
+    with pytest.raises(ConfigError, match="per-draw sums"):
+        config_from_dict(raw)
+    raw.update(draws=budget // 4, schemes=["apzf", "naive_zf"], snr_db=[40.0, 50.0])
+    assert config_from_dict(raw).draws == budget // 4
+    raw["draws"] += 1
+    with pytest.raises(ConfigError, match="per-draw sums"):
+        config_from_dict(raw)
 
 
 def test_load_config_rejects_bad_json(tmp_path):

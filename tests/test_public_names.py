@@ -1,8 +1,11 @@
 """Each public name is declared once, in its module's ``__all__``, and
 the package exports the union of those lists."""
 
+import ast
 import collections
+import importlib
 import itertools
+from pathlib import Path
 
 import apzf
 from apzf import CsitQuality, SweepConfig, Topology, canonicalize, plan_layout, sweep
@@ -54,3 +57,38 @@ def test_every_public_precoder_is_called_by_the_sweep(monkeypatch):
     assert plan_layout(canonicalize(config.topology, config.csit), "apzf").rate_exp["z1"] > 0.0
     sweep(config)
     assert [name for name in precoders.__all__ if not calls[name]] == []
+
+
+def _top_level_names(tree: ast.Module) -> list:
+    """The functions, classes and constants a module defines at top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_top_level_name_is_public_or_used():
+    # A function, class or constant that is neither in its module's
+    # __all__ nor read anywhere in the package (as a name, an attribute or
+    # an import) is dead code, left behind when its last caller went.
+    sources = sorted(Path(apzf.__file__).parent.glob("*.py"))
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sources}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = []
+    for stem, tree in trees.items():
+        module = importlib.import_module("apzf" if stem == "__init__" else f"apzf.{stem}")
+        public = set(getattr(module, "__all__", ())) | used
+        unused += [f"{module.__name__}.{name}" for name in _top_level_names(tree) if name not in public]
+    assert unused == []
