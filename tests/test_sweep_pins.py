@@ -14,6 +14,12 @@ block's five points run in passes of 1, 2 and 2 points, so both the
 float-P and the column paths build the active TX's estimate and
 directions; on the reference instance both ZF baselines send private
 pairs from shared directions, and on the z1 instance z1 is live.
+
+Both instances as they are, on a grid from -20 to 60 dB at 4,097 draws,
+pin the low-SNR points the same way: the first block runs passes of 1,
+2 and 2 points, so -20 dB (P = 0.01, where the ZF directions are
+rescaled) runs in a pass of its own, and the pass of -3 and 0.5 dB
+straddles 0 dB, where s0's power runs out.
 """
 
 import hashlib
@@ -92,6 +98,27 @@ SWAPPED_DIGESTS = {
 }
 
 
+_LOW_SNR_GRID = dict(_SWAPPED_GRID, snr_db=[-20.0, -3.0, 0.5, 30.0, 60.0], window_db=[-20.0, 60.0])
+
+LOW_SNR = {
+    "ref-low-snr": dict(_LOW_SNR_GRID, gamma=CONFIGS["sweep-ref"]["gamma"], alpha=CONFIGS["sweep-ref"]["alpha"]),
+    "z1-low-snr": dict(
+        _LOW_SNR_GRID, gamma=CONFIGS["sweep-z1-pool"]["gamma"], alpha=CONFIGS["sweep-z1-pool"]["alpha"]
+    ),
+}
+
+LOW_SNR_DIGESTS = {
+    "ref-low-snr": (
+        "864a3e0a4343fbe22fa44a8349416642281dd67501b540b8f13ddb42dcca0e4d",
+        "cc9f560e703856391f07c80effda22a54334c12503d524b7548481d5fad64540",
+    ),
+    "z1-low-snr": (
+        "632ea262566bbb3821c6499757b9d39e0e24c13b98a52f064336b7e102932abc",
+        "a943fee262d01c1987e58b85a22dab5fb3fa639a230eaf4c665c21075d3228b3",
+    ),
+}
+
+
 def _sweep_digests(tmp_path, capsys, raw) -> tuple:
     """sha256 of the CSV and JSON summary of ``apzf sweep`` on ``raw`` at SEED."""
     config = tmp_path / "config.json"
@@ -111,3 +138,8 @@ def test_benchmark_sweep_bytes(tmp_path, capsys, name):
 def test_alphas_swapped_sweep_bytes(tmp_path, capsys, name):
     assert canonicalize(Topology(SWAPPED[name]["gamma"]), CsitQuality(SWAPPED[name]["alpha"])).active_tx == 1
     assert _sweep_digests(tmp_path, capsys, SWAPPED[name]) == SWAPPED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LOW_SNR))
+def test_low_snr_sweep_bytes(tmp_path, capsys, name):
+    assert _sweep_digests(tmp_path, capsys, LOW_SNR[name]) == LOW_SNR_DIGESTS[name]
