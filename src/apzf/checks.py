@@ -2,8 +2,8 @@
 
 Each check draws its random instances from ``rng`` in a fixed order, so
 a seeded generator gives the same verdict every run, and returns
-``(ok, detail)`` with a one-line description of what it measured.  The
-callers choose the seed and the size.
+``(ok, detail)``: a Python bool and a one-line description of what it
+measured.  The callers choose the seed and the size.
 
 The checks measure the kernel's outputs with plain complex numpy: they
 rebuild complex arrays with a leading draw axis from the kernel's
@@ -132,7 +132,7 @@ def received_exponents(rng, n_topologies, draws):
             bound = tau - 1.0 + gamma[victim].min() - a1[victim].min()
             fit_itf = fit_exponent(list(zip(grid, np.exp(acc[:, tgt, victim]))))
             worst_excess = max(worst_excess, fit_itf - bound)
-    return worst_intended < 0.1 and worst_excess < 0.1, (
+    return bool(worst_intended < 0.1 and worst_excess < 0.1), (
         f"{n_topologies} topologies, worst intended |fit - formula| = {worst_intended:.4f}, "
         f"worst interference fit - bound = {worst_excess:.4f}"
     )

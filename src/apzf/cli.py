@@ -108,7 +108,10 @@ def _apply_overrides(config, args):
             )
         changes["schemes"] = chosen
     if getattr(args, "window", None):
-        changes["window_db"] = args.window.split(":")
+        try:
+            changes["window_db"] = tuple(float(v) for v in args.window.split(":"))
+        except ValueError:
+            raise ConfigError(f"--window must be lo:hi in dB, got {args.window!r}") from None
     if getattr(args, "workers", None) is not None:
         changes["workers"] = args.workers
     return dataclasses.replace(config, **changes)

@@ -10,10 +10,11 @@ the whole grid.  It evaluates its draws in blocks of at most
 block draws its chunks' normals once and evaluates every SNR point and
 scheme on them as array operations, in passes of at most ``_PASS_DRAWS``
 point-draws (10,240: ten points of a 1,000-draw block, five of a
-2,000-draw one, two of a 4,096-draw one).  With a pool each worker runs
-one task, and this process joins the tasks' per-draw sums and reduces
-them once.  A point's result therefore depends neither on the other
-points in its grid or its pass nor on the number of workers.
+2,000-draw one, two of a 4,096-draw one), each on a ``(points, 1)``
+column of powers, one point's too.  With a pool each worker runs one
+task, and this process joins the tasks' per-draw sums and reduces them
+once.  A point's result therefore depends neither on the other points
+in its grid or its pass nor on the number of workers.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import reprlib
 import sys
 import warnings
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +137,27 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _array(name: str, value, depth: int):
+    """``value`` as floats in ``depth`` levels of nested tuples.
+
+    ConfigError for a string, bytes or a mapping where a sequence belongs,
+    and for anything but a real number that fits a float where a number
+    belongs: ``float`` and ``np.asarray`` would read ``"2468"`` as four
+    numbers, a mapping as its keys, ``"0.8"`` as a number and a bool as 0
+    or 1, and an int past float's range would end in an OverflowError.
+    """
+    if depth == 0:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+    elif isinstance(value, Iterable) and not isinstance(value, (str, bytes, Mapping)):
+        return tuple(_array(name, v, depth - 1) for v in value)
+    what = "a number that fits a float" if depth == 0 else "an array"
+    raise ConfigError(f"{name}: expected {what}, got {reprlib.repr(value)}")
+
+
 @dataclass
 class SweepConfig:
     topology: Topology
@@ -151,7 +174,7 @@ class SweepConfig:
         if unknown:
             raise ConfigError(f"unknown scheme: {reprlib.repr(unknown[0])}")
         self.schemes = tuple(str(SchemeKind(s).value) for s in self.schemes)
-        self.snr_db = tuple(float(s) for s in self.snr_db)
+        self.snr_db = _array("snr_db", self.snr_db, 1)
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
         if len(set(self.schemes)) < len(self.schemes):
@@ -175,8 +198,8 @@ class SweepConfig:
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         try:
-            lo, hi = (float(v) for v in self.window_db)
-        except (TypeError, ValueError) as exc:
+            lo, hi = _array("window_db", self.window_db, 1)
+        except ValueError as exc:
             raise ConfigError(f"window_db must be two numbers lo, hi; got {reprlib.repr(self.window_db)}") from exc
         if not lo < hi:
             raise ConfigError("window_db must satisfy lo < hi")
@@ -285,11 +308,11 @@ def _point_task(args):
 
     A block's points are cut into the fewest near-equal contiguous groups
     of at most ``_PASS_DRAWS // len(block)`` points (at least one), and
-    each group is one pass on a ``(points, 1)`` column of powers, or on the
-    float P of a lone point: one ``scheme._build_pass`` over every scheme,
-    which makes each TX's estimate and each ZF direction of the pass at
-    most once, and one call per scheme of ``achievable_rates``.  A
-    scheme's layers and mask are let go as soon as they are summed.
+    each group is one pass on a ``(points, 1)`` column of powers, a group
+    of one too: one ``scheme._build_pass`` over every scheme, which makes
+    each TX's estimate and each ZF direction of the pass at most once,
+    and one call per scheme of ``achievable_rates``.  A scheme's layers
+    and mask are let go as soon as they are summed.
     """
     config, draws = args
     canon = canonicalize(config.topology, config.csit)
@@ -302,14 +325,13 @@ def _point_task(args):
         z = _block_normals(config.seed, block)
         passes = -(-len(powers) // max(1, _PASS_DRAWS // len(block)))
         for a, b in _cuts(len(powers), passes):
-            # a lone point runs on its float P, several on a (points, 1) column
-            p = powers[a] if b - a == 1 else np.array(powers[a:b])[:, None]
+            p = np.array(powers[a:b])[:, None]
             h = sample_channel(canon.topology, p, z)
             estimate = functools.partial(sample_csit, h, canon.topology, canon.csit, p, z)
             # Not enumerate: its reused result tuple would keep one scheme's
             # layers alive while the generator builds the next scheme's.
             i = 0
-            for layers, mask in _build_pass(canon, estimate, layouts, p):
+            for layers, mask in _build_pass(canon, estimate, layouts, p, h.shape[3:]):
                 sums[a:b, i, start : start + len(block)] = sum(achievable_rates(h, layers).values())
                 backed_off[a:b, i] += mask.sum(axis=-1)
                 del layers, mask  # freed before the next scheme's are built
@@ -471,7 +493,10 @@ def config_from_dict(raw: dict) -> SweepConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
         kwargs = {fields[k].name: v for k, v in raw.items()}
-        kwargs.update(topology=Topology(raw["gamma"]), csit=CsitQuality(raw["alpha"]))
+        kwargs.update(
+            topology=Topology(_array("gamma", raw["gamma"], 2)),
+            csit=CsitQuality(_array("alpha", raw["alpha"], 3)),
+        )
         return SweepConfig(**kwargs)
     except ConfigError:
         raise

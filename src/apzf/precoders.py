@@ -20,7 +20,8 @@ is spelt out on the two parts (``_abs2``, ``_cmul``, ``_cmul_conj``),
 and a sum over an axis of length 2 is written as the sum of its two
 terms.  No conjugate is ever copied: a conjugate factor is folded into
 the products, and a conjugated vector into its normalisation.  A draw's
-vector does not depend on the size of the batch it is in.
+vector does not depend on the size of the batch it is in, and a vector
+made from an estimate keeps its dtype (long double stays long double).
 
 The ZF baselines are the comparison points: a regularized full-matrix
 ZF computed from one shared estimate, and the same computation done
@@ -132,7 +133,7 @@ def apzf(
     e_act = estimate_active[:, itf, active_tx]
     e_pas = estimate_active[:, itf, passive_tx]
     reg = 1.0 / p if regularize else 0.0
-    t = np.zeros((2, 2) + e_act.shape[1:])
+    t = np.zeros((2, 2) + e_act.shape[1:], e_act.dtype)
     # -conj(a) * b for a = e_act, b = e_pas, written into t with no
     # conjugate copy: (-(a0*b0) - a1*b1, a1*b0 - a0*b1), which are the
     # product's own operations, so every bit and signed zero is the same.
@@ -208,7 +209,7 @@ def _naive(directions: list, tau: float, p) -> np.ndarray:
     """Naive per-TX ZF vectors from TX j's ``(w, norm)`` at ``directions[j]``:
     entry j of each, normalised alone, so the entries generally do not
     cohere when the two estimates differ."""
-    t = np.empty((2, 2) + directions[0][1].shape)
+    t = np.empty((2, 2) + directions[0][1].shape, directions[0][1].dtype)
     for j, (w, n) in enumerate(directions):
         _normalised(w[:, j], n, tau, p, out=t[:, j])
     return t

@@ -178,7 +178,7 @@ def build_layers(
     the ([points,] draws) back-off mask.  This is the one-scheme case of
     ``_build_pass``.
     """
-    return next(_build_pass(canonical, lambda j: h_hat[:, j], {scheme_kind: layout}, p))
+    return next(_build_pass(canonical, lambda j: h_hat[:, j], {scheme_kind: layout}, p, h_hat.shape[4:]))
 
 
 def _bands(kind: SchemeKind, layout: SchemeLayout) -> list:
@@ -187,16 +187,16 @@ def _bands(kind: SchemeKind, layout: SchemeLayout) -> list:
     return [tag for tag in sent if layout.rate_exp.get(tag, 0.0) > 0.0]
 
 
-def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p):
+def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p, shape: tuple):
     """``build_layers`` for each ``{scheme: layout}`` of ``layouts`` on one
     pass: yields each scheme's ``(layers, back-off mask)`` in turn, so
     only one scheme's layers need be alive at a time.
 
     ``estimate(j)`` makes TX j's estimate, (2, 2, 2, [points,] draws) as
-    ``h_hat[:, j]``.  ``est`` and ``zf`` memoise the pass's estimates and
-    its (TX j, target rx) ZF directions, so each is made at most once, at
-    its first use; the passive TX's estimate is made only if ``naive_zf``
-    sends a private pair.  Both are cleared once, right after the last
+    ``h_hat[:, j]``; ``shape`` is the pass's ([points,] draws).  ``est``
+    and ``zf`` memoise the pass's estimates and its (TX j, target rx) ZF
+    directions, so each is made at most once, at its first use, and only
+    for a scheme that uses it.  Both are cleared once, right after the last
     scheme that sends a private or z layer (or else the first scheme) has
     built its layers, before they are yielded.  Directions are normalised
     per scheme, since the schemes' power exponents may differ.
@@ -207,7 +207,6 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p):
     act = canonical.active_tx
     est = functools.cache(estimate)
     zf = functools.cache(lambda j, rx: _zf_direction(est(j), rx, p))
-    shape = est(act).shape[3:]
     for i, (kind, layout, bands) in enumerate(plans):
         tau = layout.power_exp
 

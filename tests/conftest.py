@@ -60,4 +60,16 @@ BAD_CONFIG_VALUES = {
     "unknown-key-100k-chars": ("k" * 100_000, 1),
     "snr-100k-char-string": ("snr_db", [40.0, "x" * 100_000]),
     "schemes-50000-repeated": ("schemes", ["apzf"] * 50_000),
+    # float() and np.asarray() would take each of these as numbers.
+    "snr-digit-string": ("snr_db", "2468"),
+    "snr-mapping": ("snr_db", {"40": 0, "50": 0, "60": 0}),
+    "snr-number-strings": ("snr_db", ["40", "50", "60"]),
+    "snr-bool": ("snr_db", [True, 40.0]),
+    "window-digit-string": ("window_db", "46"),
+    "window-bool": ("window_db", [True, 60]),
+    "gamma-number-strings": ("gamma", [["1", "0.8"], ["0.8", "1"]]),
+    "gamma-bool": ("gamma", [[True, 0.8], [0.8, 1.0]]),
+    # float() raises OverflowError on these.
+    "snr-int-past-float": ("snr_db", [40, 10**400]),
+    "gamma-int-past-float": ("gamma", [[1, 10**400], [0.8, 1]]),
 }

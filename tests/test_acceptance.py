@@ -41,6 +41,7 @@ def _timed_verdict(name: str, budget_s: float, check, seed: int, *size) -> None:
     t0 = time.perf_counter()
     ok, detail = check(np.random.default_rng(seed), *size)
     elapsed = time.perf_counter() - t0
+    assert type(ok) is bool, f"{name}: verdict is {type(ok).__name__}, not bool"
     _verdict(name, ok and elapsed < budget_s, f"{detail}, {elapsed:.2f}s")
 
 

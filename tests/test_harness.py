@@ -166,7 +166,7 @@ def _point_with_draw_sums(monkeypatch, cfg, snr_db):
     monkeypatch.setattr(harness, "achievable_rates", recording)
     out = harness.simulate_snr(cfg, snr_db)
     n = len(cfg.schemes)  # calls run block by block, scheme by scheme
-    return out, [np.concatenate(sums[i::n]) for i in range(n)]
+    return out, [np.concatenate(sums[i::n], axis=-1) for i in range(n)]
 
 
 @pytest.mark.parametrize("draws, block", [(8203, 1024), (8203, 2048), (8203, 8192)])
@@ -373,10 +373,10 @@ def _counted_passes(monkeypatch):
     its powers and each scheme's layers as they are built."""
     passes = []
 
-    def counted(canonical, estimate, layouts, p):
+    def counted(canonical, estimate, layouts, p, *args):
         built = []
         passes.append((np.shape(p), built))
-        for s, item in zip(layouts, _build_pass(canonical, estimate, layouts, p)):
+        for s, item in zip(layouts, _build_pass(canonical, estimate, layouts, p, *args)):
             built.append(s)
             yield item
 
@@ -430,14 +430,33 @@ def test_a_pass_makes_each_tx_estimate_once(monkeypatch):
     assert sorted(calls) == [0, 1]
 
 
+def test_a_pass_makes_no_estimate_for_schemes_that_use_none(monkeypatch):
+    # no_csit sends s0 alone, so a sweep of it makes no estimate: the
+    # back-off mask takes its shape from the pass's channels.  3 points
+    # of two 4,096-draw blocks run in 4 passes.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_csit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_csit", counted)
+    passes = _counted_passes(monkeypatch)
+    curve = sweep(_config(schemes=("no_csit",), snr_db=(40.0, 50.0, 60.0), draws=8192))
+    assert len(passes) == 4
+    assert calls == []
+    assert [pt.backoff_frac for pt in curve.points["no_csit"]] == [0.0] * 3
+
+
 @pytest.mark.parametrize("draws, points", [(1000, 9), (2000, 5), (300, 40), (4099, 3), (9000, 2)])
 def test_no_pass_exceeds_the_pass_budget(monkeypatch, draws, points):
     # Each block's points are cut into the fewest passes of at most
     # _PASS_DRAWS // len(block) points (at least one), so a pass never
     # holds more than _PASS_DRAWS point-draws, since a block holds no
-    # more than _BLOCK_DRAWS draws.
+    # more than _BLOCK_DRAWS draws.  Every pass, a lone point's too, runs
+    # on a (points, 1) column, so its channels have a points axis.
     assert harness._BLOCK_DRAWS <= harness._PASS_DRAWS
-    passes = []  # ([points,] draws) of each pass, from its channels
+    passes = []  # (points, draws) of each pass, from its channels
 
     def recorded(topology, p, z):
         h = sample_channel(topology, p, z)
@@ -446,6 +465,7 @@ def test_no_pass_exceeds_the_pass_budget(monkeypatch, draws, points):
 
     monkeypatch.setattr(harness, "sample_channel", recorded)
     sweep(_config(snr_db=tuple(20.0 + 2.5 * k for k in range(points)), draws=draws))
+    assert all(len(shape) == 2 for shape in passes)
     assert all(math.prod(shape) <= harness._PASS_DRAWS for shape in passes)
     blocks = [min(harness._BLOCK_DRAWS, draws - s) for s in range(0, draws, harness._BLOCK_DRAWS)]
     per_block = []
@@ -453,9 +473,9 @@ def test_no_pass_exceeds_the_pass_budget(monkeypatch, draws, points):
         covered = 0
         per_block.append(0)
         while covered < points:
-            *lead, n = passes.pop(0)
+            group, n = passes.pop(0)
             assert n == block
-            covered += lead[0] if lead else 1
+            covered += group
             per_block[-1] += 1
         assert covered == points
     assert passes == []
@@ -471,8 +491,8 @@ def test_a_pass_frees_each_schemes_layers_before_building_the_next(monkeypatch, 
     checked = []
     real_pair = scheme._private_pair
 
-    def recording(canonical, estimate, layouts, p):
-        for layers, mask in _build_pass(canonical, estimate, layouts, p):
+    def recording(*args):
+        for layers, mask in _build_pass(*args):
             yielded.extend(weakref.ref(t) for t in layers.values())
             yield layers, mask
             del layers, mask  # this wrapper keeps none of them either
@@ -498,8 +518,9 @@ def test_a_pass_frees_each_schemes_layers_before_building_the_next(monkeypatch, 
 @pytest.mark.parametrize("instance", ["reference", "z1_case2"])
 def test_grouped_points_equal_points_run_alone(instance, draws):
     # A sweep runs several points per pass on a (points, 1) column of
-    # powers; simulate_snr runs its one point on a float P.  Their
-    # PointStats, back-off fractions included, must be equal bit for bit.
+    # powers; simulate_snr runs its one point on a column of one.  Their
+    # PointStats, back-off fractions included, must be equal bit for bit
+    # (test_scheme holds each slice of a column to its point's float P).
     # The grid crosses 0 dB, so at some passes s0 has power left at some
     # points and none at others.
     grid = (-20.0, -3.0, 0.0, 0.5, 10.0, 30.0)
@@ -803,7 +824,9 @@ def test_config_boundary_rejections(case):
 
 
 @pytest.mark.parametrize(
-    "window", [(40.0, 50.0, 60.0), (45.0,), 50.0, ("lo", "hi")], ids=["three", "one", "scalar", "words"]
+    "window",
+    [(40.0, 50.0, 60.0), (45.0,), 50.0, ("lo", "hi"), b"46"],
+    ids=["three", "one", "scalar", "words", "bytes"],
 )
 def test_sweep_config_rejects_a_window_that_is_not_two_numbers(window):
     with pytest.raises(ConfigError, match="window_db must be two numbers"):

@@ -328,6 +328,59 @@ def test_in_place_backoff_is_the_out_of_place_product_bit_for_bit(instance, colu
         _assert_same_bits(layers[tag], t)
 
 
+_KINDS = ("apzf", "centralized_zf", "naive_zf", "no_csit")
+
+
+def _layers_mask_rates(canon, kind, p, z):
+    """A scheme's layers, back-off mask and rates on the normals ``z`` at ``p``."""
+    h = sample_channel(canon.topology, p, z)
+    h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
+    layers, mask = build_layers(canon, h_hat, plan_layout(canon, kind), kind, p)
+    return layers, mask, achievable_rates(h, layers)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("instance", sorted(GOLDEN_INSTANCES))
+def test_a_column_slice_is_its_points_float_p_bit_for_bit(instance, kind):
+    # A sweep runs every pass on a (points, 1) column of powers, a lone
+    # point's too, while the library and apzf.checks run on a float P.
+    # Each point's slice of the column's layers, mask and rates must be
+    # what its float P gives.  The grid reaches P = 0.01, where the ZF
+    # directions are rescaled, and crosses 0 dB, below which s0 gets no
+    # power.
+    gamma, alpha, _ = GOLDEN_INSTANCES[instance]
+    canon = canonicalize(Topology(gamma), CsitQuality(alpha))
+    powers = [10.0 ** (snr / 10.0) for snr in (-20.0, -3.0, 0.0, 0.5, 10.0, 30.0)]
+    z = np.random.default_rng(43).standard_normal((500, NORMALS_PER_DRAW))
+    col_layers, col_mask, col_rates = _layers_mask_rates(canon, kind, np.array(powers)[:, None], z)
+    for i, q in enumerate(powers):
+        layers, mask, rates = _layers_mask_rates(canon, kind, q, z)
+        assert list(col_layers) == list(layers) and list(col_rates) == list(rates)
+        for tag, t in layers.items():
+            _assert_same_bits(col_layers[tag][..., i, :], t)
+        np.testing.assert_array_equal(col_mask[i], mask)
+        for tag, r in rates.items():
+            _assert_same_bits(col_rates[tag][i], r)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps, reason="long double is float64 here"
+)
+@pytest.mark.parametrize("column", [False, True])
+@pytest.mark.parametrize("instance", sorted(GOLDEN_INSTANCES))
+def test_long_double_normals_give_long_double_layers_and_rates(instance, column):
+    # The kernel keeps its input's dtype: no layer it adapts, and no rate,
+    # may be rounded to float64 on the way.
+    canon, p = _golden_powers(instance, column)
+    z = np.random.default_rng(47).standard_normal((300, NORMALS_PER_DRAW)).astype(np.longdouble)
+    for kind in _KINDS:
+        layers, _, rates = _layers_mask_rates(canon, kind, p, z)
+        for tag, t in layers.items():
+            assert tag == "s0" or t.dtype == np.longdouble, (kind, tag)
+        for tag, r in rates.items():
+            assert r.dtype == np.longdouble, (kind, tag)
+
+
 def test_rates_nonnegative_and_additive():
     canon = _canon_reference()
     rng = np.random.default_rng(4)

@@ -10,8 +10,8 @@ into passes must never change a byte of the CSV or of the JSON summary
 
 The same two instances with their TXs' alphas swapped have canonical
 ``active_tx`` 1, and at 4,097 draws they run in two blocks.  The first
-block's five points run in passes of 1, 2 and 2 points, so both the
-float-P and the column paths build the active TX's estimate and
+block's five points run in passes of 1, 2 and 2 points, so passes of a
+lone point and of several build the active TX's estimate and
 directions; on the reference instance both ZF baselines send private
 pairs from shared directions, and on the z1 instance z1 is live.
 
