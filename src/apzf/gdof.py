@@ -21,8 +21,12 @@ of the layered superposition scheme that achieves the closed form.
 
 All four work on Python floats through the list helpers of
 ``apzf.topology``, with no numpy ufunc and no intermediate ``Topology``
-or ``CsitQuality``.  The first three read their input arrays once;
-``scheme_layout`` reads the float lists that ``CanonicalForm`` holds, so
+or ``CsitQuality``.  ``distributed_gdof`` and ``genie_outer_bound`` take
+their instance from ``topology._read``, which ``canonicalize`` shares:
+it keeps the last instance read, keyed on the contents of its arrays,
+so the three on one (topology, csit) pair check and relabel it once.
+``centralized_gdof`` reads its own arrays.  ``scheme_layout`` reads the
+float lists that ``CanonicalForm`` holds, so
 ``scheme_layout(canonicalize(...))`` makes no array at all.
 """
 
@@ -36,10 +40,9 @@ from .topology import (
     CanonicalForm,
     CsitQuality,
     Topology,
-    _canonical,
-    _checked,
     _domain,
     _effective,
+    _read,
 )
 
 __all__ = [
@@ -101,13 +104,24 @@ class SchemeLayout:
 
 
 def _centralized(g: list, al: list) -> GdofValue:
-    """``centralized_gdof`` on float lists, without the range check."""
+    """``centralized_gdof`` on float lists, without the range check.
+
+    Branches only: ``min(x, y)`` is written ``y if y < x else x``,
+    ``max(x, y)`` is ``y if y > x else x`` and ``_pos(x)`` is
+    ``x if x > 0.0 else 0.0``, which keep the builtins' ties, NaNs and
+    signed zeros.
+    """
     (g11, g12), (g21, g22) = g
-    a1, a2 = min(al[0]), min(al[1])
-    d1 = max(g12, g11) + max(_pos(g21 - g11 + a1), _pos(g22 - g12 + a1))
-    d2 = max(g22, g21) + max(_pos(g12 - g22 + a2), _pos(g11 - g21 + a2))
-    value = min(d1, d2)
-    return GdofValue(value, "d1" if d1 <= d2 else "d2", d1, d2)
+    (b11, b12), (b21, b22) = al
+    a1 = b12 if b12 < b11 else b11
+    a2 = b22 if b22 < b21 else b21
+    u, v = g21 - g11 + a1, g22 - g12 + a1
+    u, v = u if u > 0.0 else 0.0, v if v > 0.0 else 0.0
+    d1 = (g11 if g11 > g12 else g12) + (v if v > u else u)
+    u, v = g12 - g22 + a2, g11 - g21 + a2
+    u, v = u if u > 0.0 else 0.0, v if v > 0.0 else 0.0
+    d2 = (g21 if g21 > g22 else g22) + (v if v > u else u)
+    return GdofValue(d2 if d2 < d1 else d1, "d1" if d1 <= d2 else "d2", d1, d2)
 
 
 def centralized_gdof(topology: Topology, alpha) -> GdofValue:
@@ -142,9 +156,8 @@ def distributed_gdof(topology: Topology, csit: CsitQuality) -> GdofValue:
     g[1,0] <= g[1,1]) or not (case 2).  Raises the first violation in
     ``validate``'s order.
     """
-    g, a, *_ = _canonical(*_checked(topology, csit))
-    ap1, ap2 = _effective(a)[1]
-    (g11, g12), (g21, g22) = g
+    _, _, canonical, (ap1, ap2) = _read(topology, csit)
+    (g11, g12), (g21, g22) = canonical[0]
     if g21 <= g22:
         d1 = g11 + _pos(g22 - g12 + ap1)
         d2 = g22 + g11 - g21 + ap2
@@ -159,11 +172,12 @@ def genie_outer_bound(topology: Topology, csit: CsitQuality) -> GdofValue:
     """Centralized reference: both TXs handed the best estimate per link.
 
     Evaluated with the centralized closed form on alpha_max, so it shares
-    no code with ``distributed_gdof`` beyond input validation and the
-    effective exponents.  Validated alphas give an alpha_max in range.
+    no code with ``distributed_gdof`` beyond ``topology._read``: input
+    validation and the effective exponents.  Validated alphas give an
+    alpha_max in range.
     """
-    g, a, _ = _checked(topology, csit)
-    return _centralized(g, _effective(a)[0])
+    g, alpha_max, _, _ = _read(topology, csit)
+    return _centralized(g, alpha_max)
 
 
 def _case_layout(g: list, ap1: float, ap2: float) -> SchemeLayout:

@@ -20,12 +20,20 @@ closed forms are written for.
 Both work on Python floats read once from each array.  The conditions
 are one rule, ``_domain``, which decides an instance from its unpacked
 floats in one function body and builds error objects only when a check
-fails; ``validate``, ``_checked`` and ``gdof.centralized_gdof`` all go
-through it.  ``_canonical`` relabels ``_checked``'s lists, and
-``canonicalize`` wraps its result in a ``CanonicalForm`` that holds the
-lists and makes arrays from them only when they are read.  The closed
-forms call these helpers directly, and reduce alpha to its effective
-exponents with ``_effective`` on the same lists.
+fails; ``validate``, ``_read`` and ``gdof.centralized_gdof`` all go
+through it.
+
+``_read`` is the one reading of an instance that ``canonicalize``,
+``gdof.distributed_gdof`` and ``gdof.genie_outer_bound`` share: the
+float lists, checked by ``_domain``, relabelled by ``_canonical``, and
+the effective exponents (``_effective``) of the raw and of the
+relabelled alpha.  It keeps only the last instance read, keyed on the
+dtype, shape and bytes of both arrays, so the three entry points on one
+pair read, check and relabel it once, an edit to either array is seen
+on the next call, and a map over many instances recomputes each one.
+An error is never kept.  ``canonicalize`` wraps fresh copies of the
+relabelled lists in a ``CanonicalForm``, which makes arrays from them
+only when they are read.  ``validate`` reads its arrays itself.
 """
 
 from __future__ import annotations
@@ -220,16 +228,6 @@ def validate(topology: Topology, csit: CsitQuality) -> ValidationReport:
     return ValidationReport(_domain(topology.gamma.tolist(), csit.alpha.tolist())[1])
 
 
-def _checked(topology: Topology, csit: CsitQuality) -> tuple:
-    """Gamma and alpha as float lists, and ``_domain``'s dominance flags;
-    raises ``validate``'s first violation."""
-    g, a = topology.gamma.tolist(), csit.alpha.tolist()
-    dominance, violations = _domain(g, a)
-    if violations:
-        raise violations[0]
-    return g, a, dominance
-
-
 # Candidate relabellings, tried in order; first hit wins so that the
 # identity is preferred on ties.
 _RELABELLINGS = ((False, False), (True, False), (False, True), (True, True))
@@ -242,7 +240,8 @@ def _flip(x: list, rows: bool, cols: bool) -> list:
 
 
 def _canonical(g: list, a: list, dominance: tuple) -> tuple:
-    """``canonicalize`` on ``_checked``'s output: ``(g, a, rx_swap, tx_swap, active_tx)``."""
+    """``canonicalize`` on float lists and ``_domain``'s dominance flags:
+    ``(g, a, rx_swap, tx_swap, active_tx)``."""
     (g00, g01), (g10, g11) = g
     # Relabelling n moves the n-th of these to the corner; the first largest wins.
     rx_swap, tx_swap = _RELABELLINGS[[g00, g10, g01, g11].index(max(g00, g01, g10, g11))]
@@ -264,7 +263,11 @@ def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:
     index; the result's ``active_tx`` says where.  Raises the first
     validation error if the input is outside the supported domain.
     """
-    return CanonicalForm(*_canonical(*_checked(topology, csit)))
+    (g0, g1), ((a00, a01), (a10, a11)), rx_swap, tx_swap, active_tx = _read(topology, csit)[2]
+    # Fresh lists, so that editing a result leaves the reading as it was.
+    return CanonicalForm(
+        [g0[:], g1[:]], [[a00[:], a01[:]], [a10[:], a11[:]]], rx_swap, tx_swap, active_tx
+    )
 
 
 def _effective(a: list) -> tuple:
@@ -285,6 +288,41 @@ def _effective(a: list) -> tuple:
         m00 if m00 < m01 or m00 != m00 else m01,
         m10 if m10 < m11 or m10 != m10 else m11,
     ]
+
+
+# The last instance read, as one ``(key, reading)`` pair.  ``_read``
+# takes it and replaces it in one assignment each, so a thread never
+# pairs one instance's key with another's reading; two threads can at
+# worst each read again what the other just read.
+_last_read = (None, None)
+
+
+def _read(topology: Topology, csit: CsitQuality) -> tuple:
+    """The reading of an instance the closed forms share:
+    ``(g, alpha_max, canonical, alpha_prime)``.
+
+    ``g`` is gamma as float lists and ``alpha_max`` the first effective
+    exponent of the raw alpha; ``canonical`` is ``_canonical``'s result
+    and ``alpha_prime`` the second effective exponent of its alpha.
+    Raises ``validate``'s first violation.  Only the last instance read
+    is kept, keyed on the dtype, shape and bytes of both arrays, so an
+    edit to either array is seen on the next call; an error is never
+    kept.  Callers must not edit the lists they are handed.
+    """
+    global _last_read
+    gamma, alpha = topology.gamma, csit.alpha
+    key = (gamma.dtype, gamma.shape, gamma.tobytes(), alpha.dtype, alpha.shape, alpha.tobytes())
+    last_key, reading = _last_read
+    if key == last_key:
+        return reading
+    g, a = gamma.tolist(), alpha.tolist()
+    dominance, violations = _domain(g, a)
+    if violations:
+        raise violations[0]
+    canonical = _canonical(g, a, dominance)
+    reading = g, _effective(a)[0], canonical, _effective(canonical[1])[1]
+    _last_read = key, reading
+    return reading
 
 
 def dyadic_instance(rng: np.random.Generator, grid: int = 1024):

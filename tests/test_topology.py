@@ -1,5 +1,8 @@
 import math
 import pickle
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from apzf import (
 import apzf.gdof as gdof_module
 import apzf.topology as topology_module
 from apzf.gdof import scheme_layout
-from apzf.topology import _RELABELLINGS, _canonical, _checked, _effective, dyadic_instance
+from apzf.topology import _RELABELLINGS, _canonical, _domain, _effective, _read, dyadic_instance
 from test_signed_zero_pins import INSTANCE_SETS as SIGNED_ZERO_SETS
 
 
@@ -326,7 +329,8 @@ def test_canonical_arrays_are_the_canonical_lists_as_arrays():
     makers = [_relabelling_instances, *SIGNED_ZERO_SETS.values()]
     for topo, csit in (instance for make in makers for instance in make()):
         canon = canonicalize(topo, csit)
-        g, a, *_ = _canonical(*_checked(topo, csit))
+        g, a = topo.gamma.tolist(), csit.alpha.tolist()
+        g, a, *_ = _canonical(g, a, _domain(g, a)[0])
         assert canon.topology.gamma.tobytes() == np.asarray(g).tobytes()
         assert canon.csit.alpha.tobytes() == np.asarray(a).tobytes()
 
@@ -421,10 +425,11 @@ def test_domain_rule_matches_per_entry_reference(instance):
     assert [_error_key(e) for e in got] == [_error_key(e) for e in expected]
     if expected:
         with pytest.raises(ValidationError) as info:
-            _checked(topo, csit)
+            _read(topo, csit)
         assert _error_key(info.value) == _error_key(expected[0])
     else:
-        assert _checked(topo, csit)[2] == dominance
+        assert _domain(topo.gamma.tolist(), csit.alpha.tolist())[0] == dominance
+        _read(topo, csit)
     # The centralized form checks gamma and its one alpha, with tx_est -1.
     shared = _reference_range_violations(gamma, [a0], (-1,))
     if shared:
@@ -433,3 +438,170 @@ def test_domain_rule_matches_per_entry_reference(instance):
         assert _error_key(info.value) == _error_key(shared[0])
     else:
         centralized_gdof(topo, np.array(a0))
+
+
+# The shared reading: distributed_gdof, genie_outer_bound and canonicalize
+# read, check and relabel an instance once, keyed on its arrays' contents.
+
+
+def _gdof_map_results(topo, csit):
+    """The results of the gdof-map sequence on one instance, as a repr
+    that tells -0.0 from 0.0."""
+    dist = distributed_gdof(topo, csit)
+    genie = genie_outer_bound(topo, csit)
+    canon = canonicalize(topo, csit)
+    return repr((dist, genie, canon, scheme_layout(canon)))
+
+
+def _unread_results(topo, csit, monkeypatch):
+    """``_gdof_map_results`` on copies of the arrays, with nothing read before."""
+    monkeypatch.setattr(topology_module, "_last_read", (None, None))
+    return _gdof_map_results(Topology(topo.gamma.copy()), CsitQuality(csit.alpha.copy()))
+
+
+def _distinct_instances(seed, n):
+    rng = np.random.default_rng(seed)
+    instances = []
+    while len(instances) < n:
+        topo, csit = dyadic_instance(rng)
+        if not any(
+            np.array_equal(topo.gamma, t.gamma) and np.array_equal(csit.alpha, c.alpha)
+            for t, c in instances
+        ):
+            instances.append((topo, csit))
+    return instances
+
+
+def test_gdof_map_order_reads_each_instance_once(monkeypatch):
+    instances = _distinct_instances(3, 40)
+    calls = []
+    domain = topology_module._domain
+
+    def counted(*args):
+        calls.append(1)
+        return domain(*args)
+
+    monkeypatch.setattr(topology_module, "_domain", counted)
+    monkeypatch.setattr(topology_module, "_last_read", (None, None))
+    for topo, csit in instances:
+        distributed_gdof(topo, csit)
+        genie_outer_bound(topo, csit)
+        scheme_layout(canonicalize(topo, csit))
+    assert len(calls) == len(instances)
+    # Only the last instance is kept: alternating between two re-reads each time.
+    (t1, c1), (t2, c2) = instances[:2]
+    del calls[:]
+    for entry in (distributed_gdof, genie_outer_bound, canonicalize):
+        for topo, csit in ((t1, c1), (t2, c2), (t1, c1), (t2, c2)):
+            entry(topo, csit)
+    assert len(calls) == 12
+
+
+def _zero_instance():
+    """Gamma and both alphas hold +0.0 at (0, 1), where a -0.0 shows in
+    the canonical lists."""
+    gamma = np.array([[1.0, 0.0], [0.5, 0.75]])
+    return Topology(gamma), CsitQuality(np.stack([gamma * 0.5, gamma * 0.25]))
+
+
+def test_reading_sees_in_place_edits(monkeypatch):
+    topo, csit = _zero_instance()
+    before = _gdof_map_results(topo, csit)
+    topo.gamma[1, 0] = 0.625
+    edited = _gdof_map_results(topo, csit)
+    assert edited != before
+    assert edited == _unread_results(topo, csit, monkeypatch)
+
+    topo.gamma[0, 1] = -0.0
+    csit.alpha[:, 0, 1] = -0.0
+    flipped = _gdof_map_results(topo, csit)
+    assert flipped != edited and "-0.0" in flipped
+    assert flipped == _unread_results(topo, csit, monkeypatch)
+
+    csit.alpha[1, 1, 1] = 0.875  # above gamma[1, 1], and no TX dominates
+    first = validate(topo, csit).violations[0]
+    for _ in range(2):  # an error is never kept, so each call raises it again
+        for entry in (distributed_gdof, genie_outer_bound, canonicalize):
+            with pytest.raises(ValidationError) as info:
+                entry(topo, csit)
+            assert _error_key(info.value) == _error_key(first)
+    csit.alpha[1, 1, 1] = 0.1875
+    assert _gdof_map_results(topo, csit) == flipped
+
+
+def test_reading_keys_on_dtype_and_shape():
+    topo, csit = _zero_instance()
+    before = _gdof_map_results(topo, csit)
+    gamma, alpha = topo.gamma, csit.alpha
+    for entry in (distributed_gdof, genie_outer_bound, canonicalize):
+        topo.gamma = gamma.view(np.int64)  # the same bytes, read as huge ints
+        with pytest.raises(GammaOutOfRange):
+            entry(topo, csit)
+        topo.gamma = gamma.reshape(4)
+        with pytest.raises(ValueError):
+            entry(topo, csit)
+        topo.gamma = gamma
+        csit.alpha = alpha.view(np.int64)
+        with pytest.raises(AlphaOutOfRange):
+            entry(topo, csit)
+        csit.alpha = alpha.reshape(2, 4)
+        with pytest.raises(ValueError):
+            entry(topo, csit)
+        csit.alpha = alpha
+    assert _gdof_map_results(topo, csit) == before
+
+
+def test_results_share_nothing_with_the_reading():
+    topo, csit = _zero_instance()
+    before = _gdof_map_results(topo, csit)
+    canon = canonicalize(topo, csit)
+    canon.gamma[0][0] = 9.0
+    canon.gamma[1].append(9.0)
+    canon.alpha[0][1][0] = 9.0
+    canon.alpha[1].reverse()
+    for value in (distributed_gdof(topo, csit), genie_outer_bound(topo, csit)):
+        value.value = value.d1 = value.d2 = 9.0
+        value.branch = "d9"
+    assert _gdof_map_results(topo, csit) == before
+
+
+def test_two_threads_read_their_own_instances(monkeypatch):
+    # Each thread has its own objects, holding the same three instances in
+    # turn, so one thread often reads an instance the other has half read.
+    instances = _distinct_instances(11, 3) * 20
+    copies = [(Topology(t.gamma.copy()), CsitQuality(c.alpha.copy())) for t, c in instances]
+    sets = [instances, copies]
+    serial = [[_gdof_map_results(*instance) for instance in group] for group in sets]
+    got = [[], []]
+    failures = []
+
+    def work(k):
+        try:
+            for _ in range(20):
+                got[k].append([_gdof_map_results(*instance) for instance in sets[k]])
+        except BaseException as error:  # re-raised in the main thread
+            failures.append(error)
+
+    # Let the other thread run in the middle of every reading.
+    domain = topology_module._domain
+
+    def yielding(*args):
+        time.sleep(0)
+        return domain(*args)
+
+    monkeypatch.setattr(topology_module, "_domain", yielding)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if failures:
+        raise failures[0]
+    for k in (0, 1):
+        assert got[k] == [serial[k]] * 20
