@@ -25,9 +25,10 @@ or ``CsitQuality``.  ``distributed_gdof`` and ``genie_outer_bound`` take
 their instance from ``topology._read``, which ``canonicalize`` shares:
 it keeps the last instance read, keyed on the contents of its arrays,
 so the three on one (topology, csit) pair check and relabel it once.
-``centralized_gdof`` reads its own arrays.  ``scheme_layout`` reads the
-float lists that ``CanonicalForm`` holds, so
-``scheme_layout(canonicalize(...))`` makes no array at all.
+``centralized_gdof`` reads its own arrays.  ``distributed_gdof`` and
+``scheme_layout`` read the float tuples and effective exponents of a
+``CanonicalForm``, so ``scheme_layout(canonicalize(...))`` makes no
+array and derives nothing again.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import (
-    CanonicalForm,
-    CsitQuality,
-    Topology,
-    _domain,
-    _effective,
-    _read,
-)
+from .topology import CanonicalForm, CsitQuality, Topology, _domain, _read
 
 __all__ = [
     "GdofValue",
@@ -156,8 +150,9 @@ def distributed_gdof(topology: Topology, csit: CsitQuality) -> GdofValue:
     g[1,0] <= g[1,1]) or not (case 2).  Raises the first violation in
     ``validate``'s order.
     """
-    _, _, canonical, (ap1, ap2) = _read(topology, csit)
-    (g11, g12), (g21, g22) = canonical[0]
+    form = _read(topology, csit)[2]
+    (g11, g12), (g21, g22) = form.gamma
+    ap1, ap2 = form.alpha_prime
     if g21 <= g22:
         d1 = g11 + _pos(g22 - g12 + ap1)
         d2 = g22 + g11 - g21 + ap2
@@ -176,12 +171,17 @@ def genie_outer_bound(topology: Topology, csit: CsitQuality) -> GdofValue:
     validation and the effective exponents.  Validated alphas give an
     alpha_max in range.
     """
-    g, alpha_max, _, _ = _read(topology, csit)
+    g, alpha_max, _ = _read(topology, csit)
     return _centralized(g, alpha_max)
 
 
-def _case_layout(g: list, ap1: float, ap2: float) -> SchemeLayout:
-    (g11, g12), (g21, g22) = g
+def scheme_layout(canonical: CanonicalForm) -> SchemeLayout:
+    """Layer split achieving the distributed closed form on a canonical instance.
+
+    The total of the rate exponents equals the corresponding GDoF value.
+    """
+    (g11, g12), (g21, g22) = canonical.gamma
+    ap1, ap2 = canonical.alpha_prime
 
     if g11 == 1.0 and g22 == 1.0 and g12 == g21 and ap1 == ap2:
         # Symmetric full-strength direct links: the z-layer carries zero
@@ -216,12 +216,3 @@ def _case_layout(g: list, ap1: float, ap2: float) -> SchemeLayout:
         del rate["z1"]
         del power["z1"]
     return SchemeLayout(case_id, False, rho, power, rate)
-
-
-def scheme_layout(canonical: CanonicalForm) -> SchemeLayout:
-    """Layer split achieving the distributed closed form on a canonical instance.
-
-    The total of the rate exponents equals the corresponding GDoF value.
-    """
-    ap1, ap2 = _effective(canonical.alpha)[1]
-    return _case_layout(canonical.gamma, ap1, ap2)

@@ -152,10 +152,15 @@ def _array(name: str, value, depth: int):
                 return float(value)
             except OverflowError:
                 pass
-    elif isinstance(value, Iterable) and not isinstance(value, (str, bytes, Mapping)):
+    elif _is_array(value):
         return tuple(_array(name, v, depth - 1) for v in value)
     what = "a number that fits a float" if depth == 0 else "an array"
     raise ConfigError(f"{name}: expected {what}, got {reprlib.repr(value)}")
+
+
+def _is_array(value) -> bool:
+    """Whether ``value`` may stand where a config array belongs."""
+    return isinstance(value, Iterable) and not isinstance(value, (str, bytes, Mapping))
 
 
 @dataclass
@@ -170,6 +175,8 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not _is_array(self.schemes):
+            raise ConfigError(f"schemes: expected an array, got {reprlib.repr(self.schemes)}")
         unknown = [s for s in self.schemes if s not in [k.value for k in SchemeKind]]
         if unknown:
             raise ConfigError(f"unknown scheme: {reprlib.repr(unknown[0])}")
@@ -316,6 +323,7 @@ def _point_task(args):
     """
     config, draws = args
     canon = canonicalize(config.topology, config.csit)
+    topology, csit = canon.topology, canon.csit
     layouts = {s: plan_layout(canon, s) for s in config.schemes}
     powers = [_snr_power(snr) for snr in config.snr_db]
     sums = np.empty((len(powers), len(config.schemes), len(draws)))
@@ -326,8 +334,8 @@ def _point_task(args):
         passes = -(-len(powers) // max(1, _PASS_DRAWS // len(block)))
         for a, b in _cuts(len(powers), passes):
             p = np.array(powers[a:b])[:, None]
-            h = sample_channel(canon.topology, p, z)
-            estimate = functools.partial(sample_csit, h, canon.topology, canon.csit, p, z)
+            h = sample_channel(topology, p, z)
+            estimate = functools.partial(sample_csit, h, topology, csit, p, z)
             # Not enumerate: its reused result tuple would keep one scheme's
             # layers alive while the generator builds the next scheme's.
             i = 0

@@ -111,8 +111,9 @@ def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
     """
     kind = SchemeKind(scheme_kind)
     if kind is SchemeKind.NAIVE_ZF:
-        worst = np.minimum(*canonical.alpha).tolist()
-        canonical = dataclasses.replace(canonical, alpha=[worst, worst])
+        # A new form, so its effective exponents are those of the minimum.
+        worst = tuple(map(tuple, np.minimum(*canonical.alpha).tolist()))
+        canonical = dataclasses.replace(canonical, alpha=(worst, worst))
     return scheme_layout(canonical)
 
 

@@ -25,21 +25,21 @@ through it.
 
 ``_read`` is the one reading of an instance that ``canonicalize``,
 ``gdof.distributed_gdof`` and ``gdof.genie_outer_bound`` share: the
-float lists, checked by ``_domain``, relabelled by ``_canonical``, and
-the effective exponents (``_effective``) of the raw and of the
-relabelled alpha.  It keeps only the last instance read, keyed on the
-dtype, shape and bytes of both arrays, so the three entry points on one
-pair read, check and relabel it once, an edit to either array is seen
-on the next call, and a map over many instances recomputes each one.
-An error is never kept.  ``canonicalize`` wraps fresh copies of the
-relabelled lists in a ``CanonicalForm``, which makes arrays from them
-only when they are read.  ``validate`` reads its arrays itself.
+float lists, checked by ``_domain``, the effective exponents
+(``_effective``) of the raw alpha, and ``_canonical``'s relabelling.
+It keeps only the last instance read, keyed on the dtype, shape and
+bytes of both arrays, so the three entry points on one pair read,
+check and relabel it once, an edit to either array is seen on the next
+call, and a map over many instances recomputes each one.  An error is
+never kept.  The relabelling is a frozen ``CanonicalForm`` of float
+tuples that derives its effective exponents when it is made, so every
+reader shares it: ``canonicalize`` returns it as it is.  ``validate``
+reads its arrays itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,30 +139,35 @@ class CsitQuality:
         return cls(a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CanonicalForm:
     """A relabelled instance with the strongest link moved to gamma[0, 0].
 
     ``gamma`` (2x2) and ``alpha`` (2x2x2) are the relabelled exponents as
-    nested float lists, which the closed forms read directly.
-    ``topology`` and ``csit`` hold the same exponents as arrays; each is
-    made on its first read and kept.  ``rx_swap`` / ``tx_swap`` record
-    the relabelling that was applied.  ``active_tx`` is the index (after
-    relabelling) of the transmitter whose quality matrix dominates; it
-    carries the interference-cancelling role.
+    nested float tuples, which the closed forms read directly, and
+    ``alpha_prime`` their effective exponents (``_effective``), derived
+    when the form is made.  ``topology`` and ``csit`` make the same
+    exponents into new arrays on each read.  ``rx_swap`` / ``tx_swap``
+    record the relabelling that was applied.  ``active_tx`` is the index
+    (after relabelling) of the transmitter whose quality matrix
+    dominates; it carries the interference-cancelling role.
     """
 
-    gamma: list
-    alpha: list
+    gamma: tuple
+    alpha: tuple
     rx_swap: bool
     tx_swap: bool
     active_tx: int
+    alpha_prime: tuple = field(init=False, repr=False, compare=False)
 
-    @cached_property
+    def __post_init__(self):
+        object.__setattr__(self, "alpha_prime", _effective(self.alpha)[1])
+
+    @property
     def topology(self) -> Topology:
         return Topology(self.gamma)
 
-    @cached_property
+    @property
     def csit(self) -> CsitQuality:
         return CsitQuality(self.alpha)
 
@@ -233,25 +238,22 @@ def validate(topology: Topology, csit: CsitQuality) -> ValidationReport:
 _RELABELLINGS = ((False, False), (True, False), (False, True), (True, True))
 
 
-def _flip(x: list, rows: bool, cols: bool) -> list:
-    """The 2x2 float list ``x`` with its rows and/or its columns swapped."""
-    r0, r1 = (x[1], x[0]) if rows else x
-    return [r0[::-1], r1[::-1]] if cols else [r0, r1]
+def _flip(x: list, rows: bool, cols: bool) -> tuple:
+    """The 2x2 float list ``x`` as nested tuples, its rows and/or its columns swapped."""
+    (x00, x01), (x10, x11) = (x[1], x[0]) if rows else x
+    return ((x01, x00), (x11, x10)) if cols else ((x00, x01), (x10, x11))
 
 
-def _canonical(g: list, a: list, dominance: tuple) -> tuple:
-    """``canonicalize`` on float lists and ``_domain``'s dominance flags:
-    ``(g, a, rx_swap, tx_swap, active_tx)``."""
+def _canonical(g: list, a: list, dominance: tuple) -> CanonicalForm:
+    """``canonicalize`` on float lists and ``_domain``'s dominance flags."""
     (g00, g01), (g10, g11) = g
     # Relabelling n moves the n-th of these to the corner; the first largest wins.
     rx_swap, tx_swap = _RELABELLINGS[[g00, g10, g01, g11].index(max(g00, g01, g10, g11))]
     # Both alphas get the same row and column flips, so dominance after
     # the relabelling is dominance of the TX that lands at index 0.
     active_tx = 0 if dominance[tx_swap] else 1
-    if rx_swap or tx_swap:
-        g = _flip(g, rx_swap, tx_swap)
-        a = [_flip(a[tx_swap], rx_swap, tx_swap), _flip(a[not tx_swap], rx_swap, tx_swap)]
-    return g, a, rx_swap, tx_swap, active_tx
+    a = (_flip(a[tx_swap], rx_swap, tx_swap), _flip(a[not tx_swap], rx_swap, tx_swap))
+    return CanonicalForm(_flip(g, rx_swap, tx_swap), a, rx_swap, tx_swap, active_tx)
 
 
 def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:
@@ -263,11 +265,7 @@ def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:
     index; the result's ``active_tx`` says where.  Raises the first
     validation error if the input is outside the supported domain.
     """
-    (g0, g1), ((a00, a01), (a10, a11)), rx_swap, tx_swap, active_tx = _read(topology, csit)[2]
-    # Fresh lists, so that editing a result leaves the reading as it was.
-    return CanonicalForm(
-        [g0[:], g1[:]], [[a00[:], a01[:]], [a10[:], a11[:]]], rx_swap, tx_swap, active_tx
-    )
+    return _read(topology, csit)[2]
 
 
 def _effective(a: list) -> tuple:
@@ -284,10 +282,10 @@ def _effective(a: list) -> tuple:
     m01 = x01 if x01 > y01 or x01 != x01 else y01
     m10 = x10 if x10 > y10 or x10 != x10 else y10
     m11 = x11 if x11 > y11 or x11 != x11 else y11
-    return [[m00, m01], [m10, m11]], [
+    return ((m00, m01), (m10, m11)), (
         m00 if m00 < m01 or m00 != m00 else m01,
         m10 if m10 < m11 or m10 != m10 else m11,
-    ]
+    )
 
 
 # The last instance read, as one ``(key, reading)`` pair.  ``_read``
@@ -299,15 +297,14 @@ _last_read = (None, None)
 
 def _read(topology: Topology, csit: CsitQuality) -> tuple:
     """The reading of an instance the closed forms share:
-    ``(g, alpha_max, canonical, alpha_prime)``.
+    ``(g, alpha_max, form)``.
 
-    ``g`` is gamma as float lists and ``alpha_max`` the first effective
-    exponent of the raw alpha; ``canonical`` is ``_canonical``'s result
-    and ``alpha_prime`` the second effective exponent of its alpha.
-    Raises ``validate``'s first violation.  Only the last instance read
-    is kept, keyed on the dtype, shape and bytes of both arrays, so an
-    edit to either array is seen on the next call; an error is never
-    kept.  Callers must not edit the lists they are handed.
+    ``g`` is gamma as float lists, ``alpha_max`` the first effective
+    exponent of the raw alpha and ``form`` the instance's
+    ``CanonicalForm``.  Raises ``validate``'s first violation.  Only the
+    last instance read is kept, keyed on the dtype, shape and bytes of
+    both arrays, so an edit to either array is seen on the next call; an
+    error is never kept.
     """
     global _last_read
     gamma, alpha = topology.gamma, csit.alpha
@@ -319,8 +316,7 @@ def _read(topology: Topology, csit: CsitQuality) -> tuple:
     dominance, violations = _domain(g, a)
     if violations:
         raise violations[0]
-    canonical = _canonical(g, a, dominance)
-    reading = g, _effective(a)[0], canonical, _effective(canonical[1])[1]
+    reading = g, _effective(a)[0], _canonical(g, a, dominance)
     _last_read = key, reading
     return reading
 

@@ -36,6 +36,13 @@ def as_kernel(c):
     return np.ascontiguousarray(np.stack((c.real, c.imag)))
 
 
+def assert_same_bits(got, ref):
+    """``got`` equals ``ref`` in shape, dtype, value and the sign of every zero."""
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
 # Each case must be a ConfigError, so the CLI exits with code 2 and one
 # short stderr line (see tests/test_cli.py), never a traceback or the
 # self-check failure code 1.  The configs they go into have 3 SNR points
@@ -60,6 +67,9 @@ BAD_CONFIG_VALUES = {
     "unknown-key-100k-chars": ("k" * 100_000, 1),
     "snr-100k-char-string": ("snr_db", [40.0, "x" * 100_000]),
     "schemes-50000-repeated": ("schemes", ["apzf"] * 50_000),
+    # A mapping would be read as its keys, a string as its letters.
+    "schemes-mapping": ("schemes", {"apzf": 1, "naive_zf": 2}),
+    "schemes-string": ("schemes", "apzf"),
     # float() and np.asarray() would take each of these as numbers.
     "snr-digit-string": ("snr_db", "2468"),
     "snr-mapping": ("snr_db", {"40": 0, "50": 0, "60": 0}),

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,19 @@ def test_distributed_rejects_non_dominant():
 def test_genie_equals_distributed():
     ok, detail = checks.closed_form_identity(np.random.default_rng(5), 300)
     assert ok, detail
+
+
+def test_closed_form_identity_reports_a_one_ulp_mismatch(monkeypatch):
+    real = checks.genie_outer_bound
+
+    def nudged(topo, csit):
+        value = real(topo, csit)
+        return dataclasses.replace(value, value=math.nextafter(value.value, math.inf))
+
+    monkeypatch.setattr(checks, "genie_outer_bound", nudged)
+    first, _ = dyadic_instance(np.random.default_rng(5))
+    ok, detail = checks.closed_form_identity(np.random.default_rng(5), 300)
+    assert (ok, detail) == (False, f"mismatch at gamma={first.gamma.tolist()}")
 
 
 def test_genie_degenerate_max():
@@ -222,6 +238,25 @@ def test_layout_case_discriminator_and_tie():
 def test_layout_sum_matches_closed_form():
     ok, detail = checks.layout_totals(np.random.default_rng(37), 500)
     assert ok, detail
+
+
+@pytest.mark.parametrize("nudge, ok", [(2e-12, False), (None, True)], ids=["past-1e-12", "one-ulp"])
+def test_layout_totals_reports_a_sum_off_by_more_than_1e_12(monkeypatch, nudge, ok):
+    real = checks.scheme_layout
+
+    def nudged(canonical):
+        layout = real(canonical)
+        s0 = layout.rate_exp["s0"]
+        layout.rate_exp["s0"] = math.nextafter(s0, math.inf) if nudge is None else s0 + nudge
+        return layout
+
+    monkeypatch.setattr(checks, "scheme_layout", nudged)
+    got, detail = checks.layout_totals(np.random.default_rng(37), 500)
+    assert got is ok
+    if ok:
+        assert detail.startswith("500 random instances, max |diff| = ")
+    else:
+        assert detail.startswith("layout sum off by ") and 1e-12 < float(detail.split()[-1]) < 3e-12
 
 
 def test_layout_exponent_ranges():

@@ -15,7 +15,7 @@ from apzf import (
     sample_csit,
 )
 from apzf.precoders import _abs2, _cmul, _cmul_conj, _naive, _normalised, _zf_direction
-from conftest import as_complex, as_kernel
+from conftest import as_complex, as_kernel, assert_same_bits
 
 P_GRID = np.logspace(4, 8, 5)
 
@@ -44,12 +44,6 @@ def _signed_zero_parts(rng, shape):
     and the sign of every zero result are compared."""
     zeros = rng.choice([0.0, -0.0], shape)
     return np.where(rng.random(shape) < 0.5, zeros, rng.standard_normal(shape))
-
-
-def _assert_same_bits(got, ref):
-    assert got.shape == ref.shape and got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _one(est):
@@ -99,7 +93,7 @@ def test_cmul_is_the_two_expression_formula_bit_for_bit(a_shape, b_shape):
     rng = np.random.default_rng(31)
     a, b = _signed_zero_parts(rng, a_shape), _signed_zero_parts(rng, b_shape)
     ref = np.array((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
-    _assert_same_bits(_cmul(a, b), ref)
+    assert_same_bits(_cmul(a, b), ref)
 
 
 @pytest.mark.parametrize("a_shape, b_shape", CMUL_SHAPES)
@@ -108,8 +102,8 @@ def test_cmul_conj_is_cmul_of_a_conjugate_copy_bit_for_bit(a_shape, b_shape):
     # the product with a conjugated copy does.
     rng = np.random.default_rng(31)
     a, b = _signed_zero_parts(rng, a_shape), _signed_zero_parts(rng, b_shape)
-    _assert_same_bits(_cmul_conj(a, b), _cmul(a, _conj(b)))
-    _assert_same_bits(_cmul_conj(b, a), _cmul(b, _conj(a)))
+    assert_same_bits(_cmul_conj(a, b), _cmul(a, _conj(b)))
+    assert_same_bits(_cmul_conj(b, a), _cmul(b, _conj(a)))
 
 
 @pytest.mark.parametrize("p", [1e6, 0.49, 1e-2, 1e-30])
@@ -124,10 +118,10 @@ def test_normalised_is_the_scaled_conjugate_bit_for_bit(p):
     for target in (0, 1):
         w, n = _zf_direction(est, target, p)
         ref = _scaled(_conj(w), 0.7, p)
-        _assert_same_bits(_normalised(w, n, 0.7, p), ref)
+        assert_same_bits(_normalised(w, n, 0.7, p), ref)
         for j in (0, 1):
-            _assert_same_bits(_normalised(w[:, j], n, 0.7, p), ref[:, j])
-    _assert_same_bits(matched(est, 0.3, p), _scaled(_conj(est[:, 0]), 0.3, p))
+            assert_same_bits(_normalised(w[:, j], n, 0.7, p), ref[:, j])
+    assert_same_bits(matched(est, 0.3, p), _scaled(_conj(est[:, 0]), 0.3, p))
 
 
 @pytest.mark.parametrize("active", [0, 1])
@@ -144,7 +138,7 @@ def test_apzf_active_coefficient_is_the_conjugate_product_bit_for_bit(active):
         e_act, e_pas = est[:, itf, active], est[:, itf, passive]
         ref = _cmul(-_conj(e_act), e_pas) * (math.sqrt(p**x) / (_abs2(e_act) + 1.0 / p))
         t = apzf(est, target, tau, topo, p, active_tx=active)
-        _assert_same_bits(t[:, active], ref)
+        assert_same_bits(t[:, active], ref)
 
 
 def test_apzf_passive_coefficient_is_deterministic():

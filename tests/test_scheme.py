@@ -22,7 +22,7 @@ from apzf import (
 )
 import apzf.scheme as scheme
 from apzf.precoders import _abs2, _cmul
-from conftest import as_complex, as_kernel, reference_instance
+from conftest import as_complex, as_kernel, assert_same_bits, reference_instance
 from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
@@ -261,12 +261,6 @@ def _signed_zeros(rng, x, share=0.3):
     return np.where(rng.random(x.shape) < share, rng.choice([0.0, -0.0], x.shape), x)
 
 
-def _assert_same_bits(got, ref):
-    assert got.shape == ref.shape and got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
-
-
 def _golden_powers(instance, column):
     """The golden sweep's instance, and its first SNR point's P or its whole grid's column."""
     gamma, alpha, grid = GOLDEN_INSTANCES[instance]
@@ -292,7 +286,7 @@ def test_received_power_is_the_cmul_formula_bit_for_bit(instance, column):
     assert list(got) == list(layers)
     for tag, t in layers.items():
         y = _cmul(h, t[:, None])
-        _assert_same_bits(got[tag], _abs2(y[:, :, 0] + y[:, :, 1]))
+        assert_same_bits(got[tag], _abs2(y[:, :, 0] + y[:, :, 1]))
 
 
 def _out_of_place_backoff(layers, p):
@@ -325,7 +319,20 @@ def test_in_place_backoff_is_the_out_of_place_product_bit_for_bit(instance, colu
     assert 0 < mask.sum() < mask.size
     np.testing.assert_array_equal(mask, expected_mask)
     for tag, t in expected.items():
-        _assert_same_bits(layers[tag], t)
+        assert_same_bits(layers[tag], t)
+
+
+def test_a_draw_over_the_budget_after_the_backoff_raises(monkeypatch):
+    # The reference instance at P = 1e4 backs off on some of 1,000 draws;
+    # with a back-off that scales nothing, the budget check must raise.
+    canon, p = _canon_reference(), 1e4
+    _, h_hat = _draw(canon, p, np.random.default_rng(17), 1000)
+    layout = plan_layout(canon, "apzf")
+    _, mask = build_layers(canon, h_hat, layout, "apzf", p)
+    assert 0 < mask.sum() < mask.size
+    monkeypatch.setattr(scheme, "_cap_to_budget", lambda layers, p, shape: np.zeros(shape, dtype=bool))
+    with pytest.raises(scheme.PowerInfeasible, match="per-TX power exceeds budget P = 10000.0"):
+        build_layers(canon, h_hat, layout, "apzf", p)
 
 
 _KINDS = ("apzf", "centralized_zf", "naive_zf", "no_csit")
@@ -357,10 +364,10 @@ def test_a_column_slice_is_its_points_float_p_bit_for_bit(instance, kind):
         layers, mask, rates = _layers_mask_rates(canon, kind, q, z)
         assert list(col_layers) == list(layers) and list(col_rates) == list(rates)
         for tag, t in layers.items():
-            _assert_same_bits(col_layers[tag][..., i, :], t)
+            assert_same_bits(col_layers[tag][..., i, :], t)
         np.testing.assert_array_equal(col_mask[i], mask)
         for tag, r in rates.items():
-            _assert_same_bits(col_rates[tag][i], r)
+            assert_same_bits(col_rates[tag][i], r)
 
 
 @pytest.mark.skipif(

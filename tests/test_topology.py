@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import sys
@@ -330,9 +331,9 @@ def test_canonical_arrays_are_the_canonical_lists_as_arrays():
     for topo, csit in (instance for make in makers for instance in make()):
         canon = canonicalize(topo, csit)
         g, a = topo.gamma.tolist(), csit.alpha.tolist()
-        g, a, *_ = _canonical(g, a, _domain(g, a)[0])
-        assert canon.topology.gamma.tobytes() == np.asarray(g).tobytes()
-        assert canon.csit.alpha.tobytes() == np.asarray(a).tobytes()
+        form = _canonical(g, a, _domain(g, a)[0])
+        assert canon.topology.gamma.tobytes() == np.asarray(form.gamma).tobytes()
+        assert canon.csit.alpha.tobytes() == np.asarray(form.alpha).tobytes()
 
 
 class _NoNumpy:
@@ -359,12 +360,13 @@ def test_closed_forms_build_no_topology_csit_or_array(monkeypatch):
         distributed_gdof(topo, csit)
         genie_outer_bound(topo, csit)
     assert made == []
-    # The counter sees the arrays once they are read, and only the first time.
+    # The counter sees the arrays once they are read, made anew on each read.
     for module in (topology_module, gdof_module):
         monkeypatch.setattr(module, "np", np)
     for _ in range(2):
         canon.topology, canon.csit
-    assert made == ["Topology", "CsitQuality"]
+    assert made == ["Topology", "CsitQuality"] * 2
+    assert canon.topology.gamma is not canon.topology.gamma
 
 
 _RULE_VALUES = _IN_RANGE + _OUT_OF_RANGE + [0.75, math.nextafter(0.5, 1.0)]
@@ -497,6 +499,29 @@ def test_gdof_map_order_reads_each_instance_once(monkeypatch):
     assert len(calls) == 12
 
 
+def test_gdof_map_order_derives_effective_exponents_twice_per_instance(monkeypatch):
+    # Once for the raw alpha (the genie's alpha_max), once for the canonical
+    # form's alpha_prime, which distributed_gdof and scheme_layout share.
+    instances = _distinct_instances(5, 40)
+    calls = []
+    effective = topology_module._effective
+
+    def counted(a):
+        calls.append(1)
+        return effective(a)
+
+    monkeypatch.setattr(topology_module, "_effective", counted)
+    monkeypatch.setattr(topology_module, "_last_read", (None, None))
+    for topo, csit in instances:
+        distributed_gdof(topo, csit)
+        genie_outer_bound(topo, csit)
+        scheme_layout(canonicalize(topo, csit))
+    assert len(calls) == 2 * len(instances)
+    topo, csit = instances[-1]
+    assert canonicalize(topo, csit) is canonicalize(topo, csit)
+    assert len(calls) == 2 * len(instances)
+
+
 def _zero_instance():
     """Gamma and both alphas hold +0.0 at (0, 1), where a -0.0 shows in
     the canonical lists."""
@@ -555,10 +580,15 @@ def test_results_share_nothing_with_the_reading():
     topo, csit = _zero_instance()
     before = _gdof_map_results(topo, csit)
     canon = canonicalize(topo, csit)
-    canon.gamma[0][0] = 9.0
-    canon.gamma[1].append(9.0)
-    canon.alpha[0][1][0] = 9.0
-    canon.alpha[1].reverse()
+    for name in ("gamma", "alpha", "alpha_prime", "active_tx"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(canon, name, None)
+    for items in (canon.gamma, canon.gamma[1], canon.alpha[0][1], canon.alpha_prime):
+        with pytest.raises(TypeError):
+            items[0] = 9.0
+    canon.topology.gamma[...] = 9.0
+    canon.csit.alpha[0, 1] = 9.0
+    canon.csit.alpha[1] = canon.csit.alpha[1, ::-1]
     for value in (distributed_gdof(topo, csit), genie_outer_bound(topo, csit)):
         value.value = value.d1 = value.d2 = 9.0
         value.branch = "d9"
