@@ -8,7 +8,9 @@ Subcommands:
 * ``validate``  self-check suites (identities, cancellation, exponents)
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad config or
-usage, 3 config outside the supported domain, 4 I/O failure.
+usage, 3 config outside the supported domain, 4 I/O failure, 5 out of
+resources (a sweep's worker process died, as under the OOM killer, or
+memory ran out).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+EXIT_RESOURCES = 5
 
 
 def non_negative_int(text: str) -> int:
@@ -260,6 +263,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (MemoryError, RuntimeError) as exc:
+        # Imported here: concurrent.futures costs about 5 ms and 0.4 MB,
+        # which a sweep that starts no pool saves.  BrokenExecutor is a
+        # RuntimeError.
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, (MemoryError, BrokenExecutor)):
+            raise
+        print(f"out of resources: {exc!r}", file=sys.stderr)
+        return EXIT_RESOURCES
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
 from .gdof import centralized_gdof, distributed_gdof, genie_outer_bound
-from .scheme import SchemeKind, _build_pass, achievable_rates, plan_layout
+from .scheme import _BANDS, _build_pass, achievable_rates, plan_layout
 from .topology import CsitQuality, Topology, canonicalize
 
 __all__ = [
@@ -177,10 +177,10 @@ class SweepConfig:
     def __post_init__(self):
         if not _is_array(self.schemes):
             raise ConfigError(f"schemes: expected an array, got {reprlib.repr(self.schemes)}")
-        unknown = [s for s in self.schemes if s not in [k.value for k in SchemeKind]]
+        unknown = [s for s in self.schemes if not (isinstance(s, str) and s in _BANDS)]
         if unknown:
             raise ConfigError(f"unknown scheme: {reprlib.repr(unknown[0])}")
-        self.schemes = tuple(str(SchemeKind(s).value) for s in self.schemes)
+        self.schemes = tuple(self.schemes)
         self.snr_db = _array("snr_db", self.snr_db, 1)
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")

@@ -37,18 +37,21 @@ powers (see ``apzf.channel``); at a column every layer, mask and rate
 has a points axis just before the draws, and each point's slice equals
 what its float P gives, bit for bit.
 
-Scheme kinds differ in how the private vectors are produced, and only
-``apzf`` sends ``z1``; a band takes power only if it is sent:
+A scheme is its name (a key of ``_BANDS``): each sends the layout
+``plan_layout`` gives it, and the schemes differ in how the private
+vectors are produced.  Only ``apzf`` sends ``z1``; a band takes power
+only if it is sent:
 
 * ``apzf``             active-passive ZF from the active TX's estimate,
 * ``centralized_zf``   regularized ZF from the active TX's estimate used
                        as if it were shared by both TXs; not the genie
-                       scheme of the centralized closed form, since its
-                       ZF vector is normalised as a whole, with no
-                       pathloss-scaled passive coefficient like AP-ZF's,
-                       so its slope can fall short of
-                       ``gdof.genie_outer_bound`` (``perfbench``'s gate
-                       holds it to that form on two instances only),
+                       scheme of the centralized closed form: where its
+                       slope falls short of ``gdof.genie_outer_bound``,
+                       it misses the rate of ``z1``, a layer it never
+                       sends, or that of an ``s0`` left no power by a
+                       sent band of power exponent 1 or more
+                       (``perfbench``'s gate holds it to that form on two
+                       instances only),
 * ``naive_zf``         per-TX regularized ZF from local estimates, and
                        the worst-transmitter layout (a TX that adapts
                        with quality it does not have only injects
@@ -60,7 +63,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from enum import Enum
 
 import numpy as np
 
@@ -70,7 +72,6 @@ from .precoders import _abs2, _naive, _normalised, _zf_direction, apzf, matched,
 from .topology import CanonicalForm
 
 __all__ = [
-    "SchemeKind",
     "PowerInfeasible",
     "plan_layout",
     "build_layers",
@@ -93,39 +94,38 @@ class PowerInfeasible(RuntimeError):
     """A draw's per-transmitter power came out above the budget."""
 
 
-class SchemeKind(str, Enum):
-    APZF = "apzf"
-    CENTRALIZED_ZF = "centralized_zf"
-    NAIVE_ZF = "naive_zf"
-    NO_CSIT = "no_csit"
+# {scheme: the bands it may send besides s0}; its keys are the scheme names.
+_BANDS = {"apzf": ("s1", "z1"), "centralized_zf": ("s1",), "naive_zf": ("s1",), "no_csit": ()}
 
 
-def plan_layout(canonical: CanonicalForm, scheme_kind) -> SchemeLayout:
+def plan_layout(canonical: CanonicalForm, scheme: str) -> SchemeLayout:
     """Layout a scheme transmits with on a canonical instance.
 
     AP-ZF and the centralized baseline use the effective (best-TX)
     exponents.  The naive baseline only delivers the cancellation quality
     of the worse transmitter, so its layout is that of both TXs holding the
     entrywise-minimum alphas; transmitting the optimistic layout instead
-    would drown the common layer in residual interference.
+    would drown the common layer in residual interference.  ValueError
+    for a name that is no scheme.
     """
-    kind = SchemeKind(scheme_kind)
-    if kind is SchemeKind.NAIVE_ZF:
+    if scheme not in _BANDS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "naive_zf":
         # A new form, so its effective exponents are those of the minimum.
-        worst = tuple(map(tuple, np.minimum(*canonical.alpha).tolist()))
+        worst = np.minimum(*canonical.alpha).tolist()
         canonical = dataclasses.replace(canonical, alpha=(worst, worst))
     return scheme_layout(canonical)
 
 
-def _private_pair(canonical, est, tau, kind, p, zf):
+def _private_pair(canonical, est, tau, scheme, p, zf):
     """The pair ``s1``, ``s2``.  ``est(j)`` is TX j's memoised estimate,
     and ``zf(j, rx)`` its memoised ZF direction for ``rx``, which the ZF
     baselines normalise: whole for ``centralized_zf``, one entry per TX
     for ``naive_zf`` (``precoders._naive``)."""
     act = canonical.active_tx
-    if kind is SchemeKind.APZF:
+    if scheme == "apzf":
         return [apzf(est(act), rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)]
-    if kind is SchemeKind.CENTRALIZED_ZF:
+    if scheme == "centralized_zf":
         return [_normalised(*zf(act, rx), tau, p) for rx in (0, 1)]
     return [_naive([zf(0, rx), zf(1, rx)], tau, p) for rx in (0, 1)]
 
@@ -159,13 +159,10 @@ def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
 
 
 def build_layers(
-    canonical: CanonicalForm,
-    h_hat: np.ndarray,
-    layout: SchemeLayout,
-    scheme_kind,
-    p,
+    canonical: CanonicalForm, h_hat: np.ndarray, scheme: str, p
 ) -> tuple[dict, np.ndarray]:
-    """Instantiate ``layout`` on every draw of the estimates ``h_hat``.
+    """Instantiate ``scheme``'s layout (``plan_layout``) on every draw of
+    the estimates ``h_hat``; ValueError for a name that is no scheme.
 
     ``h_hat`` is (2, 2, 2, 2, draws), or (2, 2, 2, 2, points, draws) at a
     column ``p``.
@@ -179,13 +176,13 @@ def build_layers(
     the ([points,] draws) back-off mask.  This is the one-scheme case of
     ``_build_pass``.
     """
-    return next(_build_pass(canonical, lambda j: h_hat[:, j], {scheme_kind: layout}, p, h_hat.shape[4:]))
+    layouts = {scheme: plan_layout(canonical, scheme)}
+    return next(_build_pass(canonical, lambda j: h_hat[:, j], layouts, p, h_hat.shape[4:]))
 
 
-def _bands(kind: SchemeKind, layout: SchemeLayout) -> list:
-    """The bands ``kind`` sends besides ``s0``: those it can send that carry rate."""
-    sent = {SchemeKind.APZF: ("s1", "z1"), SchemeKind.NO_CSIT: ()}.get(kind, ("s1",))
-    return [tag for tag in sent if layout.rate_exp.get(tag, 0.0) > 0.0]
+def _bands(scheme: str, layout: SchemeLayout) -> list:
+    """The bands ``scheme`` sends besides ``s0``: those it can send that carry rate."""
+    return [tag for tag in _BANDS[scheme] if layout.rate_exp.get(tag, 0.0) > 0.0]
 
 
 def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p, shape: tuple):
@@ -202,13 +199,12 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p, shape: tup
     built its layers, before they are yielded.  Directions are normalised
     per scheme, since the schemes' power exponents may differ.
     """
-    plans = [(SchemeKind(s), layout) for s, layout in layouts.items()]
-    plans = [(kind, layout, _bands(kind, layout)) for kind, layout in plans]
+    plans = [(scheme, layout, _bands(scheme, layout)) for scheme, layout in layouts.items()]
     last = max((i for i, (_, _, bands) in enumerate(plans) if bands), default=0)
     act = canonical.active_tx
     est = functools.cache(estimate)
     zf = functools.cache(lambda j, rx: _zf_direction(est(j), rx, p))
-    for i, (kind, layout, bands) in enumerate(plans):
+    for i, (scheme, layout, bands) in enumerate(plans):
         tau = layout.power_exp
 
         def s0_power(q: float) -> float:
@@ -220,7 +216,7 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p, shape: tup
 
         layers = {"s0": multicast(_per_point(s0_power, p))}
         if "s1" in bands:
-            layers["s1"], layers["s2"] = _private_pair(canonical, est, tau["s1"], kind, p, zf)
+            layers["s1"], layers["s2"] = _private_pair(canonical, est, tau["s1"], scheme, p, zf)
         if "z1" in bands:
             layers["z1"] = matched(est(act), tau["z1"], p)
         if i == last:

@@ -146,7 +146,9 @@ class CanonicalForm:
     ``gamma`` (2x2) and ``alpha`` (2x2x2) are the relabelled exponents as
     nested float tuples, which the closed forms read directly, and
     ``alpha_prime`` their effective exponents (``_effective``), derived
-    when the form is made.  ``topology`` and ``csit`` make the same
+    when the form is made.  Exponents given as lists or arrays are copied
+    out as float tuples; nested tuples, which ``canonicalize`` gives, are
+    kept as they are.  ``topology`` and ``csit`` make the same
     exponents into new arrays on each read.  ``rx_swap`` / ``tx_swap``
     record the relabelling that was applied.  ``active_tx`` is the index
     (after relabelling) of the transmitter whose quality matrix
@@ -161,6 +163,14 @@ class CanonicalForm:
     alpha_prime: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            hash((self.gamma, self.alpha))  # the cheap test for a list or an array inside
+        except TypeError:
+            # Copied, so a later edit of the caller's lists cannot make
+            # alpha_prime stale.
+            a0, a1 = self.alpha
+            object.__setattr__(self, "gamma", _floats(self.gamma))
+            object.__setattr__(self, "alpha", (_floats(a0), _floats(a1)))
         object.__setattr__(self, "alpha_prime", _effective(self.alpha)[1])
 
     @property
@@ -236,6 +246,12 @@ def validate(topology: Topology, csit: CsitQuality) -> ValidationReport:
 # Candidate relabellings, tried in order; first hit wins so that the
 # identity is preferred on ties.
 _RELABELLINGS = ((False, False), (True, False), (False, True), (True, True))
+
+
+def _floats(x) -> tuple:
+    """The 2x2 ``x`` as nested float tuples."""
+    (x00, x01), (x10, x11) = x
+    return (float(x00), float(x01)), (float(x10), float(x11))
 
 
 def _flip(x: list, rows: bool, cols: bool) -> tuple:

@@ -63,6 +63,8 @@ BAD_CONFIG_VALUES = {
     "workers-fractional": ("workers", 1.5),
     "workers-bool": ("workers", True),
     "schemes-duplicated": ("schemes", ["apzf", "apzf"]),
+    "schemes-unknown": ("schemes", ["apzf", "dirty_paper"]),
+    "schemes-nested-list": ("schemes", ["apzf", ["apzf"]]),
     "unknown-key": ("window", [45.0, 55.0]),
     "unknown-key-100k-chars": ("k" * 100_000, 1),
     "snr-100k-char-string": ("snr_db", [40.0, "x" * 100_000]),

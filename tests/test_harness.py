@@ -68,12 +68,12 @@ def _chunk_row(seed, d):
     return _substream(seed, chunk).standard_normal((row + 1, NORMALS_PER_DRAW))[row]
 
 
-def _draw_sum(cfg, canon, layout, p, d):
+def _draw_sum(cfg, canon, p, d):
     """Sum rate of apzf on draw d at power p, from its chunk's substream alone."""
     z = _chunk_row(cfg.seed, d)[None, :]
     h = sample_channel(canon.topology, p, z)
     h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
-    layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
+    layers, _ = build_layers(canon, h_hat, "apzf", p)
     return float(sum(achievable_rates(h, layers).values())[0])
 
 
@@ -134,9 +134,8 @@ def test_simulate_snr_reproducible_and_single_draw():
 
     # one draw must match a by-hand reconstruction of the same substream
     canon = canonicalize(cfg.topology, cfg.csit)
-    layout = plan_layout(canon, "apzf")
     p = 10.0 ** (50.0 / 10.0)
-    manual = _draw_sum(cfg, canon, layout, p, 0)
+    manual = _draw_sum(cfg, canon, p, 0)
     assert pt.mean == pytest.approx(manual, rel=1e-15)
 
 
@@ -148,9 +147,8 @@ def test_simulate_snr_mean_prefix_consistent():
     m10 = _apzf_point(cfg10, 40.0).mean
     # reconstruct the 10-draw mean from two disjoint halves
     canon = canonicalize(cfg10.topology, cfg10.csit)
-    layout = plan_layout(canon, "apzf")
     p = 10.0 ** (40.0 / 10.0)
-    tail = [_draw_sum(cfg10, canon, layout, p, d) for d in range(5, 10)]
+    tail = [_draw_sum(cfg10, canon, p, d) for d in range(5, 10)]
     assert m10 == pytest.approx((5 * m5 + sum(tail)) / 10.0, rel=1e-12)
 
 
@@ -230,8 +228,8 @@ def test_naive_zf_sends_what_no_csit_sends_when_its_s1_carries_no_rate():
         p = 10.0 ** (snr / 10.0)
         z = _block_normals(cfg.seed, range(cfg.draws))
         h_hat = sample_csit(sample_channel(canon.topology, p, z), canon.topology, canon.csit, p, z)
-        naive, _ = build_layers(canon, h_hat, plan_layout(canon, "naive_zf"), "naive_zf", p)
-        blind, _ = build_layers(canon, h_hat, plan_layout(canon, "no_csit"), "no_csit", p)
+        naive, _ = build_layers(canon, h_hat, "naive_zf", p)
+        blind, _ = build_layers(canon, h_hat, "no_csit", p)
         assert list(naive) == list(blind) == ["s0"]
         np.testing.assert_array_equal(naive["s0"], blind["s0"])
 
@@ -243,7 +241,6 @@ def test_a_draw_does_not_depend_on_its_batch(batch):
     # 20 dB apzf backs off on every draw, centralized_zf on some of them.
     cfg = _z1_case2_config()
     canon = canonicalize(cfg.topology, cfg.csit)
-    layouts = {s: plan_layout(canon, s) for s in cfg.schemes}
     p = 10.0 ** (20.0 / 10.0)
     z = _block_normals(cfg.seed, range(23))
 
@@ -252,7 +249,7 @@ def test_a_draw_does_not_depend_on_its_batch(batch):
         h_hat = sample_csit(h, canon.topology, canon.csit, p, normals)
         out = {}
         for s in cfg.schemes:
-            layers, mask = build_layers(canon, h_hat, layouts[s], s, p)
+            layers, mask = build_layers(canon, h_hat, s, p)
             out[s] = (sum(achievable_rates(h, layers).values()), mask)
         return out
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from apzf import (
     NORMALS_PER_DRAW,
     CsitQuality,
-    SchemeKind,
     Topology,
     achievable_rates,
     apzf,
@@ -47,7 +45,7 @@ def _draw(canon, p, rng, draws=1):
 def _draw_layers(canon, kind, p, rng, draws=1):
     """Channels and the layers of ``kind`` on ``draws`` fresh draws."""
     h, h_hat = _draw(canon, p, rng, draws)
-    layers, _ = build_layers(canon, h_hat, plan_layout(canon, kind), kind, p)
+    layers, _ = build_layers(canon, h_hat, kind, p)
     return h, layers
 
 
@@ -57,11 +55,14 @@ def _received(h, layers):
     return {tag: np.abs((h @ as_complex(t)[..., None])[..., 0]) ** 2 for tag, t in layers.items()}
 
 
-def test_scheme_kind_values():
-    assert {k.value for k in SchemeKind} == {"apzf", "centralized_zf", "naive_zf", "no_csit"}
-    assert SchemeKind("apzf") is SchemeKind.APZF
-    with pytest.raises(ValueError):
-        SchemeKind("dirty_paper")
+def test_an_unknown_scheme_name_is_a_value_error():
+    canon = _canon_reference()
+    _, h_hat = _draw(canon, 1e4, np.random.default_rng(0))
+    assert list(scheme._BANDS) == ["apzf", "centralized_zf", "naive_zf", "no_csit"]
+    with pytest.raises(ValueError, match="unknown scheme 'dirty_paper'"):
+        plan_layout(canon, "dirty_paper")
+    with pytest.raises(ValueError, match="unknown scheme 'dirty_paper'"):
+        build_layers(canon, h_hat, "dirty_paper", 1e4)
 
 
 def test_plan_layout_naive_uses_worst_quality():
@@ -89,7 +90,7 @@ def test_naive_layout_is_the_weaker_tx_layout(dominant):
     assert naive.rate_exp["z1"] == pytest.approx(0.1)
     # s1 carries no rate and z1 is apzf's alone, so only s0 is sent.
     _, h_hat = _draw(canon, 1e4, np.random.default_rng(12), draws=5)
-    assert list(build_layers(canon, h_hat, naive, "naive_zf", 1e4)[0]) == ["s0"]
+    assert list(build_layers(canon, h_hat, "naive_zf", 1e4)[0]) == ["s0"]
 
 
 def test_build_layers_reference_has_three_layers():
@@ -97,7 +98,7 @@ def test_build_layers_reference_has_three_layers():
     rng = np.random.default_rng(0)
     h, h_hat = _draw(canon, 1e6, rng)
     layout = plan_layout(canon, "apzf")
-    layers, _ = build_layers(canon, h_hat, layout, "apzf", 1e6)
+    layers, _ = build_layers(canon, h_hat, "apzf", 1e6)
     assert list(layers) == ["s0", "s1", "s2"]
     assert "z1" not in layers
     # s1 is the AP-ZF vector aimed at RX 1 (index 0).
@@ -126,21 +127,34 @@ def test_build_layers_no_csit_single_full_power_layer():
     assert np.sum(np.abs(layers["s0"]) ** 2) == pytest.approx(1e6)
 
 
+def _canon_s0_rate_zero():
+    """Case-1 instance whose apzf layout gives s0 no rate, and s1 and z1 some."""
+    topo = Topology(np.array([[1.0, 0.25], [0.25, 0.75]]))
+    return canonicalize(topo, CsitQuality.uniform(0.25, 0.0))
+
+
+def _canon_blind():
+    """Unit links and two blind TXs: the layout gives s0 all the rate."""
+    return canonicalize(Topology(np.ones((2, 2))), CsitQuality.uniform(0.0, 0.0))
+
+
 _P4 = 1e6 - 1e6**0.7 - 1e6**0.1  # s0's power when s1 and z1 both carry rate
 
 
 @pytest.mark.parametrize(
-    "kind, zero_rates, p, tags, s0_power",
+    "instance, kind, zero_rates, p, tags, s0_power",
     [
-        ("apzf", (), 1e6, ["s0", "s1", "s2", "z1"], _P4),
+        (_canon_four_band, "apzf", (), 1e6, ["s0", "s1", "s2", "z1"], _P4),
         # The baselines never send z1, so it takes none of their power.
-        ("centralized_zf", (), 1e6, ["s0", "s1", "s2"], 1e6 - 1e6**0.7),
-        ("apzf", ("s0",), 1e6, ["s0", "s1", "s2", "z1"], _P4),
-        ("apzf", ("z1",), 1e6, ["s0", "s1", "s2"], 1e6 - 1e6**0.7),
-        ("apzf", ("s1", "s2", "z1"), 1e6, ["s0"], 1e6),
-        ("no_csit", (), 1e6, ["s0"], 1e6),
+        (_canon_four_band, "centralized_zf", (), 1e6, ["s0", "s1", "s2"], 1e6 - 1e6**0.7),
+        # s0 carries no rate only where s1's power exponent is 1 or more,
+        # which leaves it no power: here 1e6 - 1e6**1.0 - 1e6**0.25 < 0.
+        (_canon_s0_rate_zero, "apzf", ("s0",), 1e6, ["s0", "s1", "s2", "z1"], 0.0),
+        (_canon_reference, "apzf", ("z1",), 1e6, ["s0", "s1", "s2"], 1e6 - 1e6**0.7),
+        (_canon_blind, "apzf", ("s1", "s2", "z1"), 1e6, ["s0"], 1e6),
+        (_canon_four_band, "no_csit", (), 1e6, ["s0"], 1e6),
         # 1.5 - 1.5**0.7 - 1.5**0.1 < 0: no power is left, so s0 is sent at 0.
-        ("apzf", (), 1.5, ["s0", "s1", "s2", "z1"], 0.0),
+        (_canon_four_band, "apzf", (), 1.5, ["s0", "s1", "s2", "z1"], 0.0),
     ],
     ids=[
         "four-band",
@@ -152,14 +166,12 @@ _P4 = 1e6 - 1e6**0.7 - 1e6**0.1  # s0's power when s1 and z1 both carry rate
         "negative-residual",
     ],
 )
-def test_build_layers_tags_and_common_power(kind, zero_rates, p, tags, s0_power):
-    canon = _canon_four_band()
-    layout = plan_layout(canon, "apzf")
-    layout = dataclasses.replace(
-        layout, rate_exp={**layout.rate_exp, **dict.fromkeys(zero_rates, 0.0)}
-    )
+def test_build_layers_tags_and_common_power(instance, kind, zero_rates, p, tags, s0_power):
+    canon = instance()
+    rates = plan_layout(canon, kind).rate_exp
+    assert tuple(tag for tag in ("s0", "s1", "s2", "z1") if rates.get(tag, 0.0) == 0.0) == zero_rates
     _, h_hat = _draw(canon, p, np.random.default_rng(11), draws=20)
-    layers, _ = build_layers(canon, h_hat, layout, kind, p)
+    layers, _ = build_layers(canon, h_hat, kind, p)
     assert list(layers) == tags
     assert np.sum(np.abs(layers["s0"]) ** 2) == pytest.approx(s0_power, rel=1e-12)
 
@@ -168,11 +180,10 @@ def test_build_layers_tags_and_common_power(kind, zero_rates, p, tags, s0_power)
 def test_build_layers_tags_do_not_depend_on_p(kind):
     # At P = 1.5 no power is left for s0; it is sent anyway, at amplitude 0.
     canon = _canon_four_band()
-    layout = plan_layout(canon, kind)
     tags = {}
     for p in (1.5, 1e6):
         _, h_hat = _draw(canon, p, np.random.default_rng(11), draws=20)
-        tags[p] = list(build_layers(canon, h_hat, layout, kind, p)[0])
+        tags[p] = list(build_layers(canon, h_hat, kind, p)[0])
     assert tags[1.5] == tags[1e6]
     assert tags[1.5][0] == "s0"
 
@@ -235,7 +246,7 @@ def test_achievable_rates_match_complex_einsum_reference(instance, snr_db):
     p = 10.0 ** (snr_db / 10.0)
     h, h_hat = _draw(canon, p, np.random.default_rng(17), draws=1000)
     for kind in ("apzf", "centralized_zf", "naive_zf", "no_csit"):
-        layers, _ = build_layers(canon, h_hat, plan_layout(canon, kind), kind, p)
+        layers, _ = build_layers(canon, h_hat, kind, p)
         got, ref = achievable_rates(h, layers), _einsum_rates(h, layers)
         assert list(got) == list(layers)
         for tag in layers:
@@ -251,7 +262,7 @@ def test_common_layer_power_is_the_general_product_bit_for_bit(instance, snr_db)
     canon = canonicalize(Topology(gamma), CsitQuality(alpha))
     p = 10.0 ** (snr_db / 10.0)
     h, h_hat = _draw(canon, p, np.random.default_rng(19), draws=5000)
-    layers, _ = build_layers(canon, h_hat, plan_layout(canon, "apzf"), "apzf", p)
+    layers, _ = build_layers(canon, h_hat, "apzf", p)
     y = _cmul(h, layers["s0"][:, None])
     np.testing.assert_array_equal(scheme._received(h, layers)["s0"], _abs2(y[:, :, 0] + y[:, :, 1]))
 
@@ -279,7 +290,7 @@ def test_received_power_is_the_cmul_formula_bit_for_bit(instance, column):
     canon, p = _golden_powers(instance, column)
     rng = np.random.default_rng(37)
     h, h_hat = _draw(canon, p, rng, draws=400)
-    layers, _ = build_layers(canon, h_hat, plan_layout(canon, "apzf"), "apzf", p)
+    layers, _ = build_layers(canon, h_hat, "apzf", p)
     h = _signed_zeros(rng, h)
     layers = {tag: t if tag == "s0" else _signed_zeros(rng, t) for tag, t in layers.items()}
     got = scheme._received(h, layers)
@@ -327,12 +338,11 @@ def test_a_draw_over_the_budget_after_the_backoff_raises(monkeypatch):
     # with a back-off that scales nothing, the budget check must raise.
     canon, p = _canon_reference(), 1e4
     _, h_hat = _draw(canon, p, np.random.default_rng(17), 1000)
-    layout = plan_layout(canon, "apzf")
-    _, mask = build_layers(canon, h_hat, layout, "apzf", p)
+    _, mask = build_layers(canon, h_hat, "apzf", p)
     assert 0 < mask.sum() < mask.size
     monkeypatch.setattr(scheme, "_cap_to_budget", lambda layers, p, shape: np.zeros(shape, dtype=bool))
     with pytest.raises(scheme.PowerInfeasible, match="per-TX power exceeds budget P = 10000.0"):
-        build_layers(canon, h_hat, layout, "apzf", p)
+        build_layers(canon, h_hat, "apzf", p)
 
 
 _KINDS = ("apzf", "centralized_zf", "naive_zf", "no_csit")
@@ -342,7 +352,7 @@ def _layers_mask_rates(canon, kind, p, z):
     """A scheme's layers, back-off mask and rates on the normals ``z`` at ``p``."""
     h = sample_channel(canon.topology, p, z)
     h_hat = sample_csit(h, canon.topology, canon.csit, p, z)
-    layers, mask = build_layers(canon, h_hat, plan_layout(canon, kind), kind, p)
+    layers, mask = build_layers(canon, h_hat, kind, p)
     return layers, mask, achievable_rates(h, layers)
 
 
@@ -422,7 +432,7 @@ def test_backoff_scales_private_pairs_uniformly():
     p = 1e3
     rng = np.random.default_rng(6)
     _, h_hat = _draw(canon, p, rng, draws=300)
-    layers, backed_off = build_layers(canon, h_hat, layout, "apzf", p)
+    layers, backed_off = build_layers(canon, h_hat, "apzf", p)
     raw = [apzf(h_hat[:, 0], rx, tau, canon.topology, p, active_tx=0) for rx in (0, 1)]
     ratios = np.concatenate(
         [as_complex(layers[tag]) / as_complex(raw[i]) for i, tag in enumerate(("s1", "s2"))], axis=1
@@ -454,7 +464,6 @@ def test_decode_order_monotonicity():
 
 def test_layer_sinr_exponents():
     canon = _canon_reference()
-    layout = plan_layout(canon, "apzf")
     grid = np.logspace(4, 8, 5)
     draws = 800
     rng = np.random.default_rng(99)
@@ -462,7 +471,7 @@ def test_layer_sinr_exponents():
     acc1 = np.zeros(len(grid))
     for ip, p in enumerate(grid):
         h, h_hat = _draw(canon, p, rng, draws)
-        layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
+        layers, _ = build_layers(canon, h_hat, "apzf", p)
         got = _received(h, layers)
         acc0[ip] = np.mean(np.log(got["s0"][:, 0] / (1.0 + got["s1"][:, 0] + got["s2"][:, 0])))
         acc1[ip] = np.mean(np.log(got["s1"][:, 0] / (1.0 + got["s2"][:, 0])))
@@ -483,14 +492,13 @@ def test_apzf_outrates_naive_at_high_snr():
 
 def test_apzf_interference_stays_on_noise_floor():
     canon = _canon_reference()
-    layout = plan_layout(canon, "apzf")
     grid = np.logspace(4, 8, 5)
     draws = 800
     rng = np.random.default_rng(10)
     acc = np.zeros(len(grid))
     for ip, p in enumerate(grid):
         h, h_hat = _draw(canon, p, rng, draws)
-        layers, _ = build_layers(canon, h_hat, layout, "apzf", p)
+        layers, _ = build_layers(canon, h_hat, "apzf", p)
         # s2 is aimed at RX 1, so its power at RX 0 is RX 0's residual interference.
         acc[ip] = np.mean(np.log(scheme._received(h, layers)["s2"][0]))
     assert abs(fit_exponent(list(zip(grid, np.exp(acc))))) <= 0.1

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from apzf import (
     AlphaOutOfRange,
+    CanonicalForm,
     ConfigError,
     CsitQuality,
     centralized_gdof,
@@ -593,6 +594,25 @@ def test_results_share_nothing_with_the_reading():
         value.value = value.d1 = value.d2 = 9.0
         value.branch = "d9"
     assert _gdof_map_results(topo, csit) == before
+
+
+@pytest.mark.parametrize("container", ["lists", "arrays"])
+def test_a_hand_built_form_keeps_nothing_of_its_callers(container):
+    # Built from lists or arrays, a form holds float tuples of its own, so
+    # an edit of the caller's exponents leaves alpha_prime and the layout
+    # those of a form made afresh.
+    gamma = [[1.0, 0.8], [0.8, 1.0]]
+    alpha = [[[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]]
+    fresh = canonicalize(Topology.parallel(0.8), CsitQuality.uniform(0.5, 0.0))
+    if container == "arrays":
+        gamma, alpha = np.array(gamma), [np.array(a) for a in alpha]
+    form = CanonicalForm(gamma, alpha, False, False, 0)
+    alpha[0][0][0] = 0.0
+    gamma[1][0] = 0.0
+    assert form == fresh
+    assert type(form.gamma[0][0]) is float and type(form.alpha[1][1][1]) is float
+    assert form.alpha_prime == fresh.alpha_prime == (0.5, 0.5)
+    assert scheme_layout(form).rate_total() == scheme_layout(fresh).rate_total() == 1.7
 
 
 def test_two_threads_read_their_own_instances(monkeypatch):
