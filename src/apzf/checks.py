@@ -14,6 +14,7 @@ kernel's own complex arithmetic cannot hide itself.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -24,12 +25,31 @@ from .precoders import apzf
 from .topology import CsitQuality, Topology, canonicalize, dyadic_instance
 
 __all__ = ["cancellation", "closed_form_identity", "coefficient_exponents", "determinism",
-           "layout_totals", "received_exponents"]
+           "lattice", "layout_totals", "received_exponents"]
 
 
 def _complex(x: np.ndarray) -> np.ndarray:
     """The complex array, draw axis first, that the kernel array ``x`` holds."""
     return np.moveaxis(x[0] + 1j * x[1], -1, 0)
+
+
+def lattice(grid):
+    """Every valid ``(topology, csit)`` of the 1/grid lattice, in a fixed order.
+
+    Every gamma, in ``itertools.product`` order over its entries
+    (row-major); for each, every choice of a pair ``lo <= hi <= gamma``
+    per entry; for each, TX 0 holding ``hi`` and TX 1 ``lo``, then the
+    other way round, the second left out when ``lo`` equals ``hi``.  No
+    RNG is drawn.  The 1/2 lattice has 18,704 instances.
+    """
+    for g in itertools.product(range(grid + 1), repeat=4):
+        pairs = [[(lo, hi) for hi in range(k + 1) for lo in range(hi + 1)] for k in g]
+        gamma = np.reshape(g, (2, 2)) / grid
+        for entries in itertools.product(*pairs):
+            lo, hi = zip(*entries)
+            yield Topology(gamma.copy()), CsitQuality(np.reshape(hi + lo, (2, 2, 2)) / grid)
+            if lo != hi:
+                yield Topology(gamma.copy()), CsitQuality(np.reshape(lo + hi, (2, 2, 2)) / grid)
 
 
 def closed_form_identity(rng, n):

@@ -29,6 +29,12 @@ so the three on one (topology, csit) pair check and relabel it once.
 ``scheme_layout`` read the float tuples and effective exponents of a
 ``CanonicalForm``, so ``scheme_layout(canonicalize(...))`` makes no
 array and derives nothing again.
+
+Every formula is written with branches only, no call: ``min(x, y)`` is
+``y if y < x else x``, ``max(x, y)`` is ``y if y > x else x`` and the
+positive part ``(x)+`` is ``x if x > 0.0 else 0.0``.  These give the
+builtins' results on ties, NaNs and signed zeros: a tie or a NaN second
+operand gives the first operand, and ``(x)+`` is 0.0 for -0.0 and NaN.
 """
 
 from __future__ import annotations
@@ -49,11 +55,7 @@ __all__ = [
 ]
 
 
-def _pos(x: float) -> float:
-    return x if x > 0.0 else 0.0
-
-
-@dataclass
+@dataclass(slots=True)
 class GdofValue:
     """A sum-GDoF value together with the bound that attains it.
 
@@ -67,7 +69,7 @@ class GdofValue:
     d2: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SchemeLayout:
     """Power/rate exponents of the layered broadcast construction.
 
@@ -98,13 +100,7 @@ class SchemeLayout:
 
 
 def _centralized(g: list, al: list) -> GdofValue:
-    """``centralized_gdof`` on float lists, without the range check.
-
-    Branches only: ``min(x, y)`` is written ``y if y < x else x``,
-    ``max(x, y)`` is ``y if y > x else x`` and ``_pos(x)`` is
-    ``x if x > 0.0 else 0.0``, which keep the builtins' ties, NaNs and
-    signed zeros.
-    """
+    """``centralized_gdof`` on float lists, without the range check."""
     (g11, g12), (g21, g22) = g
     (b11, b12), (b21, b22) = al
     a1 = b12 if b12 < b11 else b11
@@ -153,14 +149,18 @@ def distributed_gdof(topology: Topology, csit: CsitQuality) -> GdofValue:
     form = _read(topology, csit)[2]
     (g11, g12), (g21, g22) = form.gamma
     ap1, ap2 = form.alpha_prime
+    u = g22 - g12 + ap1
+    u = u if u > 0.0 else 0.0
     if g21 <= g22:
-        d1 = g11 + _pos(g22 - g12 + ap1)
+        d1 = g11 + u
         d2 = g22 + g11 - g21 + ap2
     else:
-        d1 = g11 + max(_pos(g22 - g12 + ap1), _pos(g21 - g11 + ap1))
-        d2 = g11 + _pos(g21 - g11 + g12 - g22) + ap2
-    value = min(d1, d2)
-    return GdofValue(value, "d1" if d1 <= d2 else "d2", d1, d2)
+        v = g21 - g11 + ap1
+        v = v if v > 0.0 else 0.0
+        d1 = g11 + (v if v > u else u)
+        w = g21 - g11 + g12 - g22
+        d2 = g11 + (w if w > 0.0 else 0.0) + ap2
+    return GdofValue(d2 if d2 < d1 else d1, "d1" if d1 <= d2 else "d2", d1, d2)
 
 
 def genie_outer_bound(topology: Topology, csit: CsitQuality) -> GdofValue:
@@ -187,32 +187,46 @@ def scheme_layout(canonical: CanonicalForm) -> SchemeLayout:
         # Symmetric full-strength direct links: the z-layer carries zero
         # rate and the construction reduces to common + two equal private
         # layers at power/rate exponent 1 + alpha - gamma_cross.
-        rho = _pos(1.0 + ap1 - g12)
+        rho = 1.0 + ap1 - g12
+        rho = rho if rho > 0.0 else 0.0
+        s0 = g12 - ap1
         power = {"s0": 1.0, "s1": rho, "s2": rho}
-        rate = {"s0": _pos(g12 - ap1), "s1": rho, "s2": rho}
+        rate = {"s0": s0 if s0 > 0.0 else 0.0, "s1": rho, "s2": rho}
         return SchemeLayout("case1", True, rho, power, rate)
 
+    u = g22 - g12 + ap1
+    u = u if u > 0.0 else 0.0
     if g21 <= g22:
-        rho = _pos(min(_pos(g22 - g12 + ap1), g22 - g21 + ap2))
+        # rho = (min((g22 - g12 + ap1)+, g22 - g21 + ap2))+
+        v = g22 - g21 + ap2
+        rho = v if v < u else u
+        rho = rho if rho > 0.0 else 0.0
         tau = rho + 1.0 - g22
-        tau_z = 1.0 - g22
-        power = {"s0": 1.0, "s1": tau, "s2": tau, "z1": tau_z}
-        rate = {"s0": _pos(g22 - rho), "s1": rho, "s2": rho, "z1": _pos(g11 - g22)}
+        top = g22
         case_id = "case1"
     else:
-        rho = _pos(
-            min(
-                max(_pos(g22 - g12 + ap1), _pos(g21 - g11 + ap1)),
-                _pos(g21 - g11 + g12 - g22) + ap2,
-            )
-        )
-        tau = rho + 1.0 - g21 + min(g11 - g12, g21 - g22)
-        tau_z = 1.0 - g21
-        power = {"s0": 1.0, "s1": tau, "s2": tau, "z1": tau_z}
-        rate = {"s0": _pos(g21 - rho), "s1": rho, "s2": rho, "z1": _pos(g11 - g21)}
+        # rho = (min(max((g22 - g12 + ap1)+, (g21 - g11 + ap1)+),
+        #            (g21 - g11 + g12 - g22)+ + ap2))+
+        v = g21 - g11 + ap1
+        v = v if v > 0.0 else 0.0
+        m = v if v > u else u
+        w = g21 - g11 + g12 - g22
+        w = (w if w > 0.0 else 0.0) + ap2
+        rho = w if w < m else m
+        rho = rho if rho > 0.0 else 0.0
+        x, y = g11 - g12, g21 - g22
+        tau = rho + 1.0 - g21 + (y if y < x else x)
+        top = g21
         case_id = "case2"
 
-    if rate.get("z1") == 0.0:
-        del rate["z1"]
-        del power["z1"]
+    # RX 2's stronger link, ``top``, sets the common layer's rate and the
+    # z-layer's power; the z-layer is left out when its rate (g11 - top)+
+    # would be zero.
+    s0 = top - rho
+    power = {"s0": 1.0, "s1": tau, "s2": tau}
+    rate = {"s0": s0 if s0 > 0.0 else 0.0, "s1": rho, "s2": rho}
+    z1 = g11 - top
+    if z1 > 0.0:
+        power["z1"] = 1.0 - top
+        rate["z1"] = z1
     return SchemeLayout(case_id, False, rho, power, rate)

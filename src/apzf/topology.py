@@ -146,10 +146,12 @@ class CanonicalForm:
     ``gamma`` (2x2) and ``alpha`` (2x2x2) are the relabelled exponents as
     nested float tuples, which the closed forms read directly, and
     ``alpha_prime`` their effective exponents (``_effective``), derived
-    when the form is made.  Exponents given as lists or arrays are copied
-    out as float tuples; nested tuples, which ``canonicalize`` gives, are
-    kept as they are.  ``topology`` and ``csit`` make the same
-    exponents into new arrays on each read.  ``rx_swap`` / ``tx_swap``
+    when the form is made.  The constructor copies the exponents it is
+    given, as lists, arrays or tuples, out as float tuples, so a later
+    edit of the caller's lists cannot make ``alpha_prime`` stale.
+    ``_canonical`` makes its forms without that copy, from float tuples
+    it has just built and that nothing else holds.  ``topology`` and
+    ``csit`` make the same exponents into new arrays on each read.  ``rx_swap`` / ``tx_swap``
     record the relabelling that was applied.  ``active_tx`` is the index
     (after relabelling) of the transmitter whose quality matrix
     dominates; it carries the interference-cancelling role.
@@ -163,14 +165,9 @@ class CanonicalForm:
     alpha_prime: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            hash((self.gamma, self.alpha))  # the cheap test for a list or an array inside
-        except TypeError:
-            # Copied, so a later edit of the caller's lists cannot make
-            # alpha_prime stale.
-            a0, a1 = self.alpha
-            object.__setattr__(self, "gamma", _floats(self.gamma))
-            object.__setattr__(self, "alpha", (_floats(a0), _floats(a1)))
+        a0, a1 = self.alpha
+        object.__setattr__(self, "gamma", _floats(self.gamma))
+        object.__setattr__(self, "alpha", (_floats(a0), _floats(a1)))
         object.__setattr__(self, "alpha_prime", _effective(self.alpha)[1])
 
     @property
@@ -207,28 +204,33 @@ def _domain(g: list, a: list, tx_est: tuple = (0, 1)) -> tuple:
     ``validate``'s order: gamma entries outside [0, 1], then each alpha's
     entries outside [0, gamma], row-major within a matrix, then
     ``NoDominantTransmitter`` if neither alpha dominates.  An instance in
-    the domain returns before any error is built.
+    the domain passes one short-circuit chain of the twelve range checks
+    and returns; only an instance that fails a check has each entry
+    checked again, one flag per entry, and its errors built.
     """
     (g00, g01), (g10, g11) = g
     (x00, x01), (x10, x11) = a[0]
     (y00, y01), (y10, y11) = a[1]
-    fine = (
-        0.0 <= g00 <= 1.0, 0.0 <= g01 <= 1.0, 0.0 <= g10 <= 1.0, 0.0 <= g11 <= 1.0,
-        0.0 <= x00 <= g00, 0.0 <= x01 <= g01, 0.0 <= x10 <= g10, 0.0 <= x11 <= g11,
-        0.0 <= y00 <= g00, 0.0 <= y01 <= g01, 0.0 <= y10 <= g10, 0.0 <= y11 <= g11,
-    )
     dominance = (
         x00 >= y00 and x01 >= y01 and x10 >= y10 and x11 >= y11,
         y00 >= x00 and y01 >= x01 and y10 >= x10 and y11 >= x11,
     )
-    if False not in fine and True in dominance:
+    if (
+        (dominance[0] or dominance[1])
+        and 0.0 <= g00 <= 1.0 and 0.0 <= g01 <= 1.0 and 0.0 <= g10 <= 1.0 and 0.0 <= g11 <= 1.0
+        and 0.0 <= x00 <= g00 and 0.0 <= x01 <= g01 and 0.0 <= x10 <= g10 and 0.0 <= x11 <= g11
+        and 0.0 <= y00 <= g00 and 0.0 <= y01 <= g01 and 0.0 <= y10 <= g10 and 0.0 <= y11 <= g11
+    ):
         return dominance, []
-    # Each entry's error, in the order of the flags; keep the failed ones.
+    # Each entry's error and upper bound, in validate's order; keep the failed ones.
     gs = (g00, g01, g10, g11)
     errors = [GammaOutOfRange(i, k, v) for (i, k), v in zip(_ENTRIES, gs)]
     for j, (r0, r1) in zip(tx_est, a):
         errors += [AlphaOutOfRange(j, i, k, v, hi) for (i, k), v, hi in zip(_ENTRIES, r0 + r1, gs)]
-    violations = [error for error, ok in zip(errors, fine) if not ok]
+    values = gs + (x00, x01, x10, x11, y00, y01, y10, y11)
+    violations = [
+        error for error, v, hi in zip(errors, values, (1.0,) * 4 + gs + gs) if not 0.0 <= v <= hi
+    ]
     if True not in dominance:
         violations.append(NoDominantTransmitter())
     return dominance, violations
@@ -269,7 +271,17 @@ def _canonical(g: list, a: list, dominance: tuple) -> CanonicalForm:
     # the relabelling is dominance of the TX that lands at index 0.
     active_tx = 0 if dominance[tx_swap] else 1
     a = (_flip(a[tx_swap], rx_swap, tx_swap), _flip(a[not tx_swap], rx_swap, tx_swap))
-    return CanonicalForm(_flip(g, rx_swap, tx_swap), a, rx_swap, tx_swap, active_tx)
+    # Made without the constructor: its copy would rebuild the float
+    # tuples just built here, which no caller holds.
+    form = object.__new__(CanonicalForm)
+    fields = form.__dict__
+    fields["gamma"] = _flip(g, rx_swap, tx_swap)
+    fields["alpha"] = a
+    fields["rx_swap"] = rx_swap
+    fields["tx_swap"] = tx_swap
+    fields["active_tx"] = active_tx
+    fields["alpha_prime"] = _effective(a)[1]
+    return form
 
 
 def canonicalize(topology: Topology, csit: CsitQuality) -> CanonicalForm:

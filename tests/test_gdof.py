@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from apzf import (
     centralized_gdof,
     distributed_gdof,
     genie_outer_bound,
+    GdofValue,
+    SchemeLayout,
     scheme_layout,
 )
 import apzf.checks as checks
@@ -267,3 +271,33 @@ def test_layout_exponent_ranges():
         assert all(r >= 0.0 for r in layout.rate_exp.values())
         assert all(x <= 1.0 + 1e-12 for x in layout.power_exp.values())
         assert set(layout.rate_exp) == set(layout.power_exp)
+
+
+@pytest.mark.parametrize("cls", [GdofValue, SchemeLayout])
+def test_slotted_results_behave_as_values(cls):
+    # The parallel reference instance, and case 1 and case 2 with a z1 layer.
+    a1 = np.array([[0.4, 0.4], [0.3, 0.3]])
+    instances = [reference_instance()] + [
+        (Topology(np.array(gamma)), CsitQuality(np.stack([a, np.zeros((2, 2))])))
+        for gamma, a in (([[1.0, 0.7], [0.5, 0.9]], a1), ([[1.0, 0.8], [0.9, 0.6]], a1 + 0.1))
+    ]
+    names = [f.name for f in dataclasses.fields(cls)]
+    # Protocols 0 and 1 cannot pickle a slotted class without __getstate__.
+    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    for topo, csit in instances:
+        made = [distributed_gdof(topo, csit), genie_outer_bound(topo, csit)]
+        if cls is SchemeLayout:
+            made = [scheme_layout(canonicalize(topo, csit))]
+        for value in made:
+            assert type(value) is cls and not hasattr(value, "__dict__")
+            for other in (
+                *(pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols),
+                copy.copy(value),
+                dataclasses.replace(value),
+            ):
+                assert type(other) is cls and other == value
+                assert [repr(getattr(other, n)) for n in names] == [
+                    repr(getattr(value, n)) for n in names
+                ]
+                if cls is SchemeLayout:
+                    assert other.rate_total().hex() == value.rate_total().hex()
