@@ -151,8 +151,8 @@ class CanonicalForm:
     edit of the caller's lists cannot make ``alpha_prime`` stale.
     ``_canonical`` makes its forms without that copy, from float tuples
     it has just built and that nothing else holds.  ``topology`` and
-    ``csit`` make the same exponents into new arrays on each read.  ``rx_swap`` / ``tx_swap``
-    record the relabelling that was applied.  ``active_tx`` is the index
+    ``csit`` make the same exponents into new arrays on each read.
+    ``rx_swap`` / ``tx_swap`` record the relabelling that was applied.  ``active_tx`` is the index
     (after relabelling) of the transmitter whose quality matrix
     dominates; it carries the interference-cancelling role.
     """
