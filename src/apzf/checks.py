@@ -1,9 +1,9 @@
 """Self-checks of the paper's claims, shared by ``apzf validate`` and the tests.
 
-Each check draws its random instances from ``rng`` in a fixed order, so
-a seeded generator gives the same verdict every run, and returns
-``(ok, detail)``: a Python bool and a one-line description of what it
-measured.  The callers choose the seed and the size.
+Each check returns ``(ok, detail)``: a Python bool and a one-line
+description of what it measured.  The closed-form checks take no rng:
+they run every instance of ``lattice(2)``.  The others draw from the
+caller's seeded ``rng`` in a fixed order, so each verdict is repeatable.
 
 The checks measure the kernel's outputs with plain complex numpy: they
 rebuild complex arrays with a leading draw axis from the kernel's
@@ -52,25 +52,26 @@ def lattice(grid):
                 yield Topology(gamma.copy()), CsitQuality(np.reshape(lo + hi, (2, 2, 2)) / grid)
 
 
-def closed_form_identity(rng, n):
-    """Distributed CSIT reaches the centralized reference, bit for bit."""
-    for _ in range(n):
-        topo, csit = dyadic_instance(rng)
-        if distributed_gdof(topo, csit).value != genie_outer_bound(topo, csit).value:
-            return False, f"mismatch at gamma={topo.gamma.tolist()}"
-    return True, f"{n} random instances, bit-exact"
+def closed_form_identity():
+    """Distributed CSIT reaches the centralized reference on the 1/2 lattice,
+    bit for bit: ``float.hex`` tells -0.0 from 0.0."""
+    for n, (topo, csit) in enumerate(lattice(2), 1):
+        if distributed_gdof(topo, csit).value.hex() != genie_outer_bound(topo, csit).value.hex():
+            return False, f"mismatch at gamma={topo.gamma.tolist()}, alpha={csit.alpha.tolist()}"
+    return True, f"{n} lattice instances (1/2 grid), bit-exact"
 
 
-def layout_totals(rng, n):
-    """The layer rate exponents sum to the closed form within 1e-12."""
+def layout_totals():
+    """The layer rate exponents sum to the closed form within 1e-12 on the 1/2 lattice."""
     worst = 0.0
-    for _ in range(n):
-        topo, csit = dyadic_instance(rng)
+    for n, (topo, csit) in enumerate(lattice(2), 1):
         layout = scheme_layout(canonicalize(topo, csit))
-        worst = max(worst, abs(layout.rate_total() - distributed_gdof(topo, csit).value))
-        if worst > 1e-12:
-            return False, f"layout sum off by {worst:g}"
-    return True, f"{n} random instances, max |diff| = {worst:g}"
+        # diff first: max then keeps a NaN, and "not <=" fails it.
+        worst = max(abs(layout.rate_total() - distributed_gdof(topo, csit).value), worst)
+        if not worst <= 1e-12:
+            return False, (f"layout sum off by {worst:g} at "
+                           f"gamma={topo.gamma.tolist()}, alpha={csit.alpha.tolist()}")
+    return True, f"{n} lattice instances (1/2 grid), max |diff| = {worst:g}"
 
 
 def cancellation(rng, n):

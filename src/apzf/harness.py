@@ -279,12 +279,6 @@ def _simulate(config: SweepConfig) -> dict:
     ``SweepCurve.points``: one ``_point_task`` per worker (see
     ``_pool_size``), their per-draw sums joined and reduced here.
     """
-    # Loaded before a task allocates its arrays: numpy loads numpy.random
-    # at its first use, and that import's long-lived allocations, made in
-    # the middle of a first pass, split the heap that a later sweep's
-    # arrays would reuse (cli._keep_freed_heap).
-    import numpy.random  # noqa: F401
-
     workers = _pool_size(config)
     cuts = _cuts(-(-config.draws // _CHUNK_DRAWS), workers)
     tasks = [(config, range(config.draws)[a * _CHUNK_DRAWS : b * _CHUNK_DRAWS]) for a, b in cuts]

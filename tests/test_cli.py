@@ -285,15 +285,32 @@ def _sweep_csv(config_path, out):
     return out.read_bytes()
 
 
-def test_sweep_sets_the_heap_pad_through_mallopt(config_path, tmp_path, monkeypatch):
+@pytest.fixture
+def unset_heap_pad():
+    """Forget that this process set the heap pad, before and after the test."""
+    cli._keep_freed_heap.cache_clear()
+    yield
+    cli._keep_freed_heap.cache_clear()
+
+
+def test_sweep_sets_the_heap_pad_through_mallopt(config_path, tmp_path, monkeypatch, unset_heap_pad):
     libc = _RecordingLibc()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
     _sweep_csv(config_path, tmp_path / "x.csv")
     assert libc.calls == [(-2, 64 << 20)]  # M_TOP_PAD in glibc's malloc.h
 
 
+def test_the_heap_pad_is_set_once_per_process(config_path, monkeypatch, unset_heap_pad):
+    loaded = []
+    libc = _RecordingLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: loaded.append(name) or libc)
+    for _ in range(2):
+        assert main(["gdof", "--config", config_path]) == EXIT_OK
+    assert (loaded, libc.calls) == (["libc.so.6"], [(-2, 64 << 20)])
+
+
 @pytest.mark.parametrize("libc", ["no-libc", "no-mallopt"])
-def test_sweep_runs_without_glibc_mallopt(config_path, tmp_path, libc, monkeypatch):
+def test_sweep_runs_without_glibc_mallopt(config_path, tmp_path, libc, monkeypatch, unset_heap_pad):
     # Where the allocator cannot be tuned the sweep runs as it would anyway.
     expected = _sweep_csv(config_path, tmp_path / "ref.csv")
 
@@ -303,16 +320,17 @@ def test_sweep_runs_without_glibc_mallopt(config_path, tmp_path, libc, monkeypat
         return object()  # a library with no mallopt
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._keep_freed_heap.cache_clear()
     assert _sweep_csv(config_path, tmp_path / "x.csv") == expected
 
 
-# Prints the minor page faults of the second of two sweeps in one process.
-_SECOND_SWEEP_FAULTS = """
+# Prints the minor page faults of the third of three sweeps in one process.
+_THIRD_SWEEP_FAULTS = """
 import contextlib, io, resource, sys
 import apzf.cli as cli
 if sys.argv[1] == "unpadded":
     cli._keep_freed_heap = lambda: None
-for _ in range(2):
+for _ in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["sweep", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
@@ -323,14 +341,18 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pad is glibc's")
 def test_the_heap_pad_spares_a_repeated_sweep_its_page_faults(tmp_path):
     # Without the pad glibc hands the heap a sweep freed back to the kernel,
-    # and the next sweep faults it in again: on configs/parallel.json about
-    # 1,600 minor faults, against about 200 with it (glibc 2.36, numpy 2.4.6).
+    # and the next sweep faults it in again.  The third sweep is counted:
+    # the second's count depends on where the first sweep's long-lived
+    # allocations (lazy imports, numpy's cache of small buffers) land in
+    # the heap, and so on the length of a path; by the third, the padded
+    # heap is settled.  On configs/parallel.json the third sweep faults
+    # 0-2 pages padded and 1,300-2,000 unpadded (glibc 2.36, numpy 2.4.6).
     config = Path(__file__).resolve().parents[1] / "configs" / "parallel.json"
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     env["PYTHONPATH"] = str(Path(apzf.__file__).parents[1])
     faults = {}
     for heap in ("padded", "unpadded"):
-        argv = [sys.executable, "-c", _SECOND_SWEEP_FAULTS, heap, str(config), str(tmp_path / "x.csv")]
+        argv = [sys.executable, "-c", _THIRD_SWEEP_FAULTS, heap, str(config), str(tmp_path / "x.csv")]
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         faults[heap] = int(done.stdout)
@@ -558,6 +580,15 @@ def test_validate_with_config_adds_determinism_check(config_path, capsys):
     assert lines[-1].startswith("PASS  deterministic re-simulation: 2 schemes")
 
 
+def test_the_lattice_checks_print_the_same_lines_at_every_seed(capsys):
+    lines = []
+    for seed in ("0", "7"):
+        assert main(["validate", "--seed", seed]) == EXIT_OK
+        lines.append(capsys.readouterr().out.split("\n")[:2])
+    assert lines[0] == lines[1]
+    assert all("18704 lattice instances" in line for line in lines[0])
+
+
 def test_determinism_check_fails_when_a_sweep_point_differs(config_path, monkeypatch, capsys):
     # A sweep whose points depended on the grid would disagree with the
     # point simulated on its own; stand one in by shifting the sweep's seed.
@@ -570,7 +601,7 @@ def test_determinism_check_fails_when_a_sweep_point_differs(config_path, monkeyp
 
 
 def test_failed_check_exits_one_and_the_rest_still_run(monkeypatch, capsys):
-    monkeypatch.setattr(checks, "layout_totals", lambda rng, n: (False, "forced"))
+    monkeypatch.setattr(checks, "layout_totals", lambda: (False, "forced"))
     assert main(["validate"]) == EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5
