@@ -16,20 +16,23 @@ fills the rows in order yields the same draws as one that makes the
 channel and then the estimates of each draw in turn.
 
 A complex quantity is a real float64 array whose axis 0 holds its real
-and imaginary parts, and whose last axis, C-contiguous, runs over the
-draws: the channels are ``h[c, i, k, d]``, the estimates
-``h_hat[c, j, i, k, d]``.  That is the normals' column order, transposed.
-A single draw is a batch of one, and a draw's value does not depend on
-the batch it is made in.
+and imaginary parts, and whose last axis runs over the draws: the
+channels are ``h[c, i, k, d]``, the estimates ``h_hat[c, j, i, k, d]``.
+That is the normals' column order, transposed.  Every array a pass
+makes is C-contiguous as a whole, in that axis order: ufuncs give their
+output their inputs' memory order, so one input with another order
+would carry its strides into every array made from it.  A single draw
+is a batch of one, and a draw's value does not depend on the batch it
+is made in.
 
 The power ``p`` of every function here and in ``apzf.precoders`` and
 ``apzf.scheme`` is one SNR point's P, a float, or several points' as a
 ``(points, 1)`` float64 column.  A column puts a points axis just before
-the draws, ``h[c, i, k, point, d]``, on every array it reaches, and
-each point's slice is, bit for bit, what its float P gives.  So that
-holds, a per-point value that involves a power of P is computed by
-``_per_point`` with Python floats, one point at a time; ``np.power`` on a
-column of powers may round differently.
+the draws, ``h[c, i, k, point, d]``, on every array it reaches, in C
+order too, and each point's slice is, bit for bit, what its float P
+gives.  So that holds, a per-point value that involves a power of P is
+computed by ``_per_point`` with Python floats, one point at a time;
+``np.power`` on a column of powers may round differently.
 """
 
 from __future__ import annotations
@@ -52,11 +55,15 @@ def _per_point(f, p):
     floats (then S is the tuple's length).  For a float ``p`` this is
     ``f(p)``, with a trailing axis of length 1 added if it is an array;
     for a ``(points, 1)`` column it is each point's ``f(P)`` stacked into
-    an array of shape ``S + (points, 1)``.
+    a C-contiguous array of shape ``S + (points, 1)``.
     """
     if isinstance(p, np.ndarray):
         values = np.array([f(q) for q in p[:, 0].tolist()])  # (points, *S)
-        return values.transpose(*range(1, values.ndim), 0)[..., None]
+        # Copied into C order: ufuncs give their output their inputs'
+        # memory order, so a transposed view would put the points axis
+        # above S in every array of the pass.  (np.stack on a new last
+        # axis builds the same array, about 3 us slower a call.)
+        return np.ascontiguousarray(values.transpose(*range(1, values.ndim), 0))[..., None]
     value = f(p)
     return value[..., None] if isinstance(value, np.ndarray) else value
 
@@ -67,12 +74,13 @@ def _crandn(z: np.ndarray, p, *shape: int) -> np.ndarray:
 
     For a column ``p`` the shape is (2, *shape, 1, draws), one set for every point.
     """
-    # A contiguous copy, not a ``z.T`` view: ufuncs keep their input's
-    # memory order, so a view would carry draw-first strides throughout.
-    # Always a copy (``ascontiguousarray`` returns a one-draw ``z.T`` as
-    # is), so scaling it in place leaves ``z`` alone.  numpy's complex
-    # division by sqrt(2) multiplies by this rounded reciprocal, so each
-    # part is that of (re + 1j*im) / sqrt(2), bit for bit.
+    # A C-contiguous copy, not a ``z.T`` view: ufuncs keep their input's
+    # memory order, so a view would carry draw-first strides into every
+    # array of the pass.  Always a copy (``ascontiguousarray`` returns a
+    # one-draw ``z.T`` as is), so scaling it in place leaves ``z`` alone.
+    # numpy's complex division by sqrt(2) multiplies by this rounded
+    # reciprocal, so each part is that of (re + 1j*im) / sqrt(2), bit for
+    # bit.
     points = (1,) if isinstance(p, np.ndarray) else ()
     x = np.array(z.T, order="C").reshape(2, *shape, *points, len(z))
     x *= 1.0 / math.sqrt(2.0)

@@ -62,9 +62,10 @@ _CHUNK_DRAWS = 1024
 _BLOCK_DRAWS = 4 * _CHUNK_DRAWS
 
 # The most point-draws one pass over a block evaluates, at least
-# _BLOCK_DRAWS: large enough that a pass's fixed cost (0.4-0.9 ms,
-# whatever its size) is spread thin, small enough that a pass's arrays
-# stay at a few MB whatever the configured draw count and grid.  Ten
+# _BLOCK_DRAWS: large enough that a pass's fixed cost (whatever its
+# size: 0.3 ms with apzf alone, 0.85-1.1 ms with four schemes, on a
+# 2-core Xeon with numpy 2.4.6) is spread thin, small enough that a
+# pass's arrays stay at a few MB whatever the draw count and grid.  Ten
 # chunks is the fewest that run each benchmark sweep's grid in one pass
 # (configs/parallel.json's 5 x 2,000 point-draws, sweep-z1-pool's
 # 9 x 1,000); past that the benchmark cannot tell budgets apart, and a

@@ -30,11 +30,12 @@ only its own entry (so the two entries come from inconsistent matrix
 inverses).  They and ``matched`` run in two steps.  The direction step
 (``_zf_direction``) returns an unconjugated direction ``w`` and its
 norm; the normalisation step (``_normalised``) rescales ``conj(w)`` to
-norm sqrt(P**tau), negating the imaginary half in place.  The
-centralized vector is ``w`` normalised whole, the naive one entry j of
-TX j's own ``w`` normalised alone (``_naive``).  ``apzf.scheme``
-composes the steps from one memo per pass, so each direction is made
-once and normalised for both.
+norm sqrt(P**tau), the ``_amplitude`` of its power exponent, negating
+the imaginary half in place.  The centralized vector is ``w``
+normalised whole, the naive one entry j of TX j's own ``w`` normalised
+alone (``_naive``).  ``apzf.scheme`` composes the steps from one memo
+per pass, so each direction is made once and normalised for both, and
+its scales (``_zf_scales``) are made once per pass.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers; estimates made at a column carry a points axis just before the
@@ -95,16 +96,21 @@ def _norm(w: np.ndarray) -> np.ndarray:
     return np.sqrt(a[0] + a[1])
 
 
-def _normalised(w: np.ndarray, n: np.ndarray, tau: float, p, out=None) -> np.ndarray:
-    """``conj(w)`` rescaled by sqrt(P**tau) / ``n``; 0 where ``n`` is 0.
+def _amplitude(tau: float, p):
+    """sqrt(P**tau) at each point of ``p``: the norm of a vector of power exponent ``tau``."""
+    return _per_point(lambda q: math.sqrt(q**tau), p)
 
-    ``n`` is the norm of the whole vector ``w`` belongs to, so ``w`` may
-    be one TX's entry of it.  The conjugate is taken after scaling, by
-    negating the imaginary half in place: ``-(w1*s)`` is ``(-w1)*s``
-    bit for bit.
+
+def _normalised(w: np.ndarray, n: np.ndarray, amplitude, out=None) -> np.ndarray:
+    """``conj(w)`` rescaled by ``amplitude`` / ``n``; 0 where ``n`` is 0.
+
+    ``amplitude`` is ``_amplitude(tau, p)``.  ``n`` is the norm of the
+    whole vector ``w`` belongs to, so ``w`` may be one TX's entry of it.
+    The conjugate is taken after scaling, by negating the imaginary half
+    in place: ``-(w1*s)`` is ``(-w1)*s`` bit for bit.
     """
     with np.errstate(divide="ignore"):
-        s = np.where(n == 0.0, 0.0, _per_point(lambda q: math.sqrt(q**tau), p) / n)
+        s = np.where(n == 0.0, 0.0, amplitude / n)
     out = np.multiply(w, s, out=out)
     np.negative(out[1], out=out[1])
     return out
@@ -166,17 +172,22 @@ def matched(estimate_active: np.ndarray, tau: float, p) -> np.ndarray:
     sqrt(P**tau).
     """
     w = estimate_active[:, 0]
-    return _normalised(w, _norm(w), tau, p)
+    return _normalised(w, _norm(w), _amplitude(tau, p))
 
 
-def _zf_scales(p: float) -> tuple:
-    """``(c, c**2 / P)`` for ``_zf_direction``: c is a power of two with
-    c**2 within a factor 2 of P when P < 1/2, and 1 otherwise."""
-    c = math.ldexp(1.0, min(math.frexp(p)[1], 0) // 2)
-    return c, c * c / p
+def _zf_scales(p):
+    """``(c, c**2 / P)`` at each point of ``p``, for ``_zf_direction``:
+    c is a power of two with c**2 within a factor 2 of P when P < 1/2,
+    and 1 otherwise."""
+
+    def scales(q: float) -> tuple:
+        c = math.ldexp(1.0, min(math.frexp(q)[1], 0) // 2)
+        return c, c * c / q
+
+    return _per_point(scales, p)
 
 
-def _zf_direction(estimate: np.ndarray, target_rx: int, p) -> tuple:
+def _zf_direction(estimate: np.ndarray, target_rx: int, scales) -> tuple:
     """Direction ``w`` of the regularized channel-inverse column for
     ``target_rx``, unconjugated, and its norm.
 
@@ -187,12 +198,13 @@ def _zf_direction(estimate: np.ndarray, target_rx: int, p) -> tuple:
     receiver's row ``r_o``.
 
     At low P the rows are large and 1/P is huge, and their product
-    overflows.  So ``r_o`` is scaled by the c of ``_zf_scales`` and 1/P
-    by c**2, which scales ``w`` by c**2: an exact power of two, so no
-    rounding changes, and ``_normalised`` removes it.  At P >= 1/2, c is
-    1 (where it is 1 at every point, the multiplication is skipped).
+    overflows.  So ``r_o`` is scaled by the c of ``scales``, the
+    ``_zf_scales`` of P, and 1/P by c**2, which scales ``w`` by c**2: an
+    exact power of two, so no rounding changes, and ``_normalised``
+    removes it.  At P >= 1/2, c is 1 (where it is 1 at every point, the
+    multiplication is skipped).
     """
-    c, reg = _per_point(_zf_scales, p)
+    c, reg = scales
     r_t, r_o = estimate[:, target_rx], estimate[:, 1 - target_rx]
     if np.any(c != 1.0):  # a product with 1.0 changes no bit
         r_o = r_o * c
@@ -205,11 +217,11 @@ def _zf_direction(estimate: np.ndarray, target_rx: int, p) -> tuple:
     return w, _norm(w)
 
 
-def _naive(directions: list, tau: float, p) -> np.ndarray:
+def _naive(directions: list, amplitude) -> np.ndarray:
     """Naive per-TX ZF vectors from TX j's ``(w, norm)`` at ``directions[j]``:
-    entry j of each, normalised alone, so the entries generally do not
-    cohere when the two estimates differ."""
+    entry j of each, normalised alone to ``amplitude``, so the entries
+    generally do not cohere when the two estimates differ."""
     t = np.empty((2, 2) + directions[0][1].shape, directions[0][1].dtype)
     for j, (w, n) in enumerate(directions):
-        _normalised(w[:, j], n, tau, p, out=t[:, j])
+        _normalised(w[:, j], n, amplitude, out=t[:, j])
     return t

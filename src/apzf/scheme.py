@@ -68,7 +68,17 @@ import numpy as np
 
 from .channel import _per_point
 from .gdof import SchemeLayout, scheme_layout
-from .precoders import _abs2, _naive, _normalised, _zf_direction, apzf, matched, multicast
+from .precoders import (
+    _abs2,
+    _amplitude,
+    _naive,
+    _normalised,
+    _zf_direction,
+    _zf_scales,
+    apzf,
+    matched,
+    multicast,
+)
 from .topology import CanonicalForm
 
 __all__ = [
@@ -125,26 +135,30 @@ def _private_pair(canonical, est, tau, scheme, p, zf):
     act = canonical.active_tx
     if scheme == "apzf":
         return [apzf(est(act), rx, tau, canonical.topology, p, active_tx=act) for rx in (0, 1)]
+    amplitude = _amplitude(tau, p)
     if scheme == "centralized_zf":
-        return [_normalised(*zf(act, rx), tau, p) for rx in (0, 1)]
-    return [_naive([zf(0, rx), zf(1, rx)], tau, p) for rx in (0, 1)]
+        return [_normalised(*zf(act, rx), amplitude) for rx in (0, 1)]
+    return [_naive([zf(0, rx), zf(1, rx)], amplitude) for rx in (0, 1)]
 
 
 def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
     """Scale adaptive layers down on draws that overshoot a TX's power budget.
 
-    The active AP-ZF coefficient is a ratio of Gaussians, so a small
-    fraction of draws exceeds the per-TX share at finite P.  On such a
-    draw all non-common layers are scaled by one common factor (both
-    coefficients of each pair together), which preserves their
-    cancellation directions and their relative power split.  Returns the
-    ``shape`` ([points,] draws) mask of the draws it scaled.
+    ``layers`` maps each tag to a ``[t, power]`` pair: a layer and its
+    per-TX power ``_abs2(t)``.  The active AP-ZF coefficient is a ratio
+    of Gaussians, so a small fraction of draws exceeds the per-TX share
+    at finite P.  On such a draw all non-common layers are scaled by one
+    common factor (both coefficients of each pair together), which
+    preserves their cancellation directions and their relative power
+    split; the power of each layer it scales is recomputed, so the pairs
+    hold the powers after the back-off.  Returns the ``shape``
+    ([points,] draws) mask of the draws it scaled.
     """
     adaptive = [tag for tag in layers if tag != "s0"]
     if not adaptive:
         return np.zeros(shape, dtype=bool)
-    budget = p - _abs2(layers["s0"])
-    totals = sum(_abs2(layers[tag]) for tag in adaptive)
+    budget = p - layers["s0"][1]
+    totals = sum(layers[tag][1] for tag in adaptive)
     over = totals > budget
     backed_off = over[0] | over[1]
     if not backed_off.any():
@@ -154,7 +168,24 @@ def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
     beta = np.minimum(b[0], b[1])
     scale = np.where(backed_off, np.sqrt(np.maximum(beta, 0.0)), 1.0)
     for tag in adaptive:
-        layers[tag] *= scale  # in place: every layer array is this pass's own
+        pair = layers[tag]
+        pair[0] *= scale  # in place: every layer array is this pass's own
+        pair[1] = _abs2(pair[0])
+    return backed_off
+
+
+def _within_budget(layers: dict, p, shape: tuple) -> np.ndarray:
+    """``_cap_to_budget`` on ``layers``, then a check that every draw's
+    per-TX power is within the budget; PowerInfeasible if one is not.
+
+    Each layer's power is computed once for both, and again only if the
+    back-off scales the layer; the check sums the powers in the layers'
+    order.  Returns the back-off mask.
+    """
+    pairs = {tag: [t, _abs2(t)] for tag, t in layers.items()}
+    backed_off = _cap_to_budget(pairs, p, shape)
+    if np.any(sum(power for _, power in pairs.values()) > p * (1.0 + _POWER_TOL)):
+        raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
     return backed_off
 
 
@@ -196,14 +227,17 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p, shape: tup
     directions, so each is made at most once, at its first use, and only
     for a scheme that uses it.  Both are cleared once, right after the last
     scheme that sends a private or z layer (or else the first scheme) has
-    built its layers, before they are yielded.  Directions are normalised
-    per scheme, since the schemes' power exponents may differ.
+    built its layers, before they are yielded.  The directions' scales
+    (``precoders._zf_scales``) are made once per pass too.  Directions
+    are normalised per scheme, since the schemes' power exponents may
+    differ.
     """
     plans = [(scheme, layout, _bands(scheme, layout)) for scheme, layout in layouts.items()]
     last = max((i for i, (_, _, bands) in enumerate(plans) if bands), default=0)
     act = canonical.active_tx
     est = functools.cache(estimate)
-    zf = functools.cache(lambda j, rx: _zf_direction(est(j), rx, p))
+    zf_scales = functools.cache(lambda: _zf_scales(p))
+    zf = functools.cache(lambda j, rx: _zf_direction(est(j), rx, zf_scales()))
     for i, (scheme, layout, bands) in enumerate(plans):
         tau = layout.power_exp
 
@@ -223,9 +257,7 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p, shape: tup
             est.cache_clear()
             zf.cache_clear()
 
-        backed_off = _cap_to_budget(layers, p, shape)
-        if np.any(sum(_abs2(t) for t in layers.values()) > p * (1.0 + _POWER_TOL)):
-            raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
+        backed_off = _within_budget(layers, p, shape)
         yield layers, backed_off
 
 

@@ -16,22 +16,27 @@ def _draws(topology, csit, p, n, seed):
 
 def test_draws_are_the_complex_formula_bit_for_bit():
     # Each part of the kernel's arrays is bit-equal to the complex draws
-    # scale * ((re + 1j*im) / sqrt(2)), with the draw axis moved last.
+    # scale * ((re + 1j*im) / sqrt(2)), with the draw axis moved last, and
+    # is C-contiguous, at a float P and at a column of powers (whose
+    # slice at each point is that point's draws).
     topo = Topology(np.array([[1.0, 0.8], [0.6, 0.3]]))
     csit = CsitQuality([[[0.5, 0.7], [0.2, 0.3]], [[0.1, 0.0], [0.2, 0.3]]])
-    p = 10.0**4.5
+    powers = [10.0**4.5, 10.0**2, 10.0**6]
     z = np.random.default_rng(6).standard_normal((5000, NORMALS_PER_DRAW))
-    scale = np.sqrt(p ** (topo.gamma - 1.0))
-    ref_h = scale * ((z[:, 0:4] + 1j * z[:, 4:8]) / math.sqrt(2.0)).reshape(-1, 2, 2)
-    err_scale = np.sqrt(p ** (-csit.alpha)) * scale
-    err = ((z[:, 8:16] + 1j * z[:, 16:24]) / math.sqrt(2.0)).reshape(-1, 2, 2, 2)
-    ref_h_hat = ref_h[:, np.newaxis] + err_scale * err
-    h = sample_channel(topo, p, z)
-    h_hat = sample_csit(h, topo, csit, p, z)
-    for got, ref in ((h, ref_h), (h_hat, ref_h_hat)):
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert np.array_equal(got[0], np.moveaxis(ref.real, 0, -1))
-        assert np.array_equal(got[1], np.moveaxis(ref.imag, 0, -1))
+    for p in (powers[0], np.array(powers)[:, None]):
+        h = sample_channel(topo, p, z)
+        h_hat = sample_csit(h, topo, csit, p, z)
+        for i, q in enumerate(np.ravel(p)):
+            scale = np.sqrt(q ** (topo.gamma - 1.0))
+            ref_h = scale * ((z[:, 0:4] + 1j * z[:, 4:8]) / math.sqrt(2.0)).reshape(-1, 2, 2)
+            err_scale = np.sqrt(q ** (-csit.alpha)) * scale
+            err = ((z[:, 8:16] + 1j * z[:, 16:24]) / math.sqrt(2.0)).reshape(-1, 2, 2, 2)
+            ref_h_hat = ref_h[:, np.newaxis] + err_scale * err
+            for got, ref in ((h, ref_h), (h_hat, ref_h_hat)):
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                got = got[..., i, :] if np.ndim(p) else got
+                assert np.array_equal(got[0], np.moveaxis(ref.real, 0, -1))
+                assert np.array_equal(got[1], np.moveaxis(ref.imag, 0, -1))
 
 
 @pytest.mark.parametrize("draws", [1, 3])

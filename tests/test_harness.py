@@ -399,9 +399,9 @@ def test_a_pass_computes_each_zf_direction_once(monkeypatch):
     # pass, the active TX's two shared between the schemes, not 2 + 4.
     directions = []
 
-    def counted(estimate, target_rx, p):
+    def counted(estimate, target_rx, scales):
         directions.append(target_rx)
-        return _zf_direction(estimate, target_rx, p)
+        return _zf_direction(estimate, target_rx, scales)
 
     monkeypatch.setattr(scheme, "_zf_direction", counted)
     passes = _counted_passes(monkeypatch)

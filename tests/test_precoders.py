@@ -14,7 +14,16 @@ from apzf import (
     sample_channel,
     sample_csit,
 )
-from apzf.precoders import _abs2, _cmul, _cmul_conj, _naive, _normalised, _zf_direction
+from apzf.precoders import (
+    _abs2,
+    _amplitude,
+    _cmul,
+    _cmul_conj,
+    _naive,
+    _normalised,
+    _zf_direction,
+    _zf_scales,
+)
 from conftest import as_complex, as_kernel, assert_same_bits
 
 P_GRID = np.logspace(4, 8, 5)
@@ -54,14 +63,15 @@ def _one(est):
 def _centralized(estimate, target_rx, tau, p):
     """The centralized ZF vectors, as ``scheme._private_pair`` builds
     them: one estimate's direction, normalised whole."""
-    return _normalised(*_zf_direction(estimate, target_rx, p), tau, p)
+    return _normalised(*_zf_direction(estimate, target_rx, _zf_scales(p)), _amplitude(tau, p))
 
 
 def _naive_pair(estimates, target_rx, tau, p):
     """The naive ZF vectors, as ``scheme._private_pair`` builds them:
     TX j's direction from its own estimate ``estimates[:, j]``, entry j
     of it normalised alone."""
-    return _naive([_zf_direction(estimates[:, j], target_rx, p) for j in (0, 1)], tau, p)
+    directions = [_zf_direction(estimates[:, j], target_rx, _zf_scales(p)) for j in (0, 1)]
+    return _naive(directions, _amplitude(tau, p))
 
 
 def _geomean_exponent(per_draw_power, draws, seed):
@@ -116,11 +126,11 @@ def test_normalised_is_the_scaled_conjugate_bit_for_bit(p):
     est[..., :3] = 0.0  # all-zero rows: zero directions, norm 0
     est[1, ..., 3] = -0.0
     for target in (0, 1):
-        w, n = _zf_direction(est, target, p)
+        w, n = _zf_direction(est, target, _zf_scales(p))
         ref = _scaled(_conj(w), 0.7, p)
-        assert_same_bits(_normalised(w, n, 0.7, p), ref)
+        assert_same_bits(_normalised(w, n, _amplitude(0.7, p)), ref)
         for j in (0, 1):
-            assert_same_bits(_normalised(w[:, j], n, 0.7, p), ref[:, j])
+            assert_same_bits(_normalised(w[:, j], n, _amplitude(0.7, p)), ref[:, j])
     assert_same_bits(matched(est, 0.3, p), _scaled(_conj(est[:, 0]), 0.3, p))
 
 

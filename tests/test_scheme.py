@@ -326,11 +326,16 @@ def test_in_place_backoff_is_the_out_of_place_product_bit_for_bit(instance, colu
         # about a third of the draws overshoot the budget
         layers[tag] = _signed_zeros(rng, rng.standard_normal((2, 2) + shape) * np.sqrt(0.15 * p))
     expected, expected_mask = _out_of_place_backoff(layers, p)
-    mask = scheme._cap_to_budget(layers, p, shape)
+    pairs = {tag: [t, _abs2(t)] for tag, t in layers.items()}
+    mask = scheme._cap_to_budget(pairs, p, shape)
     assert 0 < mask.sum() < mask.size
     np.testing.assert_array_equal(mask, expected_mask)
     for tag, t in expected.items():
         assert_same_bits(layers[tag], t)
+    # The pairs hold each layer's power after the back-off.
+    for tag, (t, power) in pairs.items():
+        assert t is layers[tag]
+        assert_same_bits(power, _abs2(t))
 
 
 def test_a_draw_over_the_budget_after_the_backoff_raises(monkeypatch):
@@ -346,6 +351,37 @@ def test_a_draw_over_the_budget_after_the_backoff_raises(monkeypatch):
 
 
 _KINDS = ("apzf", "centralized_zf", "naive_zf", "no_csit")
+
+
+@pytest.mark.parametrize("points", ["column", "lone", "float"])
+@pytest.mark.parametrize("instance", ["reference", "z1_case2"])
+def test_every_array_of_a_pass_is_c_contiguous(instance, points):
+    # The layout of apzf.channel is a kernel invariant: ufuncs give their
+    # output their inputs' memory order, so one array with its points axis
+    # above (i, k) in memory would stride every array made from it.  A
+    # pass as a sweep runs it, on the golden grid's column, on its first
+    # point's (1, 1) column, and on that point's float P; apzf backs off
+    # on some draws at that point, so its layers are checked after an
+    # in-place scaling.
+    canon, p = _golden_powers(instance, points == "column")
+    if points == "lone":
+        p = np.array([[p]])
+    z = np.random.default_rng(53).standard_normal((2000, NORMALS_PER_DRAW))
+    h = sample_channel(canon.topology, p, z)
+    estimates = [sample_csit(h, canon.topology, canon.csit, p, z, j) for j in (0, 1)]
+    layouts = {kind: plan_layout(canon, kind) for kind in _KINDS}
+    arrays = {"h": h, "h_hat[0]": estimates[0], "h_hat[1]": estimates[1]}
+    backed_off = {}
+    passes = scheme._build_pass(canon, estimates.__getitem__, layouts, p, h.shape[3:])
+    for kind, (layers, mask) in zip(layouts, passes):
+        backed_off[kind] = mask.any()
+        powers, rates = scheme._received(h, layers), achievable_rates(h, layers)
+        for name, out in (("layer", layers), ("power", powers), ("rate", rates)):
+            arrays.update({f"{kind} {name} {tag}": a for tag, a in out.items()})
+    assert backed_off["apzf"]
+    assert "apzf layer z1" in arrays or instance == "reference"
+    for name, a in arrays.items():
+        assert a.flags.c_contiguous, (name, a.shape, a.strides)
 
 
 def _layers_mask_rates(canon, kind, p, z):
