@@ -68,21 +68,21 @@ def _per_point(f, p):
     return value[..., None] if isinstance(value, np.ndarray) else value
 
 
-def _crandn(z: np.ndarray, p, *shape: int) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussians (2, *shape, draws)
-    from the columns ``z`` (draws, 2 * prod(shape)): real parts, then imaginary.
+def _crandn(z: np.ndarray, cols: list, p) -> np.ndarray:
+    """Unit-variance circularly symmetric complex Gaussians (2, 2, 2, draws)
+    from the columns ``cols`` of ``z`` (draws, 24): four real parts, then
+    their four imaginary parts.
 
-    For a column ``p`` the shape is (2, *shape, 1, draws), one set for every point.
+    For a column ``p`` the shape is (2, 2, 2, 1, draws), one set for every point.
     """
-    # A C-contiguous copy, not a ``z.T`` view: ufuncs keep their input's
-    # memory order, so a view would carry draw-first strides into every
-    # array of the pass.  Always a copy (``ascontiguousarray`` returns a
-    # one-draw ``z.T`` as is), so scaling it in place leaves ``z`` alone.
-    # numpy's complex division by sqrt(2) multiplies by this rounded
-    # reciprocal, so each part is that of (re + 1j*im) / sqrt(2), bit for
-    # bit.
+    # ``z.T[cols]`` is one C-contiguous copy: an index list gathers whole
+    # rows of ``z.T``, where a slice would give a view with draw-first
+    # strides, which ufuncs would carry into every array of the pass, and
+    # which scaling in place would write back into ``z``.  numpy's complex
+    # division by sqrt(2) multiplies by this rounded reciprocal, so each
+    # part is that of (re + 1j*im) / sqrt(2), bit for bit.
     points = (1,) if isinstance(p, np.ndarray) else ()
-    x = np.array(z.T, order="C").reshape(2, *shape, *points, len(z))
+    x = z.T[cols].reshape(2, 2, 2, *points, len(z))
     x *= 1.0 / math.sqrt(2.0)
     return x
 
@@ -91,7 +91,7 @@ def sample_channel(topology: Topology, p, z: np.ndarray) -> np.ndarray:
     """Channels ``h[c, i, k, d]`` (TX k -> RX i) from the normals ``z`` (draws, 24)."""
     exponent = topology.gamma - 1.0
     scale = _per_point(lambda q: np.sqrt(q**exponent), p)
-    return scale * _crandn(z[:, 0:8], p, 2, 2)
+    return scale * _crandn(z, list(range(8)), p)
 
 
 def sample_csit(
@@ -112,6 +112,6 @@ def sample_csit(
     quality, exponent = -csit.alpha[tx], topology.gamma - 1.0
     err_scale = _per_point(lambda q: np.sqrt(q**quality) * np.sqrt(q**exponent), p)
     cols = [part + 4 * tx + e for part in (8, 16) for e in range(4)]  # real, then imaginary
-    h_hat = err_scale * _crandn(z[:, cols], p, 2, 2)
+    h_hat = err_scale * _crandn(z, cols, p)
     h_hat += h  # in place: one estimate-sized array fewer at the peak
     return h_hat

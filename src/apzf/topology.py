@@ -348,17 +348,3 @@ def _read(topology: Topology, csit: CsitQuality) -> tuple:
     _last_read = key, reading
     return reading
 
-
-def dyadic_instance(rng: np.random.Generator, grid: int = 1024):
-    """Random valid (topology, csit) on the 1/grid lattice with a dominant TX.
-
-    Exponents that are exact binary fractions keep min/max branch
-    selection and the closed-form identities exact in float64.  The
-    self-checks in ``apzf.checks`` draw from this, so its
-    sequence of ``rng`` calls is part of their seeded output.
-    """
-    gamma = rng.integers(0, grid + 1, size=(2, 2)) / grid
-    hi = rng.integers(0, (gamma * grid).astype(int) + 1, size=(2, 2)) / grid
-    lo = rng.integers(0, (hi * grid).astype(int) + 1, size=(2, 2)) / grid
-    alpha = np.stack([hi, lo]) if rng.random() < 0.5 else np.stack([lo, hi])
-    return Topology(gamma), CsitQuality(alpha)

@@ -16,6 +16,22 @@ def reference_instance():
     return Topology.parallel(0.8), CsitQuality.uniform(0.5, 0.0)
 
 
+def dyadic_instance(rng: np.random.Generator, grid: int = 1024):
+    """Random valid (topology, csit) on the 1/grid lattice with a dominant TX.
+
+    Exponents that are exact binary fractions keep min/max branch
+    selection and the closed-form identities exact in float64.  The
+    ``dyadic`` and ``coarse`` digests of ``test_closed_form_pins`` and
+    ``test_signed_zero_pins`` hash instances drawn from this, so its
+    sequence of ``rng`` calls is part of what they pin.
+    """
+    gamma = rng.integers(0, grid + 1, size=(2, 2)) / grid
+    hi = rng.integers(0, (gamma * grid).astype(int) + 1, size=(2, 2)) / grid
+    lo = rng.integers(0, (hi * grid).astype(int) + 1, size=(2, 2)) / grid
+    alpha = np.stack([hi, lo]) if rng.random() < 0.5 else np.stack([lo, hi])
+    return Topology(gamma), CsitQuality(alpha)
+
+
 @pytest.fixture
 def small_pool(monkeypatch):
     """Let a sweep of a few chunks fork as many workers as it asks for,

@@ -569,14 +569,14 @@ def test_negative_seed_is_usage_error(command, config_path, capsys):
 def test_validate_all_checks_pass(capsys):
     assert main(["validate"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 5
+    assert len(lines) == 4
     assert all(l.startswith("PASS") for l in lines)
 
 
 def test_validate_with_config_adds_determinism_check(config_path, capsys):
     assert main(["validate", "--config", config_path]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 6
+    assert len(lines) == 5
     assert lines[-1].startswith("PASS  deterministic re-simulation: 2 schemes")
 
 
@@ -600,13 +600,22 @@ def test_determinism_check_fails_when_a_sweep_point_differs(config_path, monkeyp
     assert last.endswith("equal to it in a two-point sweep: False")
 
 
-def test_failed_check_exits_one_and_the_rest_still_run(monkeypatch, capsys):
-    monkeypatch.setattr(checks, "layout_totals", lambda: (False, "forced"))
-    assert main(["validate"]) == EXIT_CHECK_FAILED
+# The order in which ``apzf validate --config`` runs the checks.
+_VALIDATE_ORDER = ["closed_form_identity", "layout_totals", "cancellation", "power_exponents",
+                   "determinism"]
+
+
+@pytest.mark.parametrize("check", [name for name in checks.__all__ if name != "lattice"])
+def test_failed_check_exits_one_and_the_rest_still_run(check, config_path, monkeypatch, capsys):
+    # Every check in apzf.checks but the lattice generator is run by
+    # validate, and its failure stops none of the others.
+    monkeypatch.setattr(checks, check, lambda *args: (False, "forced"))
+    assert main(["validate", "--config", config_path]) == EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 5
-    assert lines[1] == "FAIL  layout rate total == closed form: forced"
-    assert all(l.startswith("PASS") for l in lines[:1] + lines[2:])
+    index = _VALIDATE_ORDER.index(check)
+    assert len(lines) == len(_VALIDATE_ORDER)
+    assert lines[index].startswith("FAIL  ") and lines[index].endswith(": forced")
+    assert all(l.startswith("PASS") for l in lines[:index] + lines[index + 1:])
 
 
 # ------------------------------------------------------- fuzzed configs

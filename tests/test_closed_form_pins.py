@@ -31,7 +31,8 @@ from apzf import (
     scheme_layout,
     validate,
 )
-from apzf.topology import _effective, dyadic_instance
+from apzf.topology import _effective
+from conftest import dyadic_instance
 
 N_INSTANCES = 2000
 

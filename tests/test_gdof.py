@@ -21,8 +21,7 @@ from apzf import (
     scheme_layout,
 )
 import apzf.checks as checks
-from apzf.topology import dyadic_instance
-from conftest import reference_instance
+from conftest import dyadic_instance, reference_instance
 
 
 def test_centralized_perfect_csit_full_gdof():

@@ -28,7 +28,7 @@ import pytest
 from test_closed_form_pins import _instance_record
 
 from apzf import CsitQuality, Topology
-from apzf.topology import dyadic_instance
+from conftest import dyadic_instance
 
 
 def _signed_zeros(rng, x):

@@ -30,7 +30,8 @@ from apzf import (
 import apzf.gdof as gdof_module
 import apzf.topology as topology_module
 from apzf.gdof import scheme_layout
-from apzf.topology import _RELABELLINGS, _canonical, _domain, _effective, _read, dyadic_instance
+from apzf.topology import _RELABELLINGS, _canonical, _domain, _effective, _read
+from conftest import dyadic_instance
 from test_signed_zero_pins import INSTANCE_SETS as SIGNED_ZERO_SETS
 
 
