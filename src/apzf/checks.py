@@ -8,7 +8,9 @@ caller's seeded ``rng`` in a fixed order, so each verdict is repeatable.
 The checks measure the kernel's outputs with plain complex numpy: they
 rebuild complex arrays with a leading draw axis from the kernel's
 (re, im)-first, draws-last arrays (``_complex``), so a fault in the
-kernel's own complex arithmetic cannot hide itself.
+kernel's own complex arithmetic cannot hide itself.  What they measure
+is what the sweep runs: the shipped ``precoders.apzf``, 1/P regularizer
+included, and the sweep's slope fit, ``harness.estimate_slope``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
 from .gdof import distributed_gdof, genie_outer_bound, scheme_layout
-from .harness import fit_exponent, simulate_snr, sweep
+from .harness import estimate_slope, simulate_snr, sweep
 from .precoders import apzf
 from .topology import CsitQuality, Topology, canonicalize
 
@@ -87,17 +89,33 @@ def _instance(rng):
     return Topology(gamma), CsitQuality(alpha)
 
 
+# The powers at which the exponent fits sample, and their levels in dB.
+_P_GRID = np.logspace(4, 8, 5)
+_P_GRID_DB = (40.0, 50.0, 60.0, 70.0, 80.0)
+
+
+def _fitted_exponent(mean_log2_power) -> float:
+    """The exponent of a power whose mean log2 is ``mean_log2_power`` at
+    each P of ``_P_GRID``: the sweep's own fit, ``estimate_slope``, over
+    40-80 dB."""
+    return estimate_slope(list(zip(_P_GRID_DB, mean_log2_power)), (40.0, 80.0))
+
+
 def cancellation(rng, n):
-    """With perfect CSIT and no regularizer, AP-ZF aimed at either receiver
-    leaves a relative residual below 1e-10 at the other one."""
-    p = 1e6
+    """With perfect CSIT, AP-ZF aimed at either receiver leaves a relative
+    residual below 1e-10 at the other one.
+
+    The vectors are the sweep's own, 1/P regularizer included.  At P =
+    1e100 (1000 dB) and gamma >= 0.3, the regularizer's share of the
+    residual is at most about P**-0.3, far below float64 rounding."""
+    p = 1e100
     worst = 0.0
     for _ in range(n):
         topo, _ = _instance(rng)
         h = sample_channel(topo, p, rng.standard_normal((1, 8)))
         hc = _complex(h)
         for tgt in (0, 1):
-            t = _complex(apzf(h, tgt, 1.0, topo, p, regularize=False))
+            t = _complex(apzf(h, tgt, 1.0, topo, p))
             resid = abs((hc @ t[..., None])[0, 1 - tgt, 0])
             scale = np.linalg.norm(hc[0, 1 - tgt]) * np.linalg.norm(t[0]) + 1e-300
             worst = max(worst, float(resid / scale))
@@ -115,37 +133,32 @@ def power_exponents(rng, n_topologies, draws):
     * the received power at the victim (the leakage) at most 0.1 above
       ``tau - 1 + min gamma[victim] - min alpha[victim]``.
     """
-    grid = np.logspace(4, 8, 5)
-
-    def fit(mean_log_power):
-        return fit_exponent(list(zip(grid, np.exp(mean_log_power))))
-
     worst_coef = worst_intended = 0.0
     worst_excess = -np.inf
     for _ in range(n_topologies):
         topo, csit = _instance(rng)
         gamma, alpha = topo.gamma, csit.alpha[0]
         tau = 0.5 + 0.5 * rng.random()
-        coef = np.zeros((len(grid), 2, 2))  # mean log power, [P, target, tx]
-        recv = np.zeros((len(grid), 2, 2))  # mean log received power, [P, target, rx]
-        for ip, p in enumerate(grid):
+        coef = np.zeros((len(_P_GRID), 2, 2))  # mean log2 power, [P, target, tx]
+        recv = np.zeros((len(_P_GRID), 2, 2))  # mean log2 received power, [P, target, rx]
+        for ip, p in enumerate(_P_GRID):
             z = rng.standard_normal((draws, NORMALS_PER_DRAW))
             h = sample_channel(topo, p, z)
             hc = _complex(h)
             h_hat = sample_csit(h, topo, csit, p, z, tx=0)
             for tgt in (0, 1):
                 t = _complex(apzf(h_hat, tgt, tau, topo, p))
-                coef[ip, tgt] = np.log(np.abs(t) ** 2).mean(axis=0)
-                recv[ip, tgt] = np.log(np.abs((hc @ t[..., None])[..., 0]) ** 2).mean(axis=0)
+                coef[ip, tgt] = np.log2(np.abs(t) ** 2).mean(axis=0)
+                recv[ip, tgt] = np.log2(np.abs((hc @ t[..., None])[..., 0]) ** 2).mean(axis=0)
         for tgt in (0, 1):
             victim = 1 - tgt
             back_off = [max(float(gamma[victim, k] - gamma[victim, 1 - k]), 0.0) for k in (0, 1)]
             for k in (0, 1):
-                worst_coef = max(worst_coef, abs(fit(coef[:, tgt, k]) - (tau - back_off[k])))
+                worst_coef = max(worst_coef, abs(_fitted_exponent(coef[:, tgt, k]) - (tau - back_off[k])))
             expected = tau - 1.0 + max(gamma[tgt, k] - back_off[k] for k in (0, 1))
-            worst_intended = max(worst_intended, abs(fit(recv[:, tgt, tgt]) - expected))
+            worst_intended = max(worst_intended, abs(_fitted_exponent(recv[:, tgt, tgt]) - expected))
             bound = tau - 1.0 + gamma[victim].min() - alpha[victim].min()
-            worst_excess = max(worst_excess, fit(recv[:, tgt, victim]) - bound)
+            worst_excess = max(worst_excess, _fitted_exponent(recv[:, tgt, victim]) - bound)
     ok = worst_coef < 0.05 and worst_intended < 0.1 and worst_excess < 0.1
     return bool(ok), (
         f"{n_topologies} topologies, worst coefficient |fit - exponent| = {worst_coef:.4f}, "

@@ -5,8 +5,9 @@ Subcommands:
 * ``gdof``      closed-form values and the layer table for a config
 * ``simulate``  Monte Carlo mean sum rate at one SNR point
 * ``sweep``     full curve to CSV plus a JSON summary next to it
-* ``validate``  self-checks (closed-form identities, layout sums, cancellation,
-                AP-ZF power exponents), one PASS/FAIL line each
+* ``validate``  self-checks (closed-form identities, layout sums, the sweep's
+                AP-ZF cancelling at P = 1e100, AP-ZF power exponents fitted
+                with the sweep's slope fit), one PASS/FAIL line each
 
 Exit codes: 0 success, 1 validation-suite failure, 2 bad config or
 usage, 3 config outside the supported domain, 4 I/O failure, 5 out of
@@ -186,7 +187,7 @@ def _cmd_validate(args) -> int:
     suite = [
         ("closed-form identity (distributed == centralized reference)", checks.closed_form_identity),
         ("layout rate total == closed form", checks.layout_totals),
-        ("exact cancellation (perfect CSIT, no regularizer)",
+        ("exact cancellation (perfect CSIT, P = 1e100)",
          lambda: checks.cancellation(np.random.default_rng([seed, 3]), 1000)),
         ("AP-ZF coefficient and received power exponents",
          lambda: checks.power_exponents(np.random.default_rng([seed, 5]), 3, 1500)),

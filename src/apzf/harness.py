@@ -47,7 +47,6 @@ __all__ = [
     "simulate_snr",
     "sweep",
     "estimate_slope",
-    "fit_exponent",
     "closed_forms",
     "write_csv",
     "write_summary",
@@ -400,12 +399,14 @@ def sweep(config: SweepConfig) -> SweepCurve:
 
 
 def estimate_slope(points, window_db) -> float:
-    """Least-squares slope of sum rate against log2(P) inside a dB window.
+    """Least-squares slope of a log2-scale quantity against log2(P) inside
+    a dB window: a sum rate, or a mean log2 power.
 
-    ``points`` is a sequence of (snr_db, mean_rate) pairs; both window
-    edges are inclusive.  Raises InsufficientPoints when fewer than two
-    points lie inside, or when they are too close together for a line
-    (see ``_line_slope``).
+    ``points`` is a sequence of (snr_db, value) pairs; both window edges
+    are inclusive.  Raises InsufficientPoints when fewer than two points
+    lie inside, or when numpy warns that the fit is poorly conditioned or
+    a squared x underflows to 0 and it divides by zero: the points are
+    too close together for a line.
     """
     lo, hi = window_db
     sel = [(snr, y) for snr, y in points if lo <= snr <= hi]
@@ -414,33 +415,15 @@ def estimate_slope(points, window_db) -> float:
             f"need >= 2 points inside [{lo}, {hi}] dB, found {len(sel)}"
         )
     x = np.array([snr * _LOG2P_PER_DB for snr, _ in sel])
-    return _line_slope(x, np.array([y for _, y in sel]), f"points inside [{lo}, {hi}] dB")
-
-
-def fit_exponent(samples) -> float:
-    """Log-log slope of (P, power) pairs.
-
-    Reliable only when the P values span a couple of decades; raises
-    InsufficientPoints below two distinct P values, or when they are too
-    close together for a line (see ``_line_slope``).
-    """
-    pts = [(p, v) for p, v in samples]
-    if len({p for p, _ in pts}) < 2:
-        raise InsufficientPoints("need >= 2 distinct P values")
-    x = np.log([p for p, _ in pts])
-    return _line_slope(x, np.log([v for _, v in pts]), "the P values")
-
-
-def _line_slope(x: np.ndarray, y: np.ndarray, what: str) -> float:
-    """Least-squares slope of ``y`` against ``x``; InsufficientPoints, naming
-    ``what``, when numpy warns that the fit is poorly conditioned or a
-    squared x underflows to 0 and it divides by zero."""
+    y = np.array([v for _, v in sel])
     with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise", over="raise"):
         warnings.simplefilter("error")
         try:
             return float(np.polyfit(x, y, 1)[0])
         except (Warning, FloatingPointError) as exc:
-            raise InsufficientPoints(f"{what} are too close together to fit a slope") from exc
+            raise InsufficientPoints(
+                f"points inside [{lo}, {hi}] dB are too close together to fit a slope"
+            ) from exc
 
 
 def write_csv(curve: SweepCurve, path) -> None:

@@ -11,6 +11,9 @@ local estimate so that the pair cancels at the unintended receiver:
 where itf is the receiver to protect and tau the power budget exponent.
 Because t_pas is deterministic, no estimate of it needs to be shared; the
 1/P regularizer keeps the active coefficient finite on deep-fade draws.
+It is always on: with a perfect estimate its share of the residual at
+the protected receiver falls as P grows, below float64 rounding by
+P = 1e100 (``apzf.checks.cancellation``).
 
 Every function works on a batch of draws, in the layout of
 ``apzf.channel``: real float64 arrays with (re, im) on axis 0 and the
@@ -123,22 +126,21 @@ def apzf(
     topology: Topology,
     p,
     active_tx: int = 0,
-    regularize: bool = True,
 ) -> np.ndarray:
     """AP-ZF vectors (2, 2, draws) for ``target_rx``, cancelling at the other receiver.
 
     ``estimate_active`` (2, 2, 2, draws) is the active transmitter's full
-    estimate.  With ``regularize=False`` the 1/P term is dropped; combined
-    with a perfect estimate this cancels the unintended receiver exactly.
+    estimate.  With a perfect estimate the residual at the unintended
+    receiver is the 1/P regularizer's share alone, which vanishes
+    relative to the signal as P grows.
     """
     itf = 1 - target_rx
     passive_tx = 1 - active_tx
     g = topology.gamma
     x = tau - max(float(g[itf, passive_tx] - g[itf, active_tx]), 0.0)
-    t_pas = _per_point(lambda q: math.sqrt(q**x), p)
+    t_pas = _amplitude(x, p)
     e_act = estimate_active[:, itf, active_tx]
     e_pas = estimate_active[:, itf, passive_tx]
-    reg = 1.0 / p if regularize else 0.0
     t = np.zeros((2, 2) + e_act.shape[1:], e_act.dtype)
     # -conj(a) * b for a = e_act, b = e_pas, written into t with no
     # conjugate copy: (-(a0*b0) - a1*b1, a1*b0 - a0*b1), which are the
@@ -148,7 +150,7 @@ def apzf(
     re -= e_act[1] * e_pas[1]
     np.multiply(e_act[1], e_pas[0], out=im)
     im -= e_act[0] * e_pas[1]
-    t[:, active_tx] *= t_pas / (_abs2(e_act) + reg)
+    t[:, active_tx] *= t_pas / (_abs2(e_act) + 1.0 / p)
     t[0, passive_tx] = t_pas
     return t
 

@@ -141,50 +141,39 @@ def _private_pair(canonical, est, tau, scheme, p, zf):
     return [_naive([zf(0, rx), zf(1, rx)], amplitude) for rx in (0, 1)]
 
 
-def _cap_to_budget(layers: dict, p, shape: tuple) -> np.ndarray:
-    """Scale adaptive layers down on draws that overshoot a TX's power budget.
+def _within_budget(layers: dict, p, shape: tuple) -> np.ndarray:
+    """Scale adaptive layers down, in place, on draws that overshoot a TX's
+    power budget, then check that every draw's per-TX power is within it;
+    PowerInfeasible if one is not.
 
-    ``layers`` maps each tag to a ``[t, power]`` pair: a layer and its
-    per-TX power ``_abs2(t)``.  The active AP-ZF coefficient is a ratio
-    of Gaussians, so a small fraction of draws exceeds the per-TX share
-    at finite P.  On such a draw all non-common layers are scaled by one
-    common factor (both coefficients of each pair together), which
-    preserves their cancellation directions and their relative power
-    split; the power of each layer it scales is recomputed, so the pairs
-    hold the powers after the back-off.  Returns the ``shape``
-    ([points,] draws) mask of the draws it scaled.
+    The active AP-ZF coefficient is a ratio of Gaussians, so a small
+    fraction of draws exceeds the per-TX share at finite P.  On such a
+    draw all non-common layers are scaled by one common factor (both
+    coefficients of each pair together), which preserves their
+    cancellation directions and their relative power split.  Each
+    layer's per-TX power ``_abs2(t)`` is computed once, and again only
+    for the layers the back-off scales; the check sums the powers in the
+    layers' order.  Returns the ``shape`` ([points,] draws) mask of the
+    draws it scaled.
     """
+    power = {tag: _abs2(t) for tag, t in layers.items()}
     adaptive = [tag for tag in layers if tag != "s0"]
     if not adaptive:
-        return np.zeros(shape, dtype=bool)
-    budget = p - layers["s0"][1]
-    totals = sum(layers[tag][1] for tag in adaptive)
-    over = totals > budget
-    backed_off = over[0] | over[1]
-    if not backed_off.any():
-        return backed_off
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(over, budget / totals, np.inf)
-    beta = np.minimum(b[0], b[1])
-    scale = np.where(backed_off, np.sqrt(np.maximum(beta, 0.0)), 1.0)
-    for tag in adaptive:
-        pair = layers[tag]
-        pair[0] *= scale  # in place: every layer array is this pass's own
-        pair[1] = _abs2(pair[0])
-    return backed_off
-
-
-def _within_budget(layers: dict, p, shape: tuple) -> np.ndarray:
-    """``_cap_to_budget`` on ``layers``, then a check that every draw's
-    per-TX power is within the budget; PowerInfeasible if one is not.
-
-    Each layer's power is computed once for both, and again only if the
-    back-off scales the layer; the check sums the powers in the layers'
-    order.  Returns the back-off mask.
-    """
-    pairs = {tag: [t, _abs2(t)] for tag, t in layers.items()}
-    backed_off = _cap_to_budget(pairs, p, shape)
-    if np.any(sum(power for _, power in pairs.values()) > p * (1.0 + _POWER_TOL)):
+        backed_off = np.zeros(shape, dtype=bool)
+    else:
+        budget = p - power["s0"]
+        totals = sum(power[tag] for tag in adaptive)
+        over = totals > budget
+        backed_off = over[0] | over[1]
+        if backed_off.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b = np.where(over, budget / totals, np.inf)
+            beta = np.minimum(b[0], b[1])
+            scale = np.where(backed_off, np.sqrt(np.maximum(beta, 0.0)), 1.0)
+            for tag in adaptive:
+                layers[tag] *= scale  # in place: every layer array is this pass's own
+                power[tag] = _abs2(layers[tag])
+    if np.any(sum(power.values()) > p * (1.0 + _POWER_TOL)):
         raise PowerInfeasible(f"per-TX power exceeds budget P = {p!r}")
     return backed_off
 

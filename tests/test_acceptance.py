@@ -10,7 +10,8 @@ and enforces its tolerance and runtime budget:
    closed forms,
 5. fitted AP-ZF coefficient and received-power exponents match their
    formulas / respect their bounds, on two seeded streams,
-6. cancellation is exact under perfect CSIT with no regularizer,
+6. cancellation is exact under perfect CSIT, for the sweep's
+   regularized AP-ZF at P = 1e100,
 7. sweeps are byte-identical across repeat runs and worker counts.
 """
 
@@ -124,7 +125,7 @@ def test_received_power_exponents():
 
 
 def test_exact_cancellation_with_perfect_csit():
-    name = "exact cancellation with perfect knowledge"
+    name = "exact cancellation with perfect knowledge at P = 1e100"
     _timed_verdict(name, 1.0, checks.cancellation, np.random.default_rng(707), 1000)
 
 

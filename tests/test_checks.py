@@ -38,3 +38,19 @@ def test_cancellation_fails_on_an_active_coefficient_off_by_one_part_in_a_millio
 
     _faulty_apzf(monkeypatch, fault)
     assert checks.cancellation(np.random.default_rng([0, 3]), 1000)[0] is False
+
+
+def test_power_exponents_fails_on_the_leakage_bound_alone(monkeypatch):
+    # Scaling the active coefficient by 1 + P**-0.05 leaves a residual of
+    # relative size P**-0.05 at the victim: the coefficient and intended
+    # fits stay within their tolerances, and the leakage fit alone rises
+    # above its bound.
+    def fault(t, p):
+        t[:, 0] *= 1.0 + p**-0.05
+        return t
+
+    _faulty_apzf(monkeypatch, fault)
+    ok, detail = checks.power_exponents(np.random.default_rng([0, 5]), 3, 1500)
+    assert ok is False
+    coef, intended, excess = (float(part.rsplit("= ", 1)[1]) for part in detail.split(", ")[1:])
+    assert coef < 0.05 and intended < 0.1 and excess >= 0.1

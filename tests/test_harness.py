@@ -27,7 +27,6 @@ from apzf import (
     canonicalize,
     closed_forms,
     estimate_slope,
-    fit_exponent,
     load_config,
     plan_layout,
     sample_channel,
@@ -657,6 +656,12 @@ def test_estimate_slope_recovers_exact_line():
     snrs = [40.0, 45.0, 50.0, 55.0, 60.0]
     pts = [(s, 1.7 * (s * math.log2(10.0) / 10.0) + 3.0) for s in snrs]
     assert estimate_slope(pts, (40.0, 60.0)) == pytest.approx(1.7, abs=1e-9)
+    # A mean log2 power: a power law's exponent, and 0 for a constant.
+    powers = [(40.0, 1e4), (60.0, 1e6), (80.0, 1e8)]
+    law = [(s, math.log2(p**0.4)) for s, p in powers]
+    assert estimate_slope(law, (40.0, 80.0)) == pytest.approx(0.4, abs=1e-12)
+    constant = [(s, math.log2(2.5)) for s, _ in powers]
+    assert estimate_slope(constant, (40.0, 80.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimate_slope_two_points_is_difference_quotient():
@@ -686,21 +691,6 @@ def test_estimate_slope_rejects_points_too_close_to_fit(snrs):
 def test_sweep_with_points_too_close_to_fit_gives_none_slope():
     cfg = _config(schemes=("apzf",), snr_db=(0.0, 1.2673671092276572e-278), draws=1, window_db=(0.0, 1.0))
     assert sweep(cfg).slopes == {"apzf": None}
-
-
-def test_fit_exponent_power_law_and_constant():
-    grid = [1e2, 1e4, 1e6]
-    assert fit_exponent([(p, p**0.4) for p in grid]) == pytest.approx(0.4, abs=1e-12)
-    assert fit_exponent([(p, 2.5) for p in grid]) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(InsufficientPoints):
-        fit_exponent([(1e4, 1.0), (1e4, 2.0)])
-
-
-def test_fit_exponent_rejects_p_values_too_close_to_fit():
-    # Two distinct P values one ulp apart: the log-log fit is poorly
-    # conditioned, which estimate_slope's guard turns into InsufficientPoints.
-    with pytest.raises(InsufficientPoints, match="too close together"):
-        fit_exponent([(1e4, 1.0), (1e4 * (1 + 2**-52), 3.0), (1e4, 2.0)])
 
 
 # ---------------------------------------------------------------- files

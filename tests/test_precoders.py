@@ -8,12 +8,12 @@ from apzf import (
     CsitQuality,
     Topology,
     apzf,
-    fit_exponent,
     matched,
     multicast,
     sample_channel,
     sample_csit,
 )
+from apzf.checks import _P_GRID, _fitted_exponent
 from apzf.precoders import (
     _abs2,
     _amplitude,
@@ -25,8 +25,6 @@ from apzf.precoders import (
     _zf_scales,
 )
 from conftest import as_complex, as_kernel, assert_same_bits
-
-P_GRID = np.logspace(4, 8, 5)
 
 
 def _power(t):
@@ -75,7 +73,7 @@ def _naive_pair(estimates, target_rx, tau, p):
 
 
 def _geomean_exponent(per_draw_power, draws, seed):
-    """Fit the exponent of the geometric-mean power across the P grid.
+    """Fit the exponent of the geometric-mean power across ``_P_GRID``.
 
     ``per_draw_power(p, z)`` maps the (draws, NORMALS_PER_DRAW) normals
     of one P to the per-draw powers.  The active AP-ZF coefficient is a
@@ -83,11 +81,11 @@ def _geomean_exponent(per_draw_power, draws, seed):
     of logs is the stable statistic for an order-of-growth fit.
     """
     rng = np.random.default_rng(seed)
-    acc = np.zeros(len(P_GRID))
-    for ip, p in enumerate(P_GRID):
+    acc = np.zeros(len(_P_GRID))
+    for ip, p in enumerate(_P_GRID):
         z = rng.standard_normal((draws, NORMALS_PER_DRAW))
-        acc[ip] = np.mean(np.log(per_draw_power(p, z)))
-    return fit_exponent(list(zip(P_GRID, np.exp(acc))))
+        acc[ip] = np.mean(np.log2(per_draw_power(p, z)))
+    return _fitted_exponent(acc)
 
 
 CMUL_SHAPES = [
@@ -186,13 +184,15 @@ def test_apzf_zero_active_estimate_is_finite():
 
 
 def test_apzf_exact_cancellation_with_perfect_csit():
+    # At P = 1e100 the 1/P regularizer's share of the residual is about
+    # P**-0.6 here, far below float64 rounding.
     rng = np.random.default_rng(21)
     topo = Topology(np.array([[1.0, 0.7], [0.9, 0.6]]))
-    h_kernel = sample_channel(topo, 1e6, rng.standard_normal((300, 8)))
+    h_kernel = sample_channel(topo, 1e100, rng.standard_normal((300, 8)))
     h = as_complex(h_kernel)
     for target in (0, 1):
         for act in (0, 1):
-            t = as_complex(apzf(h_kernel, target, 0.8, topo, 1e6, active_tx=act, regularize=False))
+            t = as_complex(apzf(h_kernel, target, 0.8, topo, 1e100, active_tx=act))
             resid = np.abs((h @ t[..., None])[:, 1 - target, 0])
             scale = np.linalg.norm(h[:, 1 - target], axis=-1) * np.linalg.norm(t, axis=-1)
             assert np.all(resid <= 1e-12 * scale)

@@ -10,6 +10,7 @@ from pathlib import Path
 import apzf
 from apzf import CsitQuality, SweepConfig, Topology, canonicalize, plan_layout, sweep
 from apzf import channel, gdof, harness, precoders, scheme, topology
+from test_readme import python_blocks
 
 MODULES = (channel, gdof, harness, precoders, scheme, topology)
 
@@ -71,24 +72,48 @@ def _top_level_names(tree: ast.Module) -> list:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
+def _names_read(tree: ast.Module) -> set:
+    """The names a module reads, as a name, an attribute or an import,
+    leaving out each top-level definition's reads of its own name."""
+    used = set()
+    for top in tree.body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        names.discard(getattr(top, "name", None))
+        used |= names
+    return used
+
+
+def _package_trees() -> dict:
+    """{module stem: parsed source} for every module of the package."""
+    sources = sorted(Path(apzf.__file__).parent.glob("*.py"))
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sources}
+
+
 def test_every_top_level_name_is_public_or_used():
     # A function, class or constant that is neither in its module's
     # __all__ nor read anywhere in the package (as a name, an attribute or
     # an import) is dead code, left behind when its last caller went.
-    sources = sorted(Path(apzf.__file__).parent.glob("*.py"))
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sources}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+    trees = _package_trees()
+    used = set().union(*map(_names_read, trees.values()))
     unused = []
     for stem, tree in trees.items():
         module = importlib.import_module("apzf" if stem == "__init__" else f"apzf.{stem}")
         public = set(getattr(module, "__all__", ())) | used
         unused += [f"{module.__name__}.{name}" for name in _top_level_names(tree) if name not in public]
     assert unused == []
+
+
+def test_every_public_name_is_read_by_the_package_or_the_readme():
+    # A public name that neither the package (outside its own definition)
+    # nor the README's example reads is a dead public helper: its tests
+    # test code that no caller runs.
+    trees = list(_package_trees().values()) + [ast.parse(block) for block in python_blocks()]
+    used = set().union(*map(_names_read, trees))
+    assert [name for name in apzf.__all__ if name not in used] == []

@@ -14,8 +14,13 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
+def python_blocks() -> list:
+    """The README's ``python`` code blocks, in file order."""
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
 def test_readme_python_blocks_run():
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    blocks = python_blocks()
     assert len(blocks) >= 2
     namespace = {}
     for block in blocks:
