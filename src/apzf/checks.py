@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import NORMALS_PER_DRAW, sample_channel, sample_csit
 from .gdof import distributed_gdof, genie_outer_bound, scheme_layout
-from .harness import estimate_slope, simulate_snr, sweep
+from .harness import _snr_power, estimate_slope, simulate_snr, sweep
 from .precoders import apzf
 from .topology import CsitQuality, Topology, canonicalize
 
@@ -89,9 +89,9 @@ def _instance(rng):
     return Topology(gamma), CsitQuality(alpha)
 
 
-# The powers at which the exponent fits sample, and their levels in dB.
-_P_GRID = np.logspace(4, 8, 5)
+# The levels in dB at which the exponent fits sample, and their powers.
 _P_GRID_DB = (40.0, 50.0, 60.0, 70.0, 80.0)
+_P_GRID = np.array([_snr_power(db) for db in _P_GRID_DB])
 
 
 def _fitted_exponent(mean_log2_power) -> float:

@@ -176,7 +176,8 @@ def _cmd_sweep(args) -> int:
     write_summary(config, curve, summary_path)
     for s in config.schemes:
         slope = curve.slopes[s]
-        shown = f"{slope:.4f}" if slope is not None else "n/a (fewer than 2 distinct window points)"
+        shown = (f"{slope:.4f}" if slope is not None
+                 else "n/a (fewer than 2 window points, or too close together to fit)")
         print(f"{s:15s} slope over {config.window_db[0]:g}-{config.window_db[1]:g} dB: {shown}")
     print(f"wrote {out} and {summary_path}")
     return EXIT_OK

@@ -27,7 +27,6 @@ import numbers
 import os
 import reprlib
 import sys
-import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -403,27 +402,26 @@ def estimate_slope(points, window_db) -> float:
     a dB window: a sum rate, or a mean log2 power.
 
     ``points`` is a sequence of (snr_db, value) pairs; both window edges
-    are inclusive.  Raises InsufficientPoints when fewer than two points
-    lie inside, or when numpy warns that the fit is poorly conditioned or
-    a squared x underflows to 0 and it divides by zero: the points are
-    too close together for a line.
+    are inclusive.  With x = log2(P) and d = x - mean(x) over the n
+    points inside, the slope is fsum(d*y) / fsum(d*d) in Python floats,
+    so its bits depend on neither BLAS nor the CPU.  Raises
+    InsufficientPoints when fewer than two points lie inside, or when
+    they are too close together for a line: max(x) - min(x) <=
+    n * eps * max|x|, or fsum(d*d) is below the smallest normal float.
     """
     lo, hi = window_db
-    sel = [(snr, y) for snr, y in points if lo <= snr <= hi]
+    sel = [(snr * _LOG2P_PER_DB, y) for snr, y in points if lo <= snr <= hi]
     if len(sel) < 2:
         raise InsufficientPoints(
             f"need >= 2 points inside [{lo}, {hi}] dB, found {len(sel)}"
         )
-    x = np.array([snr * _LOG2P_PER_DB for snr, _ in sel])
-    y = np.array([v for _, v in sel])
-    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise", over="raise"):
-        warnings.simplefilter("error")
-        try:
-            return float(np.polyfit(x, y, 1)[0])
-        except (Warning, FloatingPointError) as exc:
-            raise InsufficientPoints(
-                f"points inside [{lo}, {hi}] dB are too close together to fit a slope"
-            ) from exc
+    x, y = zip(*sel)
+    mean = math.fsum(x) / len(x)
+    d = [xi - mean for xi in x]
+    sxx = math.fsum(di * di for di in d)
+    if max(x) - min(x) <= len(x) * sys.float_info.epsilon * max(map(abs, x)) or sxx < sys.float_info.min:
+        raise InsufficientPoints(f"points inside [{lo}, {hi}] dB are too close together to fit a slope")
+    return math.fsum(di * yi for di, yi in zip(d, y)) / sxx
 
 
 def write_csv(curve: SweepCurve, path) -> None:

@@ -18,6 +18,7 @@ and enforces its tolerance and runtime budget:
 import time
 
 import numpy as np
+import pytest
 
 from apzf import (
     CsitQuality,
@@ -112,16 +113,14 @@ def test_simulated_slopes_match_closed_form_gdof():
     )
 
 
-# One merged check covers the coefficient and received-power exponents;
-# it runs here on both streams the two families were held to before.
-def test_pair_coefficient_power_exponents():
-    name = "power exponents at seed 501"
-    _timed_verdict(name, 30.0, checks.power_exponents, np.random.default_rng(501), 10, 1200)
-
-
-def test_received_power_exponents():
-    name = "power exponents at seed 601"
-    _timed_verdict(name, 60.0, checks.power_exponents, np.random.default_rng(601), 10, 1500)
+# One check covers the coefficient and received-power exponents; it runs
+# here on both streams the two families were held to before.
+@pytest.mark.parametrize(
+    "seed, n_topologies, draws, budget_s", [(501, 10, 1200, 30.0), (601, 10, 1500, 60.0)], ids=["seed-501", "seed-601"]
+)
+def test_power_exponents(seed, n_topologies, draws, budget_s):
+    name = f"power exponents at seed {seed}"
+    _timed_verdict(name, budget_s, checks.power_exponents, np.random.default_rng(seed), n_topologies, draws)
 
 
 def test_exact_cancellation_with_perfect_csit():

@@ -161,6 +161,22 @@ def test_sweep_window_and_scheme_overrides(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+# 39-41 dB holds one point of the first grid, and both of the second,
+# which are distinct but too close together to fit a line.
+@pytest.mark.parametrize(
+    "snr_db", [[40.0, 50.0, 60.0], [40.0, 40.00000000000001]], ids=["one-window-point", "too-close-to-fit"]
+)
+def test_sweep_says_why_a_slope_is_missing(tmp_path, snr_db, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(_SMALL_CONFIG, snr_db=snr_db, schemes=["apzf"])), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--window", "39:41"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "apzf            slope over 39-41 dB: n/a (fewer than 2 window points, or too close together to fit)"
+    )
+    assert json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["slopes"] == {"apzf": None}
+
+
 @pytest.mark.parametrize("window", ["45-60", "40:50:60"])
 def test_sweep_rejects_malformed_window(config_path, tmp_path, window, capsys):
     code = main([

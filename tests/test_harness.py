@@ -688,6 +688,71 @@ def test_estimate_slope_rejects_points_too_close_to_fit(snrs):
         estimate_slope([(snrs[0], 1.0), (snrs[1], 2.0)], (-1.0, 100.0))
 
 
+def _well_spread_grid(rng):
+    """2-9 SNRs spread over a 10-60 dB window that starts between -30 and
+    100 dB, and their sum rates on a line of slope 0.5-3 plus noise."""
+    n = int(rng.integers(2, 10))
+    start, width = rng.uniform(-30.0, 100.0), rng.uniform(10.0, 60.0)
+    snrs = start + width * (np.arange(n) + rng.uniform(-0.2, 0.2, n)) / (n - 1)
+    rates = rng.uniform(0.5, 3.0) * snrs * harness._LOG2P_PER_DB + rng.uniform(-5.0, 5.0)
+    return snrs.tolist(), (rates + rng.normal(0.0, 0.05, n)).tolist()
+
+
+def test_estimate_slope_matches_polyfit_on_well_spread_grids():
+    # np.polyfit, which the fit once called, is the reference.  The closed
+    # form's rounding error grows like n * eps * mean(x)**2 / fsum(d*d); on
+    # these grids it stays well below the tolerance.
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        snrs, rates = _well_spread_grid(rng)
+        reference = np.polyfit(np.array(snrs) * harness._LOG2P_PER_DB, rates, 1)[0]
+        assert estimate_slope(zip(snrs, rates), (-math.inf, math.inf)) == pytest.approx(reference, rel=1e-12)
+
+
+def test_estimate_slope_is_linear_in_the_values():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        snrs, u = _well_spread_grid(rng)
+        v = rng.normal(0.0, 10.0, len(snrs)).tolist()
+        a, b = rng.normal(0.0, 3.0, 2)
+        slope = [estimate_slope(zip(snrs, y), (-math.inf, math.inf)) for y in (u, v)]
+        mixed = estimate_slope(zip(snrs, [a * ui + b * vi for ui, vi in zip(u, v)]), (-math.inf, math.inf))
+        scale = abs(a * slope[0]) + abs(b * slope[1])
+        assert mixed == pytest.approx(a * slope[0] + b * slope[1], abs=1e-13 * scale)
+
+
+def _rule_rejects(snrs) -> bool:
+    """The rule the docstring of ``estimate_slope`` states for points too
+    close together to fit."""
+    x = [s * harness._LOG2P_PER_DB for s in snrs]
+    mean = math.fsum(x) / len(x)
+    d = [xi - mean for xi in x]
+    return (max(x) - min(x) <= len(x) * sys.float_info.epsilon * max(map(abs, x))
+            or math.fsum(di * di for di in d) < sys.float_info.min)
+
+
+@pytest.mark.parametrize(
+    "fixed, start",
+    [
+        ((40.0,), 40.0),
+        ((-1500.0, -1500.0), -1500.0),
+        ((0.0,), (1.0 - 1e-13) * math.sqrt(2.0 * sys.float_info.min) / harness._LOG2P_PER_DB),
+    ],
+    ids=["spread-2-points", "spread-3-points", "squares-below-normal"],
+)
+def test_estimate_slope_boundary_is_the_stated_rule(fixed, start):
+    # The last SNR walks up one float at a time from ``start`` until the
+    # rule stops rejecting: the grid before is rejected, the grid at it fits.
+    last = [start]
+    while _rule_rejects((*fixed, last[-1])):
+        assert len(last) < 10_000
+        last.append(math.nextafter(last[-1], math.inf))
+    assert len(last) > 1
+    with pytest.raises(InsufficientPoints, match="too close together"):
+        estimate_slope([(s, 1.0) for s in fixed] + [(last[-2], 2.0)], (-math.inf, math.inf))
+    assert math.isfinite(estimate_slope([(s, 1.0) for s in fixed] + [(last[-1], 2.0)], (-math.inf, math.inf)))
+
+
 def test_sweep_with_points_too_close_to_fit_gives_none_slope():
     cfg = _config(schemes=("apzf",), snr_db=(0.0, 1.2673671092276572e-278), draws=1, window_db=(0.0, 1.0))
     assert sweep(cfg).slopes == {"apzf": None}

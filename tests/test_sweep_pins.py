@@ -56,11 +56,11 @@ CONFIGS = {
 DIGESTS = {
     "sweep-ref": (
         "c003f026f027b0f92ffdf457709035773b84ae9d4fd5b43cd496fd6f3f149440",
-        "1667a286ea49d914a0bdd9f96c6156b0b538e3f269e4dab6f797383c7fab5fbb",
+        "bdb8fd4c73edcaa01cc13f92a8aa67fed973b71789e4fef9f2865188914e356e",
     ),
     "sweep-z1-pool": (
         "c3f3be3e1d9d9e889bf02cf4c1c7a2d50053b3f7c432e3c07607673c473a796a",
-        "5bbd0c2df09bf3497c56b8d1f776b5db8bf0ee97ddcba7da93a5630e76b6b790",
+        "354d7b449d7f1b7112cca91c2f92c9d25a9edf67cefeb9d8cff6e50c2abf58a6",
     ),
 }
 
@@ -89,11 +89,11 @@ SWAPPED = {
 SWAPPED_DIGESTS = {
     "ref-alphas-swapped": (
         "a9567e342954947e7d790dcec46fe49c61e36c5cc0acec2a79566453caebe633",
-        "aa313ce0281ad3e6ba4fae6b9fa36d55ca79be0f501c2be36ca1c5b7ce2cf537",
+        "2f07dd0d1bc4e75af8fcd62f9865ec116cc44e9c936b4b6d12de8381039045d7",
     ),
     "z1-alphas-swapped": (
         "282f9c8dac608dcda9e80c9c49acdf153647e06257a8fa27ddd6f3640374b347",
-        "bc09f9f107700623423cbf94f4dc7f4619edc4f8eef03c9ff3f256ed33eba515",
+        "51825a78d87c7e58a3a705f2429434f9f8f2d1b3126c68fc71c2b565cb638fb2",
     ),
 }
 
@@ -110,11 +110,11 @@ LOW_SNR = {
 LOW_SNR_DIGESTS = {
     "ref-low-snr": (
         "864a3e0a4343fbe22fa44a8349416642281dd67501b540b8f13ddb42dcca0e4d",
-        "cc9f560e703856391f07c80effda22a54334c12503d524b7548481d5fad64540",
+        "a958a75604e92962afbd1d9790fd68badd5943fcceb36337c94ff88e71675c5e",
     ),
     "z1-low-snr": (
         "632ea262566bbb3821c6499757b9d39e0e24c13b98a52f064336b7e102932abc",
-        "a943fee262d01c1987e58b85a22dab5fb3fa639a230eaf4c665c21075d3228b3",
+        "9dcf88fe6fcc69a401ee99162f5cc5325e95778d71f1e0b897ef9c62986bfdce",
     ),
 }
 
