@@ -102,9 +102,13 @@ class NoDominantTransmitter(ValidationError):
         return type(self), ()
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Topology:
-    """Link-strength exponents, ``gamma[i, k]`` for TX ``k`` -> RX ``i``."""
+    """Link-strength exponents, ``gamma[i, k]`` for TX ``k`` -> RX ``i``.
+
+    Equal when the entries are (``np.array_equal``); unhashable, as the
+    array it holds can be edited.
+    """
 
     gamma: np.ndarray
 
@@ -113,15 +117,25 @@ class Topology:
         if self.gamma.shape != (2, 2):
             raise ValueError(f"gamma must be 2x2, got shape {self.gamma.shape}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(np.array_equal(self.gamma, other.gamma))
+
+    __hash__ = None
+
     @classmethod
     def parallel(cls, cross: float) -> "Topology":
         """Symmetric topology with unit direct links and equal cross links."""
         return cls(np.array([[1.0, cross], [cross, 1.0]]))
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class CsitQuality:
-    """Per-transmitter estimate qualities, ``alpha[j, i, k]`` at TX ``j``."""
+    """Per-transmitter estimate qualities, ``alpha[j, i, k]`` at TX ``j``.
+
+    Equal and unhashable as ``Topology`` is.
+    """
 
     alpha: np.ndarray
 
@@ -129,6 +143,13 @@ class CsitQuality:
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.shape != (2, 2, 2):
             raise ValueError(f"alpha must be 2x2x2, got shape {self.alpha.shape}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(np.array_equal(self.alpha, other.alpha))
+
+    __hash__ = None
 
     @classmethod
     def uniform(cls, alpha_tx1: float, alpha_tx2: float) -> "CsitQuality":

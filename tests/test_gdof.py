@@ -283,7 +283,7 @@ def test_layout_exponent_ranges():
         assert set(layout.rate_exp) == set(layout.power_exp)
 
 
-@pytest.mark.parametrize("cls", [GdofValue, SchemeLayout])
+@pytest.mark.parametrize("cls", [GdofValue, SchemeLayout, Topology, CsitQuality])
 def test_slotted_results_behave_as_values(cls):
     # The parallel reference instance, and case 1 and case 2 with a z1 layer.
     a1 = np.array([[0.4, 0.4], [0.3, 0.3]])
@@ -292,22 +292,33 @@ def test_slotted_results_behave_as_values(cls):
         for gamma, a in (([[1.0, 0.7], [0.5, 0.9]], a1), ([[1.0, 0.8], [0.9, 0.6]], a1 + 0.1))
     ]
     names = [f.name for f in dataclasses.fields(cls)]
+
+    def fields(value):
+        # An array field as its dtype, shape and bytes, any other as its repr.
+        return [
+            (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+            for v in (getattr(value, n) for n in names)
+        ]
+
     # Protocols 0 and 1 cannot pickle a slotted class without __getstate__.
     protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
     for topo, csit in instances:
-        made = [distributed_gdof(topo, csit), genie_outer_bound(topo, csit)]
-        if cls is SchemeLayout:
-            made = [scheme_layout(canonicalize(topo, csit))]
+        made = {
+            GdofValue: [distributed_gdof(topo, csit), genie_outer_bound(topo, csit)],
+            SchemeLayout: [scheme_layout(canonicalize(topo, csit))],
+            Topology: [topo],
+            CsitQuality: [csit],
+        }[cls]
         for value in made:
             assert type(value) is cls and not hasattr(value, "__dict__")
+            with pytest.raises(AttributeError):
+                value.not_a_field = 0
             for other in (
                 *(pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols),
                 copy.copy(value),
                 dataclasses.replace(value),
             ):
                 assert type(other) is cls and other == value
-                assert [repr(getattr(other, n)) for n in names] == [
-                    repr(getattr(value, n)) for n in names
-                ]
+                assert fields(other) == fields(value)
                 if cls is SchemeLayout:
                     assert other.rate_total().hex() == value.rate_total().hex()

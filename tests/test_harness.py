@@ -834,6 +834,24 @@ def test_load_config_file_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.topology.gamma, cfg.topology.gamma)
 
 
+def test_config_types_compare_by_entries():
+    eye = Topology(np.eye(2))
+    assert eye == Topology(np.eye(2).tolist()) and not eye != Topology(np.eye(2))
+    assert eye != Topology(np.ones((2, 2))) and eye != Topology(np.eye(2)[::-1])
+    csit = CsitQuality.uniform(0.5, 0.0)
+    assert csit == CsitQuality(np.stack([np.full((2, 2), 0.5), np.zeros((2, 2))]))
+    assert csit != CsitQuality.uniform(0.5, 0.25)
+    # Another type is not equal, and the types stay unhashable.
+    assert eye.__eq__(np.eye(2)) is NotImplemented and eye != csit
+    for value in (eye, csit):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    cfg = load_config(_PARALLEL_CONFIG)
+    assert cfg == load_config(_PARALLEL_CONFIG)
+    assert cfg != dataclasses.replace(cfg, topology=Topology.parallel(0.5))
+    assert cfg != dataclasses.replace(cfg, csit=CsitQuality.uniform(0.5, 0.25))
+
+
 def test_config_defaults_when_optional_keys_absent():
     raw = config_to_dict(_config())
     del raw["window_db"], raw["workers"]
