@@ -51,9 +51,9 @@ NORMALS_PER_DRAW = 24
 def _per_point(f, p):
     """``f`` at each SNR point of ``p``, shaped to broadcast against draws-last arrays.
 
-    ``f`` maps a float P to a float, an array of shape S, or a tuple of
-    floats (then S is the tuple's length).  For a float ``p`` this is
-    ``f(p)``, with a trailing axis of length 1 added if it is an array;
+    ``f`` maps a float P to a float or to an array of shape S.  For a
+    float ``p`` this is ``f(p)``, with a trailing axis of length 1 added
+    if it is an array;
     for a ``(points, 1)`` column it is each point's ``f(P)`` stacked into
     a C-contiguous array of shape ``S + (points, 1)``.
     """

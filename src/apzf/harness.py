@@ -109,21 +109,21 @@ class InsufficientPoints(ValueError):
     """Not enough points to fit a slope."""
 
 
+# snr_db is accepted in [-180, 180] dB.  Above 180 dB float64 rounding
+# starts to set some ZF slopes (0.018 off long double at 180-200 dB); the
+# floor mirrors it, far above the -1050 dB where ZF directions overflow.
+_SNR_DB_LIMIT = 180.0
+
+
 def _snr_power(snr_db: float) -> float:
-    """P = 10**(snr_db / 10); ConfigError unless P is a normal float and
-    P*P is finite (about -3076 to 1541 dB)."""
-    try:
-        p = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        p = math.inf
-    # The 1/P regularizer bounds the active AP-ZF coefficient's power by
-    # about P**2 times a squared Gaussian, so P*P must not overflow.
-    if not (sys.float_info.min <= p and p * p < math.inf):
+    """P = 10**(snr_db / 10); ConfigError for a NaN or an ``snr_db``
+    outside [-180, 180] dB."""
+    if not -_SNR_DB_LIMIT <= snr_db <= _SNR_DB_LIMIT:
         raise ConfigError(
-            f"snr_db {snr_db!r} is out of range: P = 10**(snr_db/10) must be "
-            "a normal float with P*P finite"
+            f"snr_db {snr_db!r} is outside the accepted range "
+            f"[{-_SNR_DB_LIMIT:g}, {_SNR_DB_LIMIT:g}] dB"
         )
-    return p
+    return 10.0 ** (snr_db / 10.0)
 
 
 def _integer(name: str, value) -> int:

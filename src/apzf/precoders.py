@@ -37,8 +37,13 @@ norm sqrt(P**tau), the ``_amplitude`` of its power exponent, negating
 the imaginary half in place.  The centralized vector is ``w``
 normalised whole, the naive one entry j of TX j's own ``w`` normalised
 alone (``_naive``).  ``apzf.scheme`` composes the steps from one memo
-per pass, so each direction is made once and normalised for both, and
-its scales (``_zf_scales``) are made once per pass.
+per pass, so each direction is made once and normalised for both.
+
+A sweep runs at P from 1e-18 to 1e18 only (``apzf.harness``'s SNR
+range).  Library callers may go further: the ZF directions stay finite
+down to about P = 1e-105 (``_zf_direction``), and
+``apzf.checks.cancellation`` runs ``apzf`` alone, no ZF direction, at
+P = 1e100.
 
 ``p`` is a float, or a ``(points, 1)`` column of several SNR points'
 powers; estimates made at a column carry a points axis just before the
@@ -177,19 +182,7 @@ def matched(estimate_active: np.ndarray, tau: float, p) -> np.ndarray:
     return _normalised(w, _norm(w), _amplitude(tau, p))
 
 
-def _zf_scales(p):
-    """``(c, c**2 / P)`` at each point of ``p``, for ``_zf_direction``:
-    c is a power of two with c**2 within a factor 2 of P when P < 1/2,
-    and 1 otherwise."""
-
-    def scales(q: float) -> tuple:
-        c = math.ldexp(1.0, min(math.frexp(q)[1], 0) // 2)
-        return c, c * c / q
-
-    return _per_point(scales, p)
-
-
-def _zf_direction(estimate: np.ndarray, target_rx: int, scales) -> tuple:
+def _zf_direction(estimate: np.ndarray, target_rx: int, p) -> tuple:
     """Direction ``w`` of the regularized channel-inverse column for
     ``target_rx``, unconjugated, and its norm.
 
@@ -197,23 +190,14 @@ def _zf_direction(estimate: np.ndarray, target_rx: int, scales) -> tuple:
     estimate, is ``conj(w)`` up to the positive factor ``1/det`` of the
     2x2 matrix, which ``_normalised`` removes, with ``w = r_t (|r_o|^2 +
     1/P) - r_o <r_t, r_o>`` for the target's row ``r_t`` and the other
-    receiver's row ``r_o``.
-
-    At low P the rows are large and 1/P is huge, and their product
-    overflows.  So ``r_o`` is scaled by the c of ``scales``, the
-    ``_zf_scales`` of P, and 1/P by c**2, which scales ``w`` by c**2: an
-    exact power of two, so no rounding changes, and ``_normalised``
-    removes it.  At P >= 1/2, c is 1 (where it is 1 at every point, the
-    multiplication is skipped).
+    receiver's row ``r_o``.  At low P the rows are large and 1/P is huge,
+    so ``w``'s squared norm overflows below about P = 1e-105.
     """
-    c, reg = scales
     r_t, r_o = estimate[:, target_rx], estimate[:, 1 - target_rx]
-    if np.any(c != 1.0):  # a product with 1.0 changes no bit
-        r_o = r_o * c
     inner = _cmul_conj(r_t, r_o)
     inner = inner[:, 0] + inner[:, 1]  # rebound, so the product is freed here
     a = _abs2(r_o)
-    w = r_t * (a[0] + a[1] + reg)
+    w = r_t * (a[0] + a[1] + 1.0 / p)
     del a  # freed before the product below is made
     w -= _cmul(r_o, inner[:, None])
     return w, _norm(w)

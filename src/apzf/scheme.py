@@ -74,7 +74,6 @@ from .precoders import (
     _naive,
     _normalised,
     _zf_direction,
-    _zf_scales,
     apzf,
     matched,
     multicast,
@@ -216,17 +215,15 @@ def _build_pass(canonical: CanonicalForm, estimate, layouts: dict, p, shape: tup
     directions, so each is made at most once, at its first use, and only
     for a scheme that uses it.  Both are cleared once, right after the last
     scheme that sends a private or z layer (or else the first scheme) has
-    built its layers, before they are yielded.  The directions' scales
-    (``precoders._zf_scales``) are made once per pass too.  Directions
-    are normalised per scheme, since the schemes' power exponents may
+    built its layers, before they are yielded.  Directions are
+    normalised per scheme, since the schemes' power exponents may
     differ.
     """
     plans = [(scheme, layout, _bands(scheme, layout)) for scheme, layout in layouts.items()]
     last = max((i for i, (_, _, bands) in enumerate(plans) if bands), default=0)
     act = canonical.active_tx
     est = functools.cache(estimate)
-    zf_scales = functools.cache(lambda: _zf_scales(p))
-    zf = functools.cache(lambda j, rx: _zf_direction(est(j), rx, zf_scales()))
+    zf = functools.cache(lambda j, rx: _zf_direction(est(j), rx, p))
     for i, (scheme, layout, bands) in enumerate(plans):
         tau = layout.power_exp
 

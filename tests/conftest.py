@@ -70,6 +70,8 @@ BAD_CONFIG_VALUES = {
     "snr-power-overflows": ("snr_db", [40.0, 4000.0]),
     "snr-power-squared-overflows": ("snr_db", [40.0, 1600.0]),
     "snr-power-underflows": ("snr_db", [-4000.0, 40.0]),
+    "snr-above-ceiling": ("snr_db", [40.0, 180.5]),
+    "snr-below-floor": ("snr_db", [-180.5, 40.0]),
     "draws-fractional": ("draws", 2.7),
     "draws-bool": ("draws", True),
     "draws-above-2-pow-32": ("draws", 2**32 + 1),

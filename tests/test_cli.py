@@ -457,11 +457,12 @@ def test_config_error_echoes_a_bounded_value(config_path, tmp_path, key, value, 
     assert err.startswith("config error:") and err.count("\n") == 1 and len(err) < 200
 
 
-@pytest.mark.parametrize("snr", ["nan", "inf", "4000", "1600"])
+@pytest.mark.parametrize("snr", ["nan", "inf", "4000", "1600", "180.5", "-180.5"])
 def test_simulate_bad_snr_exits_with_config_error(config_path, snr, capsys):
     assert main(["simulate", "--config", config_path, "--snr-db", snr]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "config error" in captured.err and captured.out == ""
+    assert "[-180, 180] dB" in captured.err
 
 
 @pytest.mark.parametrize(

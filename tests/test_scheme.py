@@ -11,6 +11,7 @@ from apzf import (
     apzf,
     build_layers,
     canonicalize,
+    estimate_slope,
     multicast,
     plan_layout,
     sample_channel,
@@ -428,6 +429,39 @@ def test_long_double_normals_give_long_double_layers_and_rates(instance, column)
             assert tag == "s0" or t.dtype == np.longdouble, (kind, tag)
         for tag, r in rates.items():
             assert r.dtype == np.longdouble, (kind, tag)
+
+
+# The golden instances, a starved one (a sent band of power exponent 1
+# leaves s0, which carries rate, no power), and the 1/2-lattice instance
+# whose float64 ZF slopes departed most from long double's at 180-200 dB.
+_PRECISION_INSTANCES = {
+    **{name: (gamma, alpha) for name, (gamma, alpha, _) in GOLDEN_INSTANCES.items()},
+    "starved": ([[0.75, 0.0], [1.0, 0.5]], [[[0.625, 0.0], [0.75, 0.5]], [[0.0, 0.0], [0.25, 0.5]]]),
+    "lattice_worst": ([[1.0, 0.0], [1.0, 0.5]], [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]]),
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps, reason="long double is float64 here"
+)
+@pytest.mark.parametrize("instance", sorted(_PRECISION_INSTANCES))
+def test_float64_slopes_match_long_double_at_the_top_of_the_snr_range(instance):
+    # The sweep accepts up to 180 dB because float64 rounding does not
+    # yet set a slope there: over 160-180 dB each ZF slope is within 0.01
+    # of the one the same draws give in long double.  At these 200 draws
+    # the lattice instance's centralized_zf is 0.018 apart at 180-200 dB.
+    gamma, alpha = _PRECISION_INSTANCES[instance]
+    canon = canonicalize(Topology(gamma), CsitQuality(alpha))
+    grid = (160.0, 165.0, 170.0, 175.0, 180.0)
+    p = np.array([10.0 ** (snr / 10.0) for snr in grid])[:, None]
+    z = np.random.default_rng(5).standard_normal((200, NORMALS_PER_DRAW))
+    for kind in ("apzf", "centralized_zf", "naive_zf"):
+        slopes = []
+        for normals in (z, z.astype(np.longdouble)):
+            _, _, rates = _layers_mask_rates(canon, kind, p, normals)
+            means = map(float, np.mean(sum(rates.values()), axis=-1))
+            slopes.append(estimate_slope(list(zip(grid, means)), (grid[0], grid[-1])))
+        assert abs(slopes[0] - slopes[1]) <= 0.01, (kind, slopes)
 
 
 def test_rates_nonnegative_and_additive():
